@@ -53,6 +53,7 @@ from .fock import (
     FockState,
     GridCase,
     GridReport,
+    ancilla_cutoff,
     apply_unitary_fock,
     equivalence_grid,
     fock_moments,
@@ -77,7 +78,8 @@ __all__ = [
     "SWEEP_PARAMETERS", "detect_saturation", "modified_resolution",
     "optimize_delta2", "refine_working_point", "small_angle_root",
     "standard_resolution", "sweep",
-    "CutoffError", "FockState", "GridCase", "GridReport", "apply_unitary_fock",
+    "CutoffError", "FockState", "GridCase", "GridReport", "ancilla_cutoff",
+    "apply_unitary_fock",
     "equivalence_grid", "fock_moments", "oracle_pipeline",
     "photon_number_expectation", "tail_cutoff", "tmsv_fock",
     "RunConfig",

@@ -10,47 +10,38 @@ realised as a beam splitter onto a vacuum ancilla that is never traced
 out explicitly.  None of the covariance shortcuts are reused, which makes
 the comparison meaningful.
 
-Truncation bookkeeping is explicit: a squeezed pair state keeps its exact
-geometric tail mass as `norm_deficit`, cutoffs below the per-term bound of
-1e-14 are refused, and the measurement routine checks that no appreciable
-amplitude has climbed within two levels of any measured mode's ceiling
-(the product observable reaches one level past twice the pair cutoff,
-hence the two-level pad in the pipeline dimensions).
-
-Per-mode dimensions are heterogeneous on purpose: the two signal modes
-need 2 n_sup + 3 levels to hold the post-splitter bunching plus operator
-reach, while loss ancillas at small loss angles are occupied essentially
-only in their lowest levels, so giving every mode the signal dimension
-would square the memory for nothing.
+Truncation is bounded and guarded.  A squeezed pair keeps its exact
+geometric tail mass as `norm_deficit`, and cutoffs below the per-term bound
+of 1e-14 are refused.  Each loss ancilla gets the levels `ancilla_cutoff`
+derives from a tail bound: no mode ever holds more than the pair's 2n
+photons, and a loss of angle a passes each to its ancilla with probability
+sin^2 a, so K or more are lost with probability at most
+(1 + t)(sin^2 a t/(1 - t))^K, t = tanh G.  The measurement checks that no
+appreciable amplitude sits within two levels of any mode's ceiling (the
+product observable reaches one level past twice the pair cutoff, hence
+signal modes of 2 n_sup + 3 levels).
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import BsSpec
+from .gaussian import BsSpec, loss_unitary
 from .interferometer import InterferometerConfig, evaluate
 from .moments import SignalStats
 
 __all__ = [
-    "CutoffError",
-    "FockState",
-    "tail_cutoff",
-    "tmsv_fock",
-    "apply_unitary_fock",
-    "fock_moments",
-    "photon_number_expectation",
-    "oracle_pipeline",
-    "equivalence_grid",
-    "GridCase",
-    "GridReport",
+    "CutoffError", "FockState", "tail_cutoff", "ancilla_cutoff", "tmsv_fock",
+    "apply_unitary_fock", "fock_moments", "photon_number_expectation",
+    "oracle_pipeline", "equivalence_grid", "GridCase", "GridReport",
 ]
 
 _DEFICIT_CAP = 1e-12
 _TAIL_TOL = 1e-14
-_ANCILLA_DIM = 16
+_CEILING_TOL = 1e-9  # probability the top two levels of any mode may hold
 _MAX_ELEMENTS = 40_000_000  # ~640 MB of complex128; refuse beyond this
 
 
@@ -98,8 +89,8 @@ def tail_cutoff(G: float, tol: float = _TAIL_TOL) -> int:
     The squeezed pair state has weights tanh^{2n} G / cosh^2 G, so the first
     omitted term at cutoff n_max is tanh^{2(n_max+1)} G / cosh^2 G.
     """
-    if G < 0:
-        raise ValueError("gain G must be non-negative")
+    if not 0 <= G < math.inf:
+        raise ValueError("gain G must be finite and non-negative")
     t2 = np.tanh(G) ** 2
     if t2 == 0.0:
         return 0
@@ -108,6 +99,29 @@ def tail_cutoff(G: float, tol: float = _TAIL_TOL) -> int:
     while t2 ** (n + 1) / c2 > tol:
         n += 1
     return n
+
+
+def ancilla_cutoff(G: float, angle: float, n_sup: int) -> int:
+    """Levels for the ancilla of a loss of `angle` on a pair of gain G.
+
+    The least K whose tail bound (module docstring) is within 1e-14 while the
+    top two levels stay under the measurement guard's 1e-9, capped at the
+    2 n_sup + 3 levels of a signal mode: every photon of a pair cut off at
+    n_sup, plus the guard's two-level pad.
+    """
+    if not 0 <= G < math.inf:
+        raise ValueError("gain G must be finite and non-negative")
+    if not 0 <= angle <= np.pi / 2:
+        raise ValueError("loss angle must lie in [0, pi/2]")
+    cap = 2 * n_sup + 3
+    r = np.sin(angle) ** 2 * np.expm1(2 * G) / 2  # t / (1 - t) = (e^{2G} - 1) / 2
+    if r >= 1.0:
+        return cap
+    scale = 1.0 + np.tanh(G)
+    k = 2
+    while k < cap and (scale * r ** k > _TAIL_TOL or scale * r ** (k - 2) >= _CEILING_TOL):
+        k += 1
+    return k
 
 
 def tmsv_fock(G: float, xi: float = 0.0, n_max: int | None = None) -> FockState:
@@ -239,19 +253,19 @@ def _x_apply(amps: np.ndarray, mode: int) -> np.ndarray:
     return np.moveaxis(out, -1, mode)
 
 
-def _level_occupancy(amps: np.ndarray, mode: int) -> np.ndarray:
-    """Marginal probability of each ladder level of one mode."""
-    st = np.moveaxis(amps, mode, -1)
-    return np.sum(np.abs(st) ** 2, axis=tuple(range(st.ndim - 1)))
+def _level_occupancy(prob: np.ndarray, mode: int) -> np.ndarray:
+    """Marginal probability of each ladder level of one mode, from |amplitudes|^2."""
+    return np.sum(np.moveaxis(prob, mode, -1), axis=tuple(range(prob.ndim - 1)))
 
 
 def photon_number_expectation(state: FockState, modes=None) -> float:
     """Mean photon number summed over the given modes (all by default)."""
     if modes is None:
         modes = range(state.n_modes)
+    prob = np.abs(state.amplitudes) ** 2
     total = 0.0
     for m in modes:
-        occ = _level_occupancy(state.amplitudes, m)
+        occ = _level_occupancy(prob, m)
         total += float(np.sum(occ * np.arange(len(occ))))
     return total
 
@@ -259,17 +273,18 @@ def photon_number_expectation(state: FockState, modes=None) -> float:
 def fock_moments(state: FockState, mode_a: int, mode_b: int):
     """First and second moments of X_a X_b, with truncation guards.
 
-    Requires the top two ladder levels of each measured mode to carry less
-    than 1e-9 probability, so that the one-level climb of each quadrature
-    factor cannot push amplitude off the ladder.  The first moment of the
-    Hermitian product must come out real; an imaginary residue above 1e-12
-    (relative to the signal scale) indicates a broken state and raises.
+    Requires the top two ladder levels of every mode, loss ancillas included,
+    to carry less than 1e-9 probability, so that neither a truncated ladder
+    nor the one-level climb of each quadrature factor loses amplitude.  The
+    first moment of the Hermitian product must come out real; an imaginary
+    residue above 1e-12 (relative to the signal scale) indicates a broken
+    state and raises.
     """
     amps = state.amplitudes
-    for m in (mode_a, mode_b):
-        occ = _level_occupancy(amps, m)
-        top = float(occ[-2:].sum())
-        if top >= 1e-9:
+    prob = np.abs(amps) ** 2
+    for m in range(amps.ndim):
+        top = float(_level_occupancy(prob, m)[-2:].sum())
+        if top >= _CEILING_TOL:
             raise CutoffError(
                 f"mode {m} holds {top:.3e} probability in its top two levels; "
                 "enlarge the cutoff")
@@ -282,9 +297,48 @@ def fock_moments(state: FockState, mode_a: int, mode_b: int):
     return float(m1c.real), m2
 
 
+def _lose(state: FockState, losses, first_ancilla: int) -> FockState:
+    """Each (mode, angle) loss as `loss_unitary` onto the next vacuum ancilla."""
+    for k, (mode, angle) in enumerate(losses):
+        state = apply_unitary_fock(state, loss_unitary(angle), (mode, first_ancilla + k))
+    return state
+
+
+def _prepare(config: InterferometerConfig, n_max: int | None):
+    """Squeezed pair cut off at n_max (default `tail_cutoff(G)`) after the
+    preparation losses, and the arm losses still to apply.
+
+    Each nonzero loss gets a vacuum ancilla, in pipeline order after the two
+    signal modes, so the arm ancillas are the last modes.
+    """
+    losses = [(mode, angle) for mode, angle in ((0, config.alpha1), (1, config.beta1),
+                                                (0, config.alpha2), (1, config.beta2))
+              if angle != 0.0]
+    n_prep = (config.alpha1 != 0.0) + (config.beta1 != 0.0)
+    n_sup = tail_cutoff(config.G) if n_max is None else n_max
+    dim = 2 * n_sup + 3
+    dims = [dim, dim] + [ancilla_cutoff(config.G, angle, n_sup) for _, angle in losses]
+    total = math.prod(dims)
+    if total > _MAX_ELEMENTS:
+        raise ValueError(
+            f"state tensor would need {total} amplitudes; reduce gain or losses")
+    seed = tmsv_fock(config.G, config.xi, n_max=n_sup)
+    amps = np.zeros(dims, dtype=complex)
+    idx = np.arange(n_sup + 1)
+    amps[(idx, idx) + (0,) * len(losses)] = seed.amplitudes[idx, idx]
+    return _lose(FockState(amps, seed.norm_deficit), losses[:n_prep], 2), losses[n_prep:]
+
+
+def _measure(state: FockState) -> SignalStats:
+    """Product-signal statistics and photon count of the two signal modes."""
+    m1, m2 = fock_moments(state, 0, 1)
+    return SignalStats(
+        mean=m1, second_moment=m2, sigma=float(np.sqrt(max(m2 - m1 * m1, 0.0))),
+        mean_photons=photon_number_expectation(state, (0, 1)))
+
+
 def oracle_pipeline(config: InterferometerConfig, phi: float,
-                    n_max: int | None = None,
-                    ancilla_dim: int = _ANCILLA_DIM) -> SignalStats:
+                    n_max: int | None = None) -> SignalStats:
     """Run the full interferometer in the Fock basis.
 
     Mirrors the covariance pipeline element by element: squeezed pair in,
@@ -293,47 +347,16 @@ def oracle_pipeline(config: InterferometerConfig, phi: float,
     signal modes (the photon count also covers only those, matching what a
     lossy channel leaves downstream).
 
-    Signal-mode dimension is 2 n_sup + 3: pair totals up to 2 n_sup occur
-    after the splitter, and the measurement climbs one more level per mode.
-    Loss ancillas get `ancilla_dim` levels, plenty for small loss angles.
+    Signal modes get 2 n_max + 3 levels for a pair cut off at n_max (default
+    `tail_cutoff(G)`), loss ancillas `ancilla_cutoff` levels; a state above
+    40M amplitudes raises ValueError.
     """
-    n_sup = tail_cutoff(config.G) if n_max is None else n_max
-    losses = [(0, config.alpha1), (1, config.beta1)]
-    arm_losses = [(0, config.alpha2), (1, config.beta2)]
-    n_anc = sum(1 for _, a in losses + arm_losses if a != 0.0)
-    dim = 2 * n_sup + 3
-    total = dim * dim * ancilla_dim ** n_anc
-    if total > _MAX_ELEMENTS:
-        raise ValueError(
-            f"state tensor would need {total} amplitudes; reduce gain or losses")
-
-    seed = tmsv_fock(config.G, config.xi, n_max=n_sup)
-    amps = np.zeros([dim, dim] + [ancilla_dim] * n_anc, dtype=complex)
-    idx = np.arange(n_sup + 1)
-    amps[(idx, idx) + (0,) * n_anc] = seed.amplitudes[idx, idx]
-    state = FockState(amps, seed.norm_deficit)
-
-    def lose(st, pairs, next_anc):
-        for mode, angle in pairs:
-            if angle == 0.0:
-                continue
-            c, s = np.cos(angle), np.sin(angle)
-            bs = np.array([[c, s], [-s, c]], dtype=complex)
-            st = apply_unitary_fock(st, bs, (mode, next_anc))
-            next_anc += 1
-        return st, next_anc
-
-    state, anc = lose(state, losses, 2)
+    state, arm = _prepare(config, n_max)
     state = apply_unitary_fock(state, BsSpec("B1", config.delta1), (0, 1))
     state = apply_unitary_fock(state, phi, 0)
-    state, anc = lose(state, arm_losses, anc)
+    state = _lose(state, arm, state.n_modes - len(arm))
     state = apply_unitary_fock(state, BsSpec("B2", config.delta2), (0, 1))
-
-    m1, m2 = fock_moments(state, 0, 1)
-    var = m2 - m1 * m1
-    return SignalStats(
-        mean=m1, second_moment=m2, sigma=float(np.sqrt(max(var, 0.0))),
-        mean_photons=photon_number_expectation(state, (0, 1)))
+    return _measure(state)
 
 
 @dataclass(frozen=True)
@@ -370,61 +393,38 @@ def equivalence_grid(gains=(0.2, 0.5, 0.8),
                      tolerance: float = 1e-8) -> GridReport:
     """Cross-check the covariance engine against the Fock oracle on a grid.
 
-    Prep loss is applied symmetrically (both signal modes).  The loops are
-    ordered so each prepared state is reused across splitter settings, each
-    split state across phases, and so on; with the sector-unitary cache this
-    keeps the full default grid (270 cases) well under a minute.
+    Prep loss is applied symmetrically (both signal modes).  The grid runs
+    the stages of `oracle_pipeline`, with the loops ordered so each prepared
+    state is reused across splitter settings and each split state across
+    phases; with the sector-unitary cache this keeps the full default grid
+    (270 cases) well under a minute.
 
     The deviation of a case is the largest absolute difference over the
     mean, second moment, sigma, and photon count.
     """
-    worst = None
-    failures = []
-    cutoff_errors = []
-    count = 0
+    cases, cutoff_errors = [], []
     for G in gains:
-        n_sup = tail_cutoff(G) if n_max is None else n_max
-        dim = 2 * n_sup + 3
         for loss in prep_losses:
+            base = InterferometerConfig(G=G, alpha1=loss, beta1=loss)
             try:
-                seed = tmsv_fock(G, 0.0, n_max=n_sup)
+                prep, _ = _prepare(base, n_max)
             except CutoffError as exc:
                 cutoff_errors.append((float(G), str(exc)))
                 break
-            n_anc = 2 if loss != 0.0 else 0
-            amps = np.zeros([dim, dim] + [_ANCILLA_DIM] * n_anc, dtype=complex)
-            idx = np.arange(n_sup + 1)
-            amps[(idx, idx) + (0,) * n_anc] = seed.amplitudes[idx, idx]
-            prep = FockState(amps, seed.norm_deficit)
-            if loss != 0.0:
-                c, s = np.cos(loss), np.sin(loss)
-                bs = np.array([[c, s], [-s, c]], dtype=complex)
-                prep = apply_unitary_fock(prep, bs, (0, 2))
-                prep = apply_unitary_fock(prep, bs, (1, 3))
             for d1 in imbalances:
                 split = apply_unitary_fock(prep, BsSpec("B1", d1), (0, 1))
                 for phi in phases:
                     shifted = apply_unitary_fock(split, float(phi), 0)
                     for d2 in imbalances:
-                        out = apply_unitary_fock(shifted, BsSpec("B2", d2), (0, 1))
-                        m1, m2 = fock_moments(out, 0, 1)
-                        sig = float(np.sqrt(max(m2 - m1 * m1, 0.0)))
-                        n_out = photon_number_expectation(out, (0, 1))
-                        cfg = InterferometerConfig(
-                            G=G, alpha1=loss, beta1=loss, delta1=d1, delta2=d2)
-                        ref = evaluate(cfg, phi)
-                        dev = max(abs(m1 - ref.mean),
-                                  abs(m2 - ref.second_moment),
-                                  abs(sig - ref.sigma),
-                                  abs(n_out - ref.mean_photons))
-                        case = GridCase(G=G, prep_loss=loss, delta1=d1,
-                                        phi=float(phi), delta2=d2, deviation=dev)
-                        count += 1
-                        if worst is None or dev > worst.deviation:
-                            worst = case
-                        if dev > tolerance:
-                            failures.append(case)
-    return GridReport(tolerance=tolerance, n_cases=count,
+                        got = _measure(apply_unitary_fock(shifted, BsSpec("B2", d2), (0, 1)))
+                        ref = evaluate(dataclasses.replace(base, delta1=d1, delta2=d2), phi)
+                        dev = max(abs(a - b) for a, b in zip(
+                            dataclasses.astuple(got), dataclasses.astuple(ref)))
+                        cases.append(GridCase(G=G, prep_loss=loss, delta1=d1,
+                                              phi=float(phi), delta2=d2, deviation=dev))
+    worst = max(cases, key=lambda case: case.deviation, default=None)
+    return GridReport(tolerance=tolerance, n_cases=len(cases),
                       max_deviation=worst.deviation if worst else math.nan,
-                      worst=worst, failures=tuple(failures),
+                      worst=worst,
+                      failures=tuple(case for case in cases if case.deviation > tolerance),
                       cutoff_errors=tuple(cutoff_errors))

@@ -157,8 +157,8 @@ def two_mode_squeezer(G: float, xi: float = 0.0, mode_i: int = 0, mode_j: int = 
     """
     if mode_i == mode_j:
         raise ValueError("squeezer requires two distinct modes")
-    if G < 0:
-        raise ValueError("gain G must be non-negative")
+    if not 0 <= G < np.inf:
+        raise ValueError("gain G must be finite and non-negative")
     c, s = np.cosh(G), np.sinh(G)
     sx, cx = np.sin(xi), np.cos(xi)
     # Quadrature image of V = Re V + i Im V = s sin(xi) - i s cos(xi):

@@ -17,7 +17,8 @@ and stays bit-stable across the full gain range.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,6 +61,8 @@ class InterferometerConfig:
     Loss angles alpha1/beta1 act right after the squeezer (source and
     injection imperfections); alpha2/beta2 act inside the arms.  delta1 and
     delta2 are the splitting-ratio imbalances of the two beam splitters.
+    Construction raises ValueError unless every field is finite, G >= 0, each
+    loss angle lies in [0, pi/2] and each |delta| < pi/4.
     """
 
     G: float
@@ -70,6 +73,20 @@ class InterferometerConfig:
     beta2: float = 0.0
     delta1: float = 0.0
     delta2: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if self.G < 0:
+            raise ValueError(f"gain G must be non-negative, got {self.G!r}")
+        for name in ("alpha1", "beta1", "alpha2", "beta2"):
+            if not 0 <= getattr(self, name) <= math.pi / 2:
+                raise ValueError(f"loss angle {name} must lie in [0, pi/2]")
+        for name in ("delta1", "delta2"):
+            if not abs(getattr(self, name)) < math.pi / 4:
+                raise ValueError(f"imbalance {name} must satisfy |delta| < pi/4")
 
     @classmethod
     def with_symmetric_loss(cls, G: float, prep: float = 0.0, arm: float = 0.0,

@@ -169,6 +169,18 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["resolve", "--config", str(unknown)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["signal", "--xi", "nan"],
+    ["resolve", "-G", "nan"],
+    ["resolve", "-G", "inf"],
+])
+def test_non_finite_device_values_exit_1(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["resolve", "--criterion", "bogus"])

@@ -7,8 +7,11 @@ from squint import (
     CutoffError,
     FockState,
     InterferometerConfig,
+    ancilla_cutoff,
     apply_unitary_fock,
+    evaluate,
     fock_moments,
+    loss_unitary,
     oracle_pipeline,
     photon_number_expectation,
     tail_cutoff,
@@ -22,6 +25,29 @@ def test_tail_cutoff_reference_points():
     assert tail_cutoff(0.8) == 38
     assert tail_cutoff(1.0) == 57
     assert tail_cutoff(0.0) == 0
+
+
+def test_ancilla_cutoff_reference_points():
+    n_sup = tail_cutoff(0.8)
+    assert [ancilla_cutoff(0.8, a, n_sup) for a in (0.02, 0.1, 0.2, 0.3)] == [5, 9, 13, 19]
+    assert ancilla_cutoff(0.2, 0.1, tail_cutoff(0.2)) == 6
+    # a tiny loss still keeps the two levels the guard inspects above the tail
+    assert ancilla_cutoff(0.8, 1e-3, n_sup) == 4
+    # near full loss the bound is void: every photon of the truncated pair
+    # (2 n_sup + 1 levels) plus the guard's two-level pad
+    assert ancilla_cutoff(0.8, np.pi / 2 - 1e-3, n_sup) == 2 * n_sup + 3
+    assert ancilla_cutoff(0.0, 0.1, tail_cutoff(0.0)) == 3
+
+
+def test_cutoffs_reject_bad_input():
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="gain"):
+            tail_cutoff(bad)
+        with pytest.raises(ValueError, match="gain"):
+            ancilla_cutoff(bad, 0.1, 10)
+    for bad in (-0.1, np.pi / 2 + 0.1, np.nan):
+        with pytest.raises(ValueError, match="loss angle"):
+            ancilla_cutoff(0.5, bad, 10)
 
 
 def test_tmsv_zero_gain_is_vacuum():
@@ -129,6 +155,22 @@ def test_moments_guard_against_ceiling_occupation():
         fock_moments(FockState(amps), 0, 1)
 
 
+def test_moments_guard_covers_loss_ancillas():
+    # G = 0.8 pair behind a 0.1 loss on each mode, each onto a 4-level
+    # ancilla: lost photons reach the ancillas' ceilings, which shifts the
+    # second moment by 8e-8 while the signal modes' own levels look fine
+    n_sup = tail_cutoff(0.8)
+    dim = 2 * n_sup + 3
+    seed = tmsv_fock(0.8, n_max=n_sup)
+    amps = np.zeros((dim, dim, 4, 4), dtype=complex)
+    amps[:n_sup + 1, :n_sup + 1, 0, 0] = seed.amplitudes
+    state = FockState(amps, seed.norm_deficit)
+    for mode, ancilla in ((0, 2), (1, 3)):
+        state = apply_unitary_fock(state, loss_unitary(0.1), (mode, ancilla))
+    with pytest.raises(CutoffError, match="mode 2 holds .* top two levels"):
+        fock_moments(state, 0, 1)
+
+
 def test_ideal_pipeline_mean_signal():
     for phi in (0.0, 0.6, np.pi / 4, np.pi / 2):
         stats = oracle_pipeline(InterferometerConfig(G=0.8), phi)
@@ -143,12 +185,19 @@ def test_pipeline_refuses_oversized_tensors():
 
 
 def test_pipeline_arm_loss_matches_engine():
-    from squint import evaluate
-    cfg = InterferometerConfig(G=0.5, xi=0.7, alpha2=0.1, beta2=0.08,
-                               delta1=0.05, delta2=-0.1)
-    for phi in (0.3, np.pi / 2):
-        got = oracle_pipeline(cfg, phi)
-        ref = evaluate(cfg, phi)
-        assert got.mean == pytest.approx(ref.mean, abs=1e-8)
-        assert got.second_moment == pytest.approx(ref.second_moment, abs=1e-8)
-        assert got.mean_photons == pytest.approx(ref.mean_photons, abs=1e-8)
+    configs = (
+        InterferometerConfig(G=0.5, xi=0.7, alpha2=0.1, beta2=0.08,
+                             delta1=0.05, delta2=-0.1),
+        # the largest losses the benchmark's oracle states use, one-sided at
+        # preparation, so the ancillas are at their deepest
+        InterferometerConfig(G=0.6, xi=-1.1, alpha1=0.3, alpha2=0.3,
+                             delta1=-0.12, delta2=0.08),
+    )
+    for cfg in configs:
+        for phi in (0.3, np.pi / 2):
+            got = oracle_pipeline(cfg, phi)
+            ref = evaluate(cfg, phi)
+            assert got.mean == pytest.approx(ref.mean, abs=1e-8)
+            assert got.second_moment == pytest.approx(ref.second_moment, abs=1e-8)
+            assert got.sigma == pytest.approx(ref.sigma, abs=1e-8)
+            assert got.mean_photons == pytest.approx(ref.mean_photons, abs=1e-8)

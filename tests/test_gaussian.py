@@ -107,6 +107,9 @@ def test_squeezer_validation():
         two_mode_squeezer(1.0, 0.0, mode_i=1, mode_j=1)
     with pytest.raises(ValueError):
         two_mode_squeezer(-0.5, 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            two_mode_squeezer(bad, 0.0)
 
 
 def test_beam_splitter_validation():

@@ -1,4 +1,6 @@
 """Full pipeline against the closed-form reference and its symmetries."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,21 @@ def test_symmetric_loss_constructor():
     cfg = InterferometerConfig.with_symmetric_loss(G=1.0, prep=0.02, arm=0.03, delta2=0.1)
     assert (cfg.alpha1, cfg.beta1, cfg.alpha2, cfg.beta2) == (0.02, 0.02, 0.03, 0.03)
     assert cfg.delta2 == 0.1
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("G", np.nan), ("G", np.inf), ("G", -0.1),
+    ("xi", np.nan), ("xi", -np.inf),
+    ("alpha1", -0.01), ("beta1", np.pi / 2 + 0.01), ("alpha2", np.nan), ("beta2", np.inf),
+    ("delta1", np.pi / 4), ("delta2", -0.8), ("delta2", np.nan),
+])
+def test_config_rejects_invalid_fields(field, bad):
+    fields = {"G": 1.0, field: bad}
+    with pytest.raises(ValueError, match=field):
+        InterferometerConfig(**fields)
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(InterferometerConfig(G=1.0), **{field: bad})
+
+
+def test_config_accepts_range_edges():
+    InterferometerConfig(G=0.0, alpha1=np.pi / 2, beta2=0.0, delta1=0.785, delta2=-0.785)
