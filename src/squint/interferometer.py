@@ -10,10 +10,14 @@ Element order, fixed by the physical layout:
            -> recombiner B2 (imbalance delta2)
            -> product-signal statistics on the two outputs.
 
-Adjacent symplectic factors are folded into a single matrix; losses are the
-only non-symplectic elements and cut the pipeline into segments.  Losses of
-angle zero are skipped entirely, so the ideal device is one matrix product
-and stays bit-stable across the full gain range.
+The engine carries a factor F of the covariance, C = F F^T, starting from
+the squeezer's matrix (the vacuum is the identity).  Each symplectic element
+multiplies F from the left; each nonzero loss scales its mode's rows by
+cos(angle) and appends two noise columns of sin(angle).  C is formed only at
+the outputs, as a sum of products of rows, so no step subtracts the large
+entries of an earlier covariance: the dark-fringe noise keeps a relative
+roundoff of about eps (1 + N) / sigma, and the ideal device is the single
+product M M^T.
 """
 from __future__ import annotations
 
@@ -25,12 +29,9 @@ import numpy as np
 from .gaussian import (
     BsSpec,
     GaussianState,
-    apply_loss,
-    apply_symplectic,
     beam_splitter,
     phase_shifter,
     two_mode_squeezer,
-    vacuum_state,
 )
 from .moments import (
     SignalStats,
@@ -46,12 +47,7 @@ __all__ = [
     "output_state",
     "signal_slope",
     "closed_form_reference",
-    "FD_STEP",
 ]
-
-# Default step of the finite-difference slope; also sets the roundoff floor
-# eps/FD_STEP below which a measured slope is indistinguishable from zero.
-FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -95,45 +91,32 @@ class InterferometerConfig:
         return cls(G=G, alpha1=prep, beta1=prep, alpha2=arm, beta2=arm, **kwargs)
 
 
-def _segments(config: InterferometerConfig, phi: float):
-    """Pipeline as (folded symplectic | loss) steps, zero losses dropped."""
-    steps = [
-        two_mode_squeezer(config.G, config.xi),
-        ("loss", 0, config.alpha1),
-        ("loss", 1, config.beta1),
-        beam_splitter(BsSpec("B1", config.delta1)),
-        phase_shifter(phi, mode=0),
-        ("loss", 0, config.alpha2),
-        ("loss", 1, config.beta2),
-        beam_splitter(BsSpec("B2", config.delta2)),
-    ]
-    folded = []
-    pend = None
-    for step in steps:
-        if isinstance(step, tuple):
-            if step[2] == 0.0:
-                continue
-            if pend is not None:
-                folded.append(pend)
-                pend = None
-            folded.append(step)
-        else:
-            pend = step.matrix if pend is None else step.matrix @ pend
-    if pend is not None:
-        folded.append(pend)
-    return folded
+def _lose(f: np.ndarray, mode: int, angle: float) -> np.ndarray:
+    """Loss of `angle` on one mode of the covariance F F^T.
+
+    The mode's two rows scale by cos(angle) and two noise columns of
+    sin(angle) join the factor, so F F^T picks up sin^2(angle) on the mode's
+    diagonal block: the `apply_loss` channel without forming the covariance.
+    """
+    if angle == 0.0:
+        return f
+    rows = slice(2 * mode, 2 * mode + 2)
+    noise = np.zeros((4, 2))
+    noise[rows] = math.sin(angle) * np.eye(2)
+    f = np.hstack([f, noise])
+    f[rows, :-2] *= math.cos(angle)
+    return f
 
 
 def output_state(config: InterferometerConfig, phi: float) -> GaussianState:
     """State at the recombiner outputs for phase phi."""
-    state = vacuum_state(2)
-    for step in _segments(config, phi):
-        if isinstance(step, tuple):
-            _, mode, angle = step
-            state = apply_loss(state, mode, angle)
-        else:
-            state = GaussianState(2, step @ state.cov @ step.T)
-    return state
+    f = two_mode_squeezer(config.G, config.xi).matrix
+    f = _lose(_lose(f, 0, config.alpha1), 1, config.beta1)
+    f = beam_splitter(BsSpec("B1", config.delta1)).matrix @ f
+    f = phase_shifter(phi, mode=0).matrix @ f
+    f = _lose(_lose(f, 0, config.alpha2), 1, config.beta2)
+    f = beam_splitter(BsSpec("B2", config.delta2)).matrix @ f
+    return GaussianState(2, f @ f.T)
 
 
 def evaluate(config: InterferometerConfig, phi: float) -> SignalStats:
@@ -147,20 +130,20 @@ def evaluate(config: InterferometerConfig, phi: float) -> SignalStats:
     )
 
 
-def signal_slope(config: InterferometerConfig, phi: float, h: float = FD_STEP) -> float:
-    """d<P>/dphi by central differences with one Richardson refinement.
+def signal_slope(config: InterferometerConfig, phi: float) -> float:
+    """d<P>/dphi, exact up to roundoff.
 
-    Combines D(h) and D(2h) as (4 D(h) - D(2h)) / 3, which cancels the h^2
-    truncation term without shrinking the step, so the roundoff floor stays
-    at the D(h) level.  With h = 1e-6 the result is accurate to ~1e-8
-    relative across the supported gain range.
+    The factor F is linear in cos(phi) and sin(phi), so <P> is a degree-2
+    trigonometric polynomial in phi.  With D(t) = <P>(phi + t) - <P>(phi - t)
+    and u1, u2 the derivatives of its first and second harmonics,
+    D(t) = 2 sin(t) u1 + sin(2t) u2, hence
+
+        d<P>/dphi = u1 + u2 = D(pi/4) - (sqrt2 - 1)/2 D(pi/2).
     """
-    def central(step: float) -> float:
-        up = evaluate(config, phi + step).mean
-        dn = evaluate(config, phi - step).mean
-        return (up - dn) / (2.0 * step)
+    def diff(t: float) -> float:
+        return evaluate(config, phi + t).mean - evaluate(config, phi - t).mean
 
-    return (4.0 * central(h) - central(2.0 * h)) / 3.0
+    return diff(math.pi / 4) - (math.sqrt(2.0) - 1.0) / 2.0 * diff(math.pi / 2)
 
 
 def closed_form_reference(G: float, phi: float) -> SignalStats:

@@ -12,9 +12,10 @@ the *average* of the noise at the two comparison points,
 
 which penalises the rapid noise growth away from the dark fringe and is the
 honest figure when sigma varies strongly over one resolution step.  The
-modified equation is solved by damped fixed-point iteration with a
-bisection fallback; both solvers report diagnostics instead of raising on
-non-convergence.
+modified equation has one bracketed solver (Illinois regula falsi, with
+plain bisection as its reference).  Both criteria report diagnostics
+instead of raising, and neither marks a result converged where the
+engine's roundoff swamps the dark-fringe noise.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import FD_STEP, InterferometerConfig, evaluate, signal_slope
+from .interferometer import InterferometerConfig, evaluate, signal_slope
 
 __all__ = [
     "ResolutionResult",
@@ -46,19 +47,23 @@ SWEEP_PARAMETERS = (
     "symmetric_alpha1", "symmetric_alpha2",
 )
 
-# Relative step/residual targets of the fixed-point solver.
-_STEP_TOL = 1e-14
-_RESIDUAL_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
+# Largest eps (1 + N) / sigma0 of a converged result.  The ratio bounds the
+# relative roundoff of the engine's noise at the working point (measured at
+# up to 0.83 of it against a 60-digit reference); the ideal device passes up
+# to G ~ 10.3.
+_PRECISION_LIMIT = 1e-7
+_X_RTOL = 1e-14  # relative width that closes the modified root's bracket
 
 
-def _slope_floor(second_moment: float) -> float:
-    """Smallest slope distinguishable from finite-difference roundoff.
+def _slope_floor(mean_photons: float) -> float:
+    """Smallest slope distinguishable from roundoff.
 
-    The differenced means carry absolute errors of order eps times the
-    signal's magnitude scale (bounded by the second moment), amplified by
-    1/FD_STEP; a tenfold margin on top separates real slopes from noise.
+    `signal_slope` combines four means with weights summing to 2.4; each is
+    a covariance entry bounded by 2 (1 + N) and good to a few ulps of that.
+    A tenfold margin on top separates real slopes from noise.
     """
-    return 10.0 * np.finfo(float).eps / FD_STEP * max(1.0, second_moment)
+    return 50.0 * _EPS * (1.0 + mean_photons)
 
 
 @dataclass(frozen=True)
@@ -119,94 +124,103 @@ def _result(criterion, phi, d, n, iters, converged, message=""):
         mean_N=n, message=message)
 
 
-def standard_resolution(config: InterferometerConfig,
-                        phi: float = np.pi / 2) -> ResolutionResult:
-    """Noise-over-slope resolution at the given working point.
+def _working_point(config: InterferometerConfig, phi: float, criterion: str):
+    """(sigma0, |slope|, mean_N, None) at phi, or a non-converged result last.
 
     A vanishing slope (e.g. G = 0, or a working point on a fringe extremum)
-    makes the resolution unbounded; that case is reported as a
-    non-converged result with delta_phi = inf rather than an exception.
+    leaves the resolution unbounded; noise below the engine's roundoff
+    leaves it unresolved.  Both are reported, not raised.
     """
     stats = evaluate(config, phi)
-    slope = signal_slope(config, phi)
-    if not abs(slope) > _slope_floor(stats.second_moment):
-        return _result("standard", phi, math.inf, stats.mean_photons, 0, False,
-                       "signal slope vanishes at the working point")
-    d = stats.sigma / abs(slope)
-    return _result("standard", phi, d, stats.mean_photons, 1, True)
+    slope = abs(signal_slope(config, phi))
+    n, sigma0 = stats.mean_photons, stats.sigma
+    if not slope > _slope_floor(n):
+        return None, None, n, _result(criterion, phi, math.inf, n, 0, False,
+                                      "signal slope vanishes at the working point")
+    if _EPS * (1.0 + n) > _PRECISION_LIMIT * sigma0:
+        return None, None, n, _result(
+            criterion, phi, math.nan, n, 0, False,
+            f"noise sigma0 = {sigma0:.3g} at N = {n:.3g} is below the engine's "
+            f"roundoff: eps*(1+N)/sigma0 exceeds {_PRECISION_LIMIT:g}")
+    return sigma0, slope, n, None
 
 
-def _modified_bisection(rhs, slope, sigma0, lo=0.0, hi=np.pi / 2):
-    """Root of 2|slope| d - sigma0 - sigma(phi+d) on (lo, hi], or None."""
-    def g(x):
-        return 2.0 * abs(slope) * x - 2.0 * abs(slope) * rhs(x)
-
-    if g(hi) <= 0.0:
-        return None, 0
-    for it in range(1, 201):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi), it
+def standard_resolution(config: InterferometerConfig,
+                        phi: float = np.pi / 2) -> ResolutionResult:
+    """Noise-over-slope resolution sigma(phi) / |slope| at the working point."""
+    sigma0, slope, n, failed = _working_point(config, phi, "standard")
+    if failed:
+        return failed
+    return _result("standard", phi, sigma0 / slope, n, 1, True)
 
 
 def modified_resolution(config: InterferometerConfig, phi: float = np.pi / 2,
-                        max_iter: int = 400,
-                        method: str = "auto") -> ResolutionResult:
-    """Solve 2 |slope| d = sigma(phi) + sigma(phi + d) for d.
+                        method: str = "illinois") -> ResolutionResult:
+    """Solve 2 |slope| d = sigma(phi) + sigma(phi + d) for d in (0, pi/2].
 
-    The fixed-point map d -> (sigma(phi) + sigma(phi+d)) / (2 |slope|) is
-    iterated from the standard-criterion seed; whenever the update reverses
-    direction the step is halved (midpoint damping), which tames the
-    oscillatory regime at high gain.  If the iteration stalls, or on
-    `method="bisection"`, the equation is bracketed on (0, pi/2] and
-    bisected.  Every accepted root is re-checked against the residual
-    |d - rhs(d)| <= 1e-12 max(1, d).
+    In the scaled offset x = d |slope| the criterion is g(x) = 0 with
+    g(x) = 2 x - sigma0 - sigma(phi + x / |slope|), and g(0) = -2 sigma0.
+    The bracket [0, 2 sigma0] doubles until g > 0 at its top, capped at
+    d = pi/2, and then closes to a relative width of 1e-14 by Illinois
+    regula falsi (Dowell & Jarratt, BIT 11, 168 (1971)), or by halving on
+    `method="bisection"`, the independent reference.  Every d is the offset
+    the engine receives, (phi + d) - phi, so rounding the phase cannot move
+    the root, and the bracket is also closed once no phase lies strictly
+    inside it.  `iterations` counts the evaluations of g.
     """
-    if method not in ("auto", "fixed-point", "bisection"):
+    if method not in ("illinois", "bisection"):
         raise ValueError(f"unknown method {method!r}")
-    stats0 = evaluate(config, phi)
-    slope = signal_slope(config, phi)
-    n = stats0.mean_photons
-    if not abs(slope) > _slope_floor(stats0.second_moment):
-        return _result("modified", phi, math.inf, n, 0, False,
-                       "signal slope vanishes at the working point")
-    sigma0 = stats0.sigma
-    denom = 2.0 * abs(slope)
+    sigma0, slope, n, failed = _working_point(config, phi, "modified")
+    if failed:
+        return failed
 
-    def rhs(d):
-        return (sigma0 + evaluate(config, phi + d).sigma) / denom
+    def offset(d):
+        return (phi + d) - phi
 
-    d = sigma0 / abs(slope)  # standard criterion as the seed
+    def excess(d):
+        return 2.0 * slope * d - sigma0 - evaluate(config, phi + d).sigma
+
+    lo, g_lo, step = 0.0, -2.0 * sigma0, 2.0 * sigma0 / slope
     iters = 0
-    settled = False
-    if method != "bisection":
-        prev_step = 0.0
-        for iters in range(1, max_iter + 1):
-            step = rhs(d) - d
-            if step * prev_step < 0.0:
-                step *= 0.5
-            prev_step = step
-            d += step
-            if abs(step) <= _STEP_TOL * max(1.0, abs(d)):
-                settled = True
-                break
-        if settled and abs(d - rhs(d)) <= _RESIDUAL_TOL * max(1.0, d):
-            return _result("modified", phi, d, n, iters, True)
+    while True:
+        hi = offset(min(step, math.pi / 2))
+        g_hi = excess(hi)
+        iters += 1
+        if g_hi > 0.0:
+            break
+        if step >= math.pi / 2:
+            return _result("modified", phi, math.inf, n, iters, False,
+                           "no root of the modified criterion in (0, pi/2]")
+        lo, g_lo, step = hi, g_hi, 2.0 * step
 
-    root, bisect_iters = _modified_bisection(rhs, slope, sigma0)
-    iters += bisect_iters
-    if root is None:
-        return _result("modified", phi, math.inf, n, iters, False,
-                       "no root of the modified criterion in (0, pi/2]")
-    if abs(root - rhs(root)) > _RESIDUAL_TOL * max(1.0, root):
-        return _result("modified", phi, root, n, iters, False,
-                       "bisection result fails the residual check")
-    return _result("modified", phi, root, n, iters, True)
+    side = 0  # end moved by the last step: +1 top, -1 bottom
+    while hi - lo > _X_RTOL * hi:
+        d = 0.5 * (lo + hi)
+        if method == "illinois":
+            d = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        d = offset(d)
+        if not lo < d < hi:
+            # the step rounds onto an end, so the root lies within rounding
+            # of it: step one tolerance, and at least one phase, inward
+            nudge = max(_X_RTOL * hi, math.ulp(phi + hi))
+            d = offset(lo + nudge if d <= lo else hi - nudge)
+            if not lo < d < hi:
+                break
+        g = excess(d)
+        iters += 1
+        if g > 0.0:
+            hi, g_hi = d, g
+            if side > 0:
+                g_lo *= 0.5
+            side = 1
+        elif g < 0.0:
+            lo, g_lo = d, g
+            if side < 0:
+                g_hi *= 0.5
+            side = -1
+        else:
+            lo = hi = d
+    return _result("modified", phi, 0.5 * (lo + hi), n, iters, True)
 
 
 _CRITERIA = {"standard": standard_resolution, "modified": modified_resolution}

@@ -1,10 +1,14 @@
 """CLI behavior: formatting, config handling, exit codes, determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import squint
 from squint import InterferometerConfig
 from squint.cli import RunConfig, fmt, main
 
@@ -86,6 +90,18 @@ def test_signal_byte_identical_across_runs(tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_module_entry_point_runs_without_warnings(capsys):
+    argv = ["signal", "-G", "1", "--points", "3"]
+    src = os.path.dirname(os.path.dirname(squint.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "squint", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert main(argv) == 0
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_signal_json_structure(capsys):

@@ -137,6 +137,17 @@ def test_symmetric_prep_loss_equals_symmetric_arm_loss():
             for field in ("mean", "second_moment", "sigma", "mean_photons"):
                 got, want = getattr(a, field), getattr(b, field)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (loss, phi, field)
+    # balanced device at high gain, dark fringe included: the engine's noise
+    # keeps its relative precision (the mean, near its zero crossing, is only
+    # good to eps * N absolute)
+    for G in (8.0, 12.0):
+        prep = InterferometerConfig.with_symmetric_loss(G, prep=np.pi / 300)
+        arm = InterferometerConfig.with_symmetric_loss(G, arm=np.pi / 300)
+        for phi in [*phis, np.pi / 2]:
+            a, b = evaluate(prep, float(phi)), evaluate(arm, float(phi))
+            for field in ("second_moment", "sigma"):
+                got, want = getattr(a, field), getattr(b, field)
+                assert got == pytest.approx(want, rel=1e-12), (G, phi, field)
     prep = InterferometerConfig(alpha1=0.1, **base)
     arm = InterferometerConfig(alpha2=0.1, **base)
     gap = max(abs(evaluate(prep, float(p)).sigma - evaluate(arm, float(p)).sigma)
@@ -162,6 +173,16 @@ def test_slope_matches_analytic_derivative():
             got = signal_slope(InterferometerConfig(G=G), phi)
             want = 2 * np.sinh(G) * np.cosh(G) * np.cos(2 * phi)
             assert got == pytest.approx(want, abs=1e-8 * max(1.0, abs(want)))
+    # one-sided preparation loss adds a first harmonic, <P> = D sin(phi)
+    # + kappa sin(2 phi) (derived in the tests/test_acceptance.py docstring)
+    alpha = 0.3
+    for G in (0.25, 1.0, 2.5, 3.0):
+        d = -np.sin(alpha) ** 2 * np.sinh(G) ** 2
+        kappa = np.cos(alpha) * np.sinh(G) * np.cosh(G)
+        for phi in (0.0, 0.4, np.pi / 2, 2.0):
+            got = signal_slope(InterferometerConfig(G=G, alpha1=alpha), phi)
+            want = d * np.cos(phi) + 2 * kappa * np.cos(2 * phi)
+            assert got == pytest.approx(want, abs=1e-13 * max(1.0, abs(want)))
 
 
 def test_mean_photons_independent_of_phase():

@@ -68,15 +68,61 @@ def test_modified_never_below_standard():
 
 
 def test_fixed_point_and_bisection_agree():
+    # the default step rule against plain bisection, the reference
     for cfg in (InterferometerConfig(G=1.0),
                 InterferometerConfig(G=3.0),
                 InterferometerConfig(G=5.0),
                 InterferometerConfig(G=3.0, alpha2=0.05, beta2=0.05),
                 InterferometerConfig(G=4.0, delta2=-0.25)):
-        fp = modified_resolution(cfg, method="fixed-point")
-        bi = modified_resolution(cfg, method="bisection")
-        assert fp.converged and bi.converged
-        assert fp.delta_phi == pytest.approx(bi.delta_phi, rel=1e-10)
+        got = modified_resolution(cfg)
+        ref = modified_resolution(cfg, method="bisection")
+        assert got.converged and ref.converged
+        assert got.delta_phi == pytest.approx(ref.delta_phi, rel=1e-10)
+        assert got.iterations < ref.iterations / 3  # superlinear, not halving
+    # no root in (0, pi/2]: both must say so rather than report one
+    cfg = InterferometerConfig(G=5.0, delta2=0.5)
+    for method in ("illinois", "bisection"):
+        res = modified_resolution(cfg, method=method)
+        assert not res.converged and res.message, method
+
+
+def _ideal_modified_kappa(G):
+    """Closed-form root of the ideal modified criterion at pi/2, as kappa.
+
+    sigma(e)^2 = 1 + (2 sin^2 e + sin^2 2e)(N^2/2 + N) at offset e from the
+    working point and slope sqrt(N^2 + 2N): no cancellation at any gain.
+    """
+    n = photons(G)
+    half = n * n / 2 + n
+    slope = math.sqrt(n * n + 2 * n)
+
+    def excess(e):
+        return 2 * slope * e - 1 - math.sqrt(
+            1 + (2 * math.sin(e) ** 2 + math.sin(2 * e) ** 2) * half)
+
+    lo, hi = 0.0, 8.0 / slope
+    while excess(hi) <= 0:
+        hi *= 2
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi) * n
+
+
+def test_high_gain_converged_only_when_correct():
+    for G in np.geomspace(0.5, 20, 40):
+        res = modified_resolution(InterferometerConfig(G=float(G)))
+        if res.converged:
+            want = _ideal_modified_kappa(G)
+            assert abs(res.kappa - want) <= 1e-6 * want, (G, res.kappa, want)
+        else:
+            assert G > 10 and res.message, G
+    for G in (14.0, 16.0, 20.0):
+        res = modified_resolution(InterferometerConfig(G=G))
+        assert not res.converged and res.message, G
 
 
 def test_scaled_resolution_asymptote():
