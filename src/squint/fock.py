@@ -5,7 +5,8 @@ module recomputes the same observables by brute force in a truncated
 number basis: amplitudes on a product of per-mode ladders, passive
 unitaries applied sector by sector (a beam splitter conserves the total
 excitation of its mode pair, so it block-diagonalises over pair totals,
-and each block exponentiates a small tridiagonal generator), and loss
+and each block exponentiates a small tridiagonal generator; only the
+sectors a state occupies are built and multiplied), and loss
 realised as a beam splitter onto a vacuum ancilla that is never traced
 out explicitly.  None of the covariance shortcuts are reused, which makes
 the comparison meaningful.
@@ -24,7 +25,9 @@ signal modes of 2 n_sup + 3 levels).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +83,7 @@ class FockState:
         return self.amplitudes.shape
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
+        return float(np.sqrt(np.sum(_probabilities(self.amplitudes))))
 
 
 def tail_cutoff(G: float, tol: float = _TAIL_TOL) -> int:
@@ -161,48 +164,78 @@ def _hermitian_generator(u: np.ndarray) -> np.ndarray:
     return 0.5 * (h + np.conj(h.T))
 
 
-# Sector unitaries keyed by (u bytes, di, dj); each entry is a list of
-# (k indices, complement indices, block) per conserved pair total.
+@functools.lru_cache(maxsize=64)
+def _pair_layout(di: int, dj: int):
+    """Rows k * dj + c of a pair matrix in pair-total order (k ascending within
+    each total n = k + c), the inverse permutation, and each total's first row."""
+    k, c = np.divmod(np.arange(di * dj), dj)
+    order = np.lexsort((k, k + c))
+    starts = np.searchsorted((k + c)[order], np.arange(di + dj))
+    return order, np.argsort(order), starts
+
+
+# Generator and the sector blocks built so far, keyed by (u bytes, di, dj);
+# a block is built the first time a state occupies its pair total.
 _SECTOR_CACHE: dict = {}
 
 
 def _sector_blocks(u: np.ndarray, di: int, dj: int):
     key = (u.tobytes(), di, dj)
     hit = _SECTOR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if len(_SECTOR_CACHE) > 64:
-        _SECTOR_CACHE.clear()
-    h = _hermitian_generator(u)
-    blocks = []
-    for n in range(di + dj - 1):
-        k_lo, k_hi = max(0, n - (dj - 1)), min(n, di - 1)
-        ks = np.arange(k_lo, k_hi + 1)
-        size = len(ks)
-        diag = h[0, 0].real * ks + h[1, 1].real * (n - ks)
-        ham = np.diag(diag.astype(complex))
-        if size > 1:
-            kk = ks[:-1]  # hopping k -> k+1 via a_i^dag a_j
-            off = h[0, 1] * np.sqrt((kk + 1.0) * (n - kk))
-            ham[np.arange(1, size), np.arange(size - 1)] = off
-            ham[np.arange(size - 1), np.arange(1, size)] = np.conj(off)
-        lam, vec = np.linalg.eigh(ham)
-        blocks.append((ks, n - ks, (vec * np.exp(-1j * lam)) @ np.conj(vec.T)))
-    _SECTOR_CACHE[key] = blocks
-    return blocks
+    if hit is None:
+        if len(_SECTOR_CACHE) > 64:
+            _SECTOR_CACHE.clear()
+        hit = _SECTOR_CACHE[key] = (_hermitian_generator(u), {})
+    return hit
+
+
+def _sector_block(h: np.ndarray, n: int, di: int, dj: int) -> np.ndarray:
+    """exp(-i H) on the pair total n, over the basis |k, n - k>, k ascending."""
+    ks = np.arange(max(0, n - (dj - 1)), min(n, di - 1) + 1)
+    size = len(ks)
+    diag = h[0, 0].real * ks + h[1, 1].real * (n - ks)
+    ham = np.diag(diag.astype(complex))
+    if size > 1:
+        kk = ks[:-1]  # hopping k -> k+1 via a_i^dag a_j
+        off = h[0, 1] * np.sqrt((kk + 1.0) * (n - kk))
+        ham[np.arange(1, size), np.arange(size - 1)] = off
+        ham[np.arange(size - 1), np.arange(1, size)] = np.conj(off)
+    lam, vec = np.linalg.eigh(ham)
+    return (vec * np.exp(-1j * lam)) @ np.conj(vec.T)
 
 
 def _apply_pair(amps: np.ndarray, mode_i: int, mode_j: int, u: np.ndarray) -> np.ndarray:
-    """Pair unitary on two modes of the amplitude tensor, sector by sector."""
+    """Pair unitary on two modes of the amplitude tensor, sector by sector.
+
+    With the pair axes first the tensor is a (di dj) x (other modes) matrix
+    whose rows are gathered into pair-total order; each sector block then
+    multiplies only the columns of its rows that hold amplitude.  A block maps
+    a zero slice to zero, so the skipped output is exactly 0.
+    """
     dims = amps.shape
     di, dj = dims[mode_i], dims[mode_j]
-    perm = [k for k in range(len(dims)) if k not in (mode_i, mode_j)] + [mode_i, mode_j]
-    st = np.transpose(amps, perm).reshape(-1, di, dj)
+    perm = [mode_i, mode_j] + [k for k in range(len(dims)) if k not in (mode_i, mode_j)]
+    order, inverse, starts = _pair_layout(di, dj)
+    st = np.transpose(amps, perm).reshape(di * dj, -1)[order]
+    live = np.logical_or.reduceat(st != 0, starts[:-1], axis=0)
+    h, blocks = _sector_blocks(u, di, dj)
     out = np.zeros_like(st)
-    for ks, cs, block in _sector_blocks(u, di, dj):
-        out[:, ks, cs] = st[:, ks, cs] @ block.T
-    inv = np.argsort(perm)
-    return np.transpose(out.reshape([dims[k] for k in perm]), inv)
+    for n in np.flatnonzero(live.any(axis=1)):
+        block = blocks.get(n)
+        if block is None:
+            block = blocks[n] = _sector_block(h, n, di, dj)
+        rows = slice(starts[n], starts[n + 1])
+        cols = np.flatnonzero(live[n])
+        out[rows, cols] = block @ st[rows][:, cols]
+    return np.transpose(out[inverse].reshape([dims[k] for k in perm]), np.argsort(perm))
+
+
+def _check_modes(state: FockState, modes) -> tuple:
+    """Mode indices as a tuple of ints in [0, n_modes); ValueError otherwise."""
+    modes = tuple(modes) if np.iterable(modes) else (modes,)
+    if not all(isinstance(m, numbers.Integral) and 0 <= m < state.n_modes for m in modes):
+        raise ValueError(f"modes {modes} must be integers in [0, {state.n_modes})")
+    return tuple(int(m) for m in modes)
 
 
 def _apply_phase(amps: np.ndarray, mode: int, phi: float) -> np.ndarray:
@@ -216,18 +249,16 @@ def apply_unitary_fock(state: FockState, op, modes) -> FockState:
 
     Args:
         state: input state.
-        op: a BsSpec (two-mode), a float phase angle (one mode, a -> e^{i phi} a),
+        op: a BsSpec (two-mode), a real phase angle (one mode, a -> e^{i phi} a),
             or an explicit complex 2x2 mode map, which must be unitary --
             active Bogoliubov maps have no 2x2 unitary form and are rejected.
         modes: the target mode indices, one for a phase, two (distinct) for
             a pair map.
     """
-    modes = (modes,) if isinstance(modes, int) else tuple(modes)
-    if any(not 0 <= m < state.n_modes for m in modes):
-        raise ValueError(f"modes {modes} out of range for {state.n_modes} modes")
+    modes = _check_modes(state, modes)
     if isinstance(op, BsSpec):
         op = op.unitary()
-    if isinstance(op, (int, float)):
+    if isinstance(op, numbers.Real):
         if len(modes) != 1:
             raise ValueError("a phase acts on exactly one mode")
         return FockState(_apply_phase(state.amplitudes, modes[0], float(op)),
@@ -243,30 +274,38 @@ def apply_unitary_fock(state: FockState, op, modes) -> FockState:
                      state.norm_deficit)
 
 
+def _axis(mode: int, index) -> tuple:
+    """Index tuple that applies `index` along axis `mode`."""
+    return (slice(None),) * mode + (index,)
+
+
 def _x_apply(amps: np.ndarray, mode: int) -> np.ndarray:
     """(a + a^dag) along one axis; the result reaches one level further up."""
-    st = np.moveaxis(amps, mode, -1)
-    out = np.zeros_like(st)
-    root = np.sqrt(np.arange(1, amps.shape[mode]))
-    out[..., :-1] += st[..., 1:] * root
-    out[..., 1:] += st[..., :-1] * root
-    return np.moveaxis(out, -1, mode)
+    lower, upper = _axis(mode, slice(None, -1)), _axis(mode, slice(1, None))
+    root = np.sqrt(np.arange(1, amps.shape[mode])).reshape(
+        (-1,) + (1,) * (amps.ndim - mode - 1))
+    out = np.empty_like(amps)
+    np.multiply(amps[upper], root, out=out[lower])
+    out[_axis(mode, -1)] = 0.0
+    out[upper] += amps[lower] * root
+    return out
 
 
-def _level_occupancy(prob: np.ndarray, mode: int) -> np.ndarray:
-    """Marginal probability of each ladder level of one mode, from |amplitudes|^2."""
-    return np.sum(np.moveaxis(prob, mode, -1), axis=tuple(range(prob.ndim - 1)))
+def _probabilities(amps: np.ndarray) -> np.ndarray:
+    """|amplitudes|^2 as re^2 + im^2."""
+    prob = np.square(amps.real)
+    prob += np.square(amps.imag)
+    return prob
 
 
 def photon_number_expectation(state: FockState, modes=None) -> float:
     """Mean photon number summed over the given modes (all by default)."""
-    if modes is None:
-        modes = range(state.n_modes)
-    prob = np.abs(state.amplitudes) ** 2
+    modes = range(state.n_modes) if modes is None else _check_modes(state, modes)
+    prob = _probabilities(state.amplitudes)
     total = 0.0
     for m in modes:
-        occ = _level_occupancy(prob, m)
-        total += float(np.sum(occ * np.arange(len(occ))))
+        occ = prob.sum(axis=tuple(k for k in range(prob.ndim) if k != m))
+        total += float(occ @ np.arange(len(occ)))
     return total
 
 
@@ -275,15 +314,15 @@ def fock_moments(state: FockState, mode_a: int, mode_b: int):
 
     Requires the top two ladder levels of every mode, loss ancillas included,
     to carry less than 1e-9 probability, so that neither a truncated ladder
-    nor the one-level climb of each quadrature factor loses amplitude.  The
-    first moment of the Hermitian product must come out real; an imaginary
-    residue above 1e-12 (relative to the signal scale) indicates a broken
-    state and raises.
+    nor the one-level climb of each quadrature factor loses amplitude; the
+    guard reads only those levels.  The first moment of the Hermitian product
+    must come out real; an imaginary residue above 1e-12 (relative to the
+    signal scale) indicates a broken state and raises.
     """
+    mode_a, mode_b = _check_modes(state, (mode_a, mode_b))
     amps = state.amplitudes
-    prob = np.abs(amps) ** 2
     for m in range(amps.ndim):
-        top = float(_level_occupancy(prob, m)[-2:].sum())
+        top = float(_probabilities(amps[_axis(m, slice(-2, None))]).sum())
         if top >= _CEILING_TOL:
             raise CutoffError(
                 f"mode {m} holds {top:.3e} probability in its top two levels; "

@@ -146,6 +146,99 @@ def test_apply_unitary_input_validation():
         apply_unitary_fock(state, 0.5, (0, 1))
     with pytest.raises(ValueError):
         apply_unitary_fock(state, np.eye(3, dtype=complex), (0, 1))
+    # any real scalar is a phase angle, numpy scalars included
+    for phase in (np.float32(0.5), np.float64(0.5), np.int64(1), 1):
+        got = apply_unitary_fock(state, phase, 0)
+        want = apply_unitary_fock(state, float(phase), 0)
+        np.testing.assert_array_equal(got.amplitudes, want.amplitudes)
+    with pytest.raises(ValueError, match="one mode"):
+        apply_unitary_fock(state, np.int64(1), (0, 1))
+
+
+def test_modes_are_checked_alike_everywhere():
+    state = tmsv_fock(0.3, n_max=16)
+    for bad in (-1, 2, 0.5, None):
+        with pytest.raises(ValueError, match="modes"):
+            fock_moments(state, bad, 0)
+        with pytest.raises(ValueError, match="modes"):
+            fock_moments(state, 0, bad)
+        with pytest.raises(ValueError, match="modes"):
+            photon_number_expectation(state, (bad,))
+        with pytest.raises(ValueError, match="modes"):
+            apply_unitary_fock(state, 0.3, bad)
+        with pytest.raises(ValueError, match="modes"):
+            apply_unitary_fock(state, BsSpec("B1"), (0, bad))
+    # numpy integers are valid indices
+    assert (photon_number_expectation(state, (np.int64(1),))
+            == photon_number_expectation(state, (1,)))
+
+
+def _ladder(d):
+    """Truncated annihilation operator on d levels."""
+    return np.diag(np.sqrt(np.arange(1.0, d)), 1)
+
+
+def _mode_op(op, mode, dims):
+    """`op` on one mode of a product space, identity on the others."""
+    out = np.eye(1)
+    for k, d in enumerate(dims):
+        out = np.kron(out, op if k == mode else np.eye(d))
+    return out
+
+
+def _random_state(rng, dims):
+    amps = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    return amps / np.linalg.norm(amps)
+
+
+def test_pair_maps_match_dense_reference():
+    # exp(-i H) with H = sum_ab h_ab a_a^dag a_b on the truncated two-mode
+    # space, from Kronecker ladder matrices; u comes from the same h, so the
+    # module's logarithm of u is checked rather than reused
+    rng = np.random.default_rng(5)
+    dims = (5, 4, 3)
+    full = _random_state(rng, dims)  # every sector occupied, truncated ones too
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    h = 0.6 * (g + g.conj().T)
+    lam, vec = np.linalg.eigh(h)
+    u = (vec * np.exp(-1j * lam)) @ vec.conj().T
+    for i, j in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)):
+        other = 3 - i - j
+        pair = (dims[i], dims[j])
+        a = [_mode_op(_ladder(d), k, pair) for k, d in enumerate(pair)]
+        ham = sum(h[p, q] * a[p].conj().T @ a[q] for p in range(2) for q in range(2))
+        w, v = np.linalg.eigh(ham)
+        dense = (v * np.exp(-1j * w)) @ v.conj().T
+        totals = np.add.outer(np.arange(dims[i]), np.arange(dims[j]))
+        sparse = np.moveaxis(full.copy(), (i, j), (0, 1))
+        sparse[totals == 3] = 0.0
+        sparse[:, :, 1] = 0.0
+        sparse = np.moveaxis(sparse, (0, 1), (i, j))
+        for amps in (full, sparse):
+            got = apply_unitary_fock(FockState(amps), u, (i, j)).amplitudes
+            flat = np.moveaxis(amps, (i, j), (0, 1)).reshape(pair[0] * pair[1], -1)
+            want = np.moveaxis((dense @ flat).reshape(pair + (dims[other],)), (0, 1), (i, j))
+            assert np.max(np.abs(got - want)) <= 1e-12, (i, j)
+        out = np.moveaxis(apply_unitary_fock(FockState(sparse), u, (i, j)).amplitudes,
+                          (i, j), (0, 1))
+        assert np.all(out[totals == 3] == 0.0)
+        assert np.all(out[:, :, 1] == 0.0)
+
+
+def test_moments_match_dense_operators():
+    # support below the top two levels of each mode, so the truncated
+    # quadratures act exactly and the ceiling guard passes
+    rng = np.random.default_rng(9)
+    dims = (6, 5, 5)
+    amps = np.zeros(dims, dtype=complex)
+    amps[:4, :3, :3] = _random_state(rng, (4, 3, 3))
+    psi = amps.reshape(-1)
+    for ma, mb in ((2, 0), (1, 2)):
+        xa, xb = (_mode_op(_ladder(dims[m]) + _ladder(dims[m]).T, m, dims) for m in (ma, mb))
+        xx = xa @ xb @ psi
+        m1, m2 = fock_moments(FockState(amps), ma, mb)
+        assert m1 == pytest.approx(np.vdot(psi, xx).real, abs=1e-12)
+        assert m2 == pytest.approx(np.vdot(xx, xx).real, abs=1e-12)
 
 
 def test_moments_guard_against_ceiling_occupation():
