@@ -2,85 +2,18 @@
 
 Covariance-matrix simulation of a two-mode squeezed-vacuum interferometer,
 statistics of the homodyne product signal, phase-resolution criteria and
-parameter sweeps, and a truncated Fock-basis oracle for validation.
+parameter sweeps, and a truncated Fock-basis oracle for validation.  The
+package exports each module's `__all__`, plus the CLI's `RunConfig`.
 """
-from .gaussian import (
-    BsSpec,
-    GaussianState,
-    SymplecticOp,
-    apply_loss,
-    apply_symplectic,
-    beam_splitter,
-    loss_unitary,
-    passive_symplectic,
-    phase_shifter,
-    physicality_defect,
-    symplectic_form,
-    two_mode_squeezer,
-    vacuum_state,
-)
-from .moments import (
-    SignalStats,
-    mean_photon_number,
-    product_mean,
-    product_second_moment,
-    product_sigma,
-    quadrature_covariance,
-)
-from .interferometer import (
-    InterferometerConfig,
-    closed_form_reference,
-    evaluate,
-    output_state,
-    signal_slope,
-)
-from .resolution import (
-    OptimizeResult,
-    ResolutionResult,
-    SweepRow,
-    SweepTable,
-    SWEEP_PARAMETERS,
-    detect_saturation,
-    modified_resolution,
-    optimize_delta2,
-    refine_working_point,
-    small_angle_root,
-    standard_resolution,
-    sweep,
-)
-from .fock import (
-    CutoffError,
-    FockState,
-    GridCase,
-    GridReport,
-    ancilla_cutoff,
-    apply_unitary_fock,
-    equivalence_grid,
-    fock_moments,
-    oracle_pipeline,
-    photon_number_expectation,
-    tail_cutoff,
-    tmsv_fock,
-)
+from . import fock, gaussian, interferometer, moments, resolution
 from .cli import RunConfig
+from .fock import *  # noqa: F401,F403
+from .gaussian import *  # noqa: F401,F403
+from .interferometer import *  # noqa: F401,F403
+from .moments import *  # noqa: F401,F403
+from .resolution import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BsSpec", "GaussianState", "SymplecticOp", "apply_loss", "apply_symplectic",
-    "beam_splitter", "loss_unitary", "passive_symplectic", "phase_shifter",
-    "physicality_defect", "symplectic_form", "two_mode_squeezer", "vacuum_state",
-    "SignalStats", "mean_photon_number", "product_mean", "product_second_moment",
-    "product_sigma", "quadrature_covariance",
-    "InterferometerConfig", "closed_form_reference", "evaluate", "output_state",
-    "signal_slope",
-    "OptimizeResult", "ResolutionResult", "SweepRow", "SweepTable",
-    "SWEEP_PARAMETERS", "detect_saturation", "modified_resolution",
-    "optimize_delta2", "refine_working_point", "small_angle_root",
-    "standard_resolution", "sweep",
-    "CutoffError", "FockState", "GridCase", "GridReport", "ancilla_cutoff",
-    "apply_unitary_fock",
-    "equivalence_grid", "fock_moments", "oracle_pipeline",
-    "photon_number_expectation", "tail_cutoff", "tmsv_fock",
-    "RunConfig",
-]
+__all__ = [name for module in (gaussian, moments, interferometer, resolution, fock)
+           for name in module.__all__] + ["RunConfig"]

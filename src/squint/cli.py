@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -32,19 +33,34 @@ import numpy as np
 from .fock import equivalence_grid
 from .interferometer import InterferometerConfig, evaluate
 from .resolution import (
+    _CRITERIA,
     SWEEP_PARAMETERS,
-    modified_resolution,
     optimize_delta2,
     refine_working_point,
-    standard_resolution,
     sweep,
 )
 
 __all__ = ["RunConfig", "main"]
 
-_DEVICE_FIELDS = ("G", "xi", "alpha1", "beta1", "alpha2", "beta2", "delta1", "delta2")
-# Device fields measured in radians (everything but the dimensionless gain).
-_ANGLE_FIELDS = _DEVICE_FIELDS[1:]
+_FORMATS = ("csv", "json")
+_DEVICE_FIELDS = tuple(f.name for f in dataclasses.fields(InterferometerConfig))
+# Fields measured in radians: every device field but the gain, the phases,
+# and the parameter-grid bounds unless the swept parameter is the gain.
+_ANGLE_FIELDS = frozenset(_DEVICE_FIELDS[1:]) | {
+    "working_point", "phi_min", "phi_max", "param_min", "param_max"}
+
+# JSON layout of a RunConfig, in the order it is written: each key names a
+# field, device fields included, or holds a nested object of the same form.
+_LAYOUT = {
+    "interferometer": {name: name for name in _DEVICE_FIELDS},
+    "criterion": "criterion",
+    "working_point": "working_point",
+    "phi_grid": {"min": "phi_min", "max": "phi_max", "points": "phi_points"},
+    "param_grid": {"name": "param", "min": "param_min", "max": "param_max",
+                   "points": "param_points", "log": "log_grid"},
+    "out": "out",
+    "format": "format",
+}
 
 
 @dataclass(frozen=True)
@@ -66,64 +82,58 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.criterion not in ("standard", "modified"):
+        if self.criterion not in tuple(_CRITERIA):  # a tuple: no hashing of bad input
             raise ValueError(f"unknown criterion {self.criterion!r}")
-        if self.format not in ("csv", "json"):
+        if self.format not in _FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
         if self.param not in SWEEP_PARAMETERS:
             raise ValueError(f"unknown sweep parameter {self.param!r}")
+        for name in ("working_point", "phi_min", "phi_max", "param_min", "param_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for lo, hi, pts, what in ((self.phi_min, self.phi_max, self.phi_points, "phi"),
                                   (self.param_min, self.param_max, self.param_points, "param")):
             if not hi > lo:
                 raise ValueError(f"{what} grid must be strictly increasing (max > min)")
+            if isinstance(pts, bool) or not isinstance(pts, numbers.Integral):
+                raise ValueError(f"{what} grid points must be an integer, got {pts!r}")
             if pts < 2:
                 raise ValueError(f"{what} grid needs at least 2 points")
+        if not isinstance(self.log_grid, bool):
+            raise ValueError(f"log_grid must be true or false, got {self.log_grid!r}")
         if self.log_grid and self.param_min <= 0:
             raise ValueError("log-spaced grids need a positive minimum")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ValueError(f"out must be a path or null, got {self.out!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "interferometer": dataclasses.asdict(self.interferometer),
-            "criterion": self.criterion,
-            "working_point": self.working_point,
-            "phi_grid": {"min": self.phi_min, "max": self.phi_max, "points": self.phi_points},
-            "param_grid": {"name": self.param, "min": self.param_min,
-                           "max": self.param_max, "points": self.param_points,
-                           "log": self.log_grid},
-            "out": self.out,
-            "format": self.format,
-        }
+        flat = dataclasses.asdict(self)
+        flat.update(flat.pop("interferometer"))
+
+        def nest(layout):
+            return {key: nest(f) if isinstance(f, dict) else flat[f]
+                    for key, f in layout.items()}
+        return nest(_LAYOUT)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {"interferometer", "criterion", "working_point", "phi_grid",
-                 "param_grid", "out", "format"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        device = dict(data.get("interferometer", {}))
-        bad = set(device) - set(_DEVICE_FIELDS)
-        if bad:
-            raise ValueError(f"unknown interferometer keys: {sorted(bad)}")
-        device.setdefault("G", 1.0)
-        phi = data.get("phi_grid", {})
-        par = data.get("param_grid", {})
-        defaults = cls(InterferometerConfig(G=1.0))
-        return cls(
-            interferometer=InterferometerConfig(**device),
-            criterion=data.get("criterion", defaults.criterion),
-            working_point=data.get("working_point", defaults.working_point),
-            phi_min=phi.get("min", defaults.phi_min),
-            phi_max=phi.get("max", defaults.phi_max),
-            phi_points=int(phi.get("points", defaults.phi_points)),
-            param=par.get("name", defaults.param),
-            param_min=par.get("min", defaults.param_min),
-            param_max=par.get("max", defaults.param_max),
-            param_points=int(par.get("points", defaults.param_points)),
-            log_grid=bool(par.get("log", defaults.log_grid)),
-            out=data.get("out", None),
-            format=data.get("format", defaults.format),
-        )
+        """Config from its JSON form; missing keys keep the defaults (G = 1)."""
+        def flatten(layout, obj, where):
+            if not isinstance(obj, dict):
+                raise ValueError(f"{where} must be a JSON object")
+            unknown = set(obj) - set(layout)
+            if unknown:
+                raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+            flat = {}
+            for key, value in obj.items():
+                f = layout[key]
+                flat.update(flatten(f, value, key) if isinstance(f, dict) else {f: value})
+            return flat
+        return _with_fields(cls(InterferometerConfig(G=1.0)),
+                            flatten(_LAYOUT, data, "config"))
 
     def phi_grid(self) -> np.ndarray:
         """Half-open phase grid [phi_min, phi_max)."""
@@ -134,6 +144,19 @@ class RunConfig:
         if self.log_grid:
             return np.geomspace(self.param_min, self.param_max, self.param_points)
         return np.linspace(self.param_min, self.param_max, self.param_points)
+
+
+# Every field a flag or a config key sets, device fields included.
+_FIELDS = frozenset(_DEVICE_FIELDS).union(
+    f.name for f in dataclasses.fields(RunConfig) if f.name != "interferometer")
+
+
+def _with_fields(cfg: RunConfig, fields: dict) -> RunConfig:
+    """Copy of cfg with the given fields, device fields included, set."""
+    device = {k: v for k, v in fields.items() if k in _DEVICE_FIELDS}
+    rest = {k: v for k, v in fields.items() if k not in _DEVICE_FIELDS}
+    return dataclasses.replace(
+        cfg, interferometer=dataclasses.replace(cfg.interferometer, **device), **rest)
 
 
 def fmt(value) -> str:
@@ -196,7 +219,7 @@ def _result_dict(res) -> dict:
     }
 
 
-def cmd_signal(cfg: RunConfig) -> int:
+def cmd_signal(cfg: RunConfig, args) -> int:
     columns = ("phi", "mean_P", "sqrt_second_moment", "sigma", "mean_N")
     rows = []
     for phi in cfg.phi_grid():
@@ -207,20 +230,19 @@ def cmd_signal(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_resolve(cfg: RunConfig, refine_phi: bool = False) -> int:
-    solver = modified_resolution if cfg.criterion == "modified" else standard_resolution
+def cmd_resolve(cfg: RunConfig, args) -> int:
     phi = cfg.working_point
-    if refine_phi:
+    if args.refine_phi:
         phi = refine_working_point(cfg.interferometer, phi)
-    res = solver(cfg.interferometer, phi=phi)
+    res = _CRITERIA[cfg.criterion](cfg.interferometer, phi=phi)
     payload = {"config": cfg.to_dict(), "result": _result_dict(res)}
-    if refine_phi:
+    if args.refine_phi:
         payload["refined_working_point"] = _json_num(phi)
     _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
     return 0 if res.converged else 2
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: RunConfig, args) -> int:
     table = sweep(cfg.interferometer, cfg.param, cfg.param_grid(),
                   criterion=cfg.criterion, phi=cfg.working_point)
     columns = ("param", "G", "mean_N", "delta_phi", "kappa", "converged", "four_over_N")
@@ -231,7 +253,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0 if all(r.converged for r in table.rows) else 2
 
 
-def cmd_optimize_imbalance(cfg: RunConfig) -> int:
+def cmd_optimize_imbalance(cfg: RunConfig, args) -> int:
     opt = optimize_delta2(cfg.interferometer.G, criterion=cfg.criterion,
                           phi=cfg.working_point)
     payload = {
@@ -251,8 +273,8 @@ def cmd_optimize_imbalance(cfg: RunConfig) -> int:
     return 0 if opt.converged and opt.unimodal else 2
 
 
-def cmd_oracle_check(cfg: RunConfig, n_max: int | None, tolerance: float) -> int:
-    report = equivalence_grid(n_max=n_max, tolerance=tolerance)
+def cmd_oracle_check(cfg: RunConfig, args) -> int:
+    report = equivalence_grid(n_max=args.n_max, tolerance=args.tolerance)
     payload = {
         "config": cfg.to_dict(),
         "tolerance": _json_num(report.tolerance),
@@ -278,20 +300,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_device_flags(p: _Parser) -> None:
-    p.add_argument("-G", "--gain", dest="G", type=float, help="squeezer gain")
-    p.add_argument("--xi", type=float, help="pump phase (angle)")
-    for name in ("alpha1", "beta1", "alpha2", "beta2"):
-        p.add_argument(f"--{name}", type=float, help=f"loss angle {name}")
-    p.add_argument("--delta1", type=float, help="splitter imbalance (angle)")
-    p.add_argument("--delta2", type=float, help="recombiner imbalance (angle)")
-
-
-def _add_common_flags(p: _Parser) -> None:
+def _add_subcommand(sub, name: str, run, summary: str, device: bool = True) -> _Parser:
+    """Subparser running `run`, with the common flags and (unless `device` is
+    false) the device flags.  Each flag's dest names the field it sets; an
+    unset flag is None and keeps the config file's value or the default."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(run=run)
+    if device:
+        p.add_argument("-G", "--gain", dest="G", type=float, help="squeezer gain")
+        p.add_argument("--xi", type=float, help="pump phase (angle)")
+        for loss in ("alpha1", "beta1", "alpha2", "beta2"):
+            p.add_argument(f"--{loss}", type=float, help=f"loss angle {loss}")
+        p.add_argument("--delta1", type=float, help="splitter imbalance (angle)")
+        p.add_argument("--delta2", type=float, help="recombiner imbalance (angle)")
     p.add_argument("--config", help="JSON config file (flags override its values)")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--degrees", action="store_true",
                    help="interpret angles given on the command line in degrees")
+    return p
+
+
+def _add_solver_flags(p: _Parser) -> None:
+    p.add_argument("--criterion", choices=tuple(_CRITERIA))
+    p.add_argument("--phi", dest="working_point", metavar="PHI", type=float,
+                   help="working point (angle, default pi/2)")
 
 
 def _build_parser() -> _Parser:
@@ -300,46 +332,38 @@ def _build_parser() -> _Parser:
                                  "resolution limits, sweeps, and oracle checks.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("signal", help="fringe scan of the product signal")
-    _add_device_flags(p)
-    _add_common_flags(p)
+    p = _add_subcommand(sub, "signal", cmd_signal, "fringe scan of the product signal")
     p.add_argument("--phi-min", type=float, help="grid start (angle, default 0)")
     p.add_argument("--phi-max", type=float, help="grid end, excluded (angle, default 2 pi)")
-    p.add_argument("--points", type=int, help="grid size (default 1000)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    p.add_argument("--points", dest="phi_points", metavar="POINTS", type=int,
+                   help="grid size (default 1000)")
+    p.add_argument("--format", choices=_FORMATS, help="output format (default csv)")
 
-    p = sub.add_parser("resolve", help="one resolution computation")
-    _add_device_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--criterion", choices=("standard", "modified"))
-    p.add_argument("--phi", type=float, help="working point (angle, default pi/2)")
+    p = _add_subcommand(sub, "resolve", cmd_resolve, "one resolution computation")
+    _add_solver_flags(p)
     p.add_argument("--refine-phi", action="store_true",
                    help="re-locate the noise minimum near the working point first")
 
-    p = sub.add_parser("sweep", help="resolution along a parameter grid")
-    _add_device_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--criterion", choices=("standard", "modified"))
-    p.add_argument("--phi", type=float, help="working point (angle, default pi/2)")
+    p = _add_subcommand(sub, "sweep", cmd_sweep, "resolution along a parameter grid")
+    _add_solver_flags(p)
     p.add_argument("--param", choices=SWEEP_PARAMETERS, help="swept parameter (default G)")
     p.add_argument("--min", dest="param_min", type=float, help="grid minimum")
     p.add_argument("--max", dest="param_max", type=float, help="grid maximum")
-    p.add_argument("--points", type=int, help="grid size (default 60)")
+    p.add_argument("--points", dest="param_points", metavar="POINTS", type=int,
+                   help="grid size (default 60)")
     grid = p.add_mutually_exclusive_group()
     grid.add_argument("--log", dest="log_grid", action="store_true", default=None,
                       help="log-spaced grid (default)")
     grid.add_argument("--linear", dest="log_grid", action="store_false", default=None,
                       help="linearly spaced grid")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    p.add_argument("--format", choices=_FORMATS, help="output format (default csv)")
 
-    p = sub.add_parser("optimize-imbalance", help="best recombiner imbalance at fixed gain")
-    _add_device_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--criterion", choices=("standard", "modified"))
-    p.add_argument("--phi", type=float, help="working point (angle, default pi/2)")
+    p = _add_subcommand(sub, "optimize-imbalance", cmd_optimize_imbalance,
+                        "best recombiner imbalance at fixed gain")
+    _add_solver_flags(p)
 
-    p = sub.add_parser("oracle-check", help="engine vs Fock oracle on the validation grid")
-    _add_common_flags(p)
+    p = _add_subcommand(sub, "oracle-check", cmd_oracle_check,
+                        "engine vs Fock oracle on the validation grid", device=False)
     p.add_argument("--n-max", type=int, help="override the pair cutoff (tiny values error)")
     p.add_argument("--tolerance", type=float, default=1e-8,
                    help="pass threshold on the max absolute deviation")
@@ -347,48 +371,18 @@ def _build_parser() -> _Parser:
 
 
 def _build_runconfig(args) -> RunConfig:
-    if getattr(args, "config", None):
+    cfg = RunConfig.from_dict({})
+    if args.config:
         with open(args.config) as fh:
             cfg = RunConfig.from_dict(json.load(fh))
-    else:
-        cfg = RunConfig(InterferometerConfig(G=1.0))
-
-    to_rad = math.pi / 180.0 if args.degrees else 1.0
-
-    device = {}
-    for name in _DEVICE_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            device[name] = value * to_rad if name in _ANGLE_FIELDS else value
-    if device:
-        cfg = dataclasses.replace(
-            cfg, interferometer=dataclasses.replace(cfg.interferometer, **device))
-
-    param = getattr(args, "param", None)
-    param_is_angle = (param or cfg.param) != "G"
-    updates = {}
-    for attr, field_name, is_angle in (
-            ("criterion", "criterion", False),
-            ("phi", "working_point", True),
-            ("phi_min", "phi_min", True),
-            ("phi_max", "phi_max", True),
-            ("points", None, False),  # resolved below: signal vs sweep
-            ("param", "param", False),
-            ("param_min", "param_min", param_is_angle),
-            ("param_max", "param_max", param_is_angle),
-            ("log_grid", "log_grid", False),
-            ("out", "out", False),
-            ("format", "format", False)):
-        value = getattr(args, attr, None)
-        if value is None or field_name is None:
-            continue
-        updates[field_name] = value * to_rad if (is_angle and args.degrees) else value
-    points = getattr(args, "points", None)
-    if points is not None:
-        updates["phi_points" if args.command == "signal" else "param_points"] = points
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    return cfg
+    fields = {k: v for k, v in vars(args).items()
+              if k in _FIELDS and v is not None}
+    if args.degrees:
+        gain_grid = fields.get("param", cfg.param) == "G"
+        for name in _ANGLE_FIELDS.intersection(fields):
+            if not (gain_grid and name in ("param_min", "param_max")):
+                fields[name] *= math.pi / 180.0
+    return _with_fields(cfg, fields)
 
 
 def main(argv=None) -> int:
@@ -399,23 +393,13 @@ def main(argv=None) -> int:
         print(f"squint: config error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.command == "signal":
-            return cmd_signal(cfg)
-        if args.command == "resolve":
-            return cmd_resolve(cfg, refine_phi=args.refine_phi)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "optimize-imbalance":
-            return cmd_optimize_imbalance(cfg)
-        if args.command == "oracle-check":
-            return cmd_oracle_check(cfg, args.n_max, args.tolerance)
+        return args.run(cfg, args)
     except OSError as exc:
         print(f"squint: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"squint: invalid configuration: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ contraction; its ancilla-dilation twin lives in the Fock oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,10 +58,9 @@ class GaussianState:
 
 @dataclass
 class SymplecticOp:
-    """Real symplectic matrix with a human-readable label."""
+    """Real symplectic matrix acting on a state's covariance."""
 
     matrix: np.ndarray
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ def physicality_defect(state: GaussianState) -> float:
     return float(min(eigs.min(), 0.0))
 
 
-def passive_symplectic(u: np.ndarray, modes, n_modes: int, label: str = "") -> SymplecticOp:
+def passive_symplectic(u: np.ndarray, modes, n_modes: int) -> SymplecticOp:
     """Embed a complex unitary mode map as a real symplectic matrix.
 
     Heisenberg convention: the op maps a_i -> sum_j u[i, j] a_j on the listed
@@ -137,7 +136,7 @@ def passive_symplectic(u: np.ndarray, modes, n_modes: int, label: str = "") -> S
         for b, j in enumerate(modes):
             re, im = u[a, b].real, u[a, b].imag
             s[2 * i:2 * i + 2, 2 * j:2 * j + 2] = [[re, -im], [im, re]]
-    return SymplecticOp(s, label)
+    return SymplecticOp(s)
 
 
 def two_mode_squeezer(G: float, xi: float = 0.0, mode_i: int = 0, mode_j: int = 1,
@@ -170,14 +169,13 @@ def two_mode_squeezer(G: float, xi: float = 0.0, mode_i: int = 0, mode_j: int = 
         m[2 * i:2 * i + 2, 2 * i:2 * i + 2] = c * np.eye(2)
     for i, j in ((mode_i, mode_j), (mode_j, mode_i)):
         m[2 * i:2 * i + 2, 2 * j:2 * j + 2] = blk_o
-    return SymplecticOp(m, f"squeeze(G={G:g}, xi={xi:g})")
+    return SymplecticOp(m)
 
 
 def phase_shifter(phi: float, mode: int = 0, n_modes: int = 2) -> SymplecticOp:
     """Phase shift a -> e^{i phi} a on one mode: an (x, p) rotation."""
     u = np.array([[np.exp(1j * phi)]])
-    op = passive_symplectic(u, [mode], n_modes, f"phase({phi:g})")
-    return op
+    return passive_symplectic(u, [mode], n_modes)
 
 
 def beam_splitter(spec: BsSpec, mode_i: int = 0, mode_j: int = 1,
@@ -185,8 +183,7 @@ def beam_splitter(spec: BsSpec, mode_i: int = 0, mode_j: int = 1,
     """Beam splitter on a mode pair, built from its complex mode map."""
     if mode_i == mode_j:
         raise ValueError("beam splitter requires two distinct modes")
-    label = f"{spec.variant}(delta={spec.imbalance:g})"
-    return passive_symplectic(spec.unitary(), [mode_i, mode_j], n_modes, label)
+    return passive_symplectic(spec.unitary(), [mode_i, mode_j], n_modes)
 
 
 def loss_unitary(alpha: float) -> np.ndarray:

@@ -124,13 +124,20 @@ def _result(criterion, phi, d, n, iters, converged, message=""):
         mean_N=n, message=message)
 
 
+def _check_phase(phi) -> None:
+    if not math.isfinite(phi):
+        raise ValueError(f"working point phi must be finite, got {phi!r}")
+
+
 def _working_point(config: InterferometerConfig, phi: float, criterion: str):
     """(sigma0, |slope|, mean_N, None) at phi, or a non-converged result last.
 
     A vanishing slope (e.g. G = 0, or a working point on a fringe extremum)
     leaves the resolution unbounded; noise below the engine's roundoff
-    leaves it unresolved.  Both are reported, not raised.
+    leaves it unresolved.  Both are reported, not raised; a non-finite phi
+    raises ValueError.
     """
+    _check_phase(phi)
     stats = evaluate(config, phi)
     slope = abs(signal_slope(config, phi))
     n, sigma0 = stats.mean_photons, stats.sigma
@@ -265,22 +272,22 @@ def sweep(config: InterferometerConfig, parameter: str, grid,
     return SweepTable(parameter=parameter, criterion=criterion, rows=tuple(rows))
 
 
-def detect_saturation(values, rel_tol: float = 0.01, window: int = 3):
+def detect_saturation(values):
     """Whether the tail of a sweep has flattened out.
 
-    Returns (saturated, tail_value): saturated is True when the last
-    `window` values agree pairwise to within rel_tol of the final value,
-    and tail_value is that final value.
+    Returns (saturated, tail_value): saturated is True when the last three
+    values agree pairwise to within 1% of the final value, and tail_value is
+    that final value.
     """
     vals = [float(v) for v in values]
-    if len(vals) < window:
+    if len(vals) < 3:
         return False, vals[-1] if vals else math.nan
-    tail = vals[-window:]
+    tail = vals[-3:]
     ref = abs(tail[-1])
     if not math.isfinite(ref) or ref == 0.0:
         return False, tail[-1]
     spread = max(tail) - min(tail)
-    return bool(spread <= rel_tol * ref), tail[-1]
+    return bool(spread <= 0.01 * ref), tail[-1]
 
 
 def _golden_min(f, lo: float, hi: float, tol: float):
@@ -303,13 +310,12 @@ def _golden_min(f, lo: float, hi: float, tol: float):
 
 
 def optimize_delta2(G: float, criterion: str = "modified",
-                    phi: float = np.pi / 2, scan_points: int = 33,
-                    tol: float = 1e-6) -> OptimizeResult:
+                    phi: float = np.pi / 2) -> OptimizeResult:
     """Recombiner imbalance minimising kappa for an otherwise ideal device.
 
-    A coarse scan over delta2 in [-0.78, 0.78] locates the basin (and checks
-    that the sampled profile has a single interior minimum); golden-section
-    search then refines delta2 to `tol`.  A multi-basin profile is reported
+    A coarse 33-point scan over delta2 in [-0.78, 0.78] locates the basin
+    (and checks that the sampled profile has a single interior minimum);
+    golden-section search then refines delta2 to 1e-6.  A multi-basin profile is reported
     with unimodal=False and the scan samples attached, refining the deepest
     basin found.
     """
@@ -323,7 +329,7 @@ def optimize_delta2(G: float, criterion: str = "modified",
             cache[d2] = solver(InterferometerConfig(G=G, delta2=d2), phi=phi)
         return cache[d2]
 
-    xs = np.linspace(-0.78, 0.78, scan_points)
+    xs = np.linspace(-0.78, 0.78, 33)
     raw = [kappa_at(float(x)) for x in xs]
     profile = tuple((float(x), r.kappa) for x, r in zip(xs, raw))
     # Non-converged scan points (the splitter degenerates toward |delta2| =
@@ -336,13 +342,13 @@ def optimize_delta2(G: float, criterion: str = "modified",
             mean_N=math.nan, converged=False, unimodal=False, profile=profile,
             message="resolution solver failed at every scan point")
 
-    minima = [i for i in range(1, scan_points - 1)
+    minima = [i for i in range(1, len(xs) - 1)
               if ks[i] < ks[i - 1] and ks[i] < ks[i + 1]]
     unimodal = len(minima) == 1 and ks[0] > ks[minima[0]] and ks[-1] > ks[minima[0]]
     i = int(np.argmin(ks))
     lo = float(xs[max(i - 1, 0)])
-    hi = float(xs[min(i + 1, scan_points - 1)])
-    best_d2, _ = _golden_min(lambda x: kappa_at(x).kappa, lo, hi, tol)
+    hi = float(xs[min(i + 1, len(xs) - 1)])
+    best_d2, _ = _golden_min(lambda x: kappa_at(x).kappa, lo, hi, 1e-6)
     res = kappa_at(best_d2)
     message = "" if unimodal else "scanned profile is not unimodal; refined the deepest basin"
     return OptimizeResult(
@@ -351,17 +357,19 @@ def optimize_delta2(G: float, criterion: str = "modified",
         profile=profile, message=message)
 
 
-def refine_working_point(config: InterferometerConfig, phi: float = np.pi / 2,
-                         window: float = 0.35, tol: float = 1e-9) -> float:
+def refine_working_point(config: InterferometerConfig,
+                         phi: float = np.pi / 2) -> float:
     """Locate the noise minimum of sigma(phi) near the nominal working point.
 
     The default working point pi/2 sits exactly on the dark-fringe noise
     minimum for the ideal device; imperfections shift the minimum slightly,
-    and this golden-section refinement over [phi - window, phi + window]
-    finds it.  Returns the refined phase.
+    and this golden-section refinement over [phi - 0.35, phi + 0.35], to
+    1e-9, finds it.  Returns the refined phase; a non-finite phi raises
+    ValueError.
     """
+    _check_phase(phi)
     best, _ = _golden_min(lambda p: evaluate(config, p).sigma,
-                          phi - window, phi + window, tol)
+                          phi - 0.35, phi + 0.35, 1e-9)
     return best
 
 

@@ -48,12 +48,17 @@ def test_runconfig_rejects_unknown_keys():
         RunConfig.from_dict({"bogus": 1})
     with pytest.raises(ValueError, match="unknown interferometer keys"):
         RunConfig.from_dict({"interferometer": {"gamma": 1.0}})
+    with pytest.raises(ValueError, match="unknown phi_grid keys"):
+        RunConfig.from_dict({"phi_grid": {"mni": 1.0}})
+    with pytest.raises(ValueError, match="unknown param_grid keys"):
+        RunConfig.from_dict({"param_grid": {"name": "G", "logarithmic": False}})
 
 
 def test_runconfig_validation():
     dev = InterferometerConfig(G=1.0)
-    with pytest.raises(ValueError):
-        RunConfig(dev, criterion="tight")
+    for bad in ("tight", ["modified"]):
+        with pytest.raises(ValueError, match="unknown criterion"):
+            RunConfig(dev, criterion=bad)
     with pytest.raises(ValueError):
         RunConfig(dev, format="yaml")
     with pytest.raises(ValueError):
@@ -64,6 +69,23 @@ def test_runconfig_validation():
         RunConfig(dev, phi_points=1)
     with pytest.raises(ValueError, match="positive minimum"):
         RunConfig(dev, param="delta2", param_min=-0.3, param_max=0.3, log_grid=True)
+    for name in ("working_point", "phi_min", "phi_max", "param_min", "param_max"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                RunConfig(dev, **{name: bad})
+        for bad in ("1.0", None, True):
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                RunConfig(dev, **{name: bad})
+    for name in ("phi_points", "param_points"):
+        for bad in (2.9, 5.0, "5", True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                RunConfig(dev, **{name: bad})
+    for bad in ("false", 0, None):
+        with pytest.raises(ValueError, match="log_grid"):
+            RunConfig(dev, log_grid=bad)
+    for bad in (3, b"out.csv"):
+        with pytest.raises(ValueError, match="out must be"):
+            RunConfig(dev, out=bad)
 
 
 def test_signal_csv_values(tmp_path):
@@ -189,6 +211,7 @@ def test_config_errors_exit_1(tmp_path, capsys):
     ["signal", "--xi", "nan"],
     ["resolve", "-G", "nan"],
     ["resolve", "-G", "inf"],
+    ["signal", "--phi-max", "inf", "--points", "3"],
 ])
 def test_non_finite_device_values_exit_1(argv, capsys):
     assert main(argv) == 1

@@ -1,4 +1,6 @@
 """Truncated number-basis machinery: construction, unitaries, guards."""
+import math
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,9 @@ def test_tmsv_photon_numbers():
     assert photon_number_expectation(state, (0,)) == pytest.approx(per_mode, abs=1e-12)
     assert photon_number_expectation(state, (1,)) == pytest.approx(per_mode, abs=1e-12)
 
-    # the automatic cutoff resolves the tail well enough for 1e-10 totals
+    # the automatic cutoff is tail_cutoff(G), and resolves the tail well
+    # enough for 1e-10 totals
+    assert tmsv_fock(0.2).dims == (tail_cutoff(0.2) + 1,) * 2
     state = tmsv_fock(1.0)
     assert state.dims == (58, 58)
     assert photon_number_expectation(state) == pytest.approx(
@@ -153,6 +157,15 @@ def test_apply_unitary_input_validation():
         np.testing.assert_array_equal(got.amplitudes, want.amplitudes)
     with pytest.raises(ValueError, match="one mode"):
         apply_unitary_fock(state, np.int64(1), (0, 1))
+    # non-finite phases and maps are refused, not carried into NaN moments
+    for phase in (math.inf, -math.inf, math.nan, np.float32("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            apply_unitary_fock(state, phase, 0)
+    for entry in (math.nan, math.inf):
+        u = BsSpec("B1").unitary()
+        u[1, 0] = entry
+        with pytest.raises(ValueError, match="finite"):
+            apply_unitary_fock(state, u, (0, 1))
 
 
 def test_modes_are_checked_alike_everywhere():

@@ -165,6 +165,18 @@ def test_zero_slope_reports_diagnostic():
     assert not res.converged
 
 
+def test_non_finite_working_point_raises():
+    cfg = InterferometerConfig(G=1.0)
+    for phi in (math.nan, math.inf):
+        for call in (lambda: standard_resolution(cfg, phi=phi),
+                     lambda: modified_resolution(cfg, phi=phi),
+                     lambda: sweep(cfg, "G", [1.0, 2.0], phi=phi),
+                     lambda: optimize_delta2(1.0, phi=phi),
+                     lambda: refine_working_point(cfg, phi=phi)):
+            with pytest.raises(ValueError, match="must be finite"):
+                call()
+
+
 def test_working_point_recorded():
     res = modified_resolution(InterferometerConfig(G=2.0), phi=np.pi / 2 + 0.01)
     assert res.working_point == pytest.approx(np.pi / 2 + 0.01)
