@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -326,7 +327,9 @@ def _add_solver_flags(p: _Parser) -> None:
                    help="working point (angle, default pi/2)")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The CLI's parser, built once; each parse_args fills a fresh namespace."""
     parser = _Parser(prog="squint",
                      description="Squeezed-vacuum interferometry: signals, "
                                  "resolution limits, sweeps, and oracle checks.")

@@ -124,6 +124,18 @@ def physicality_defect(state: GaussianState) -> float:
     return float(min(eigs.min(), 0.0))
 
 
+def _embed(block: np.ndarray, modes, n_modes: int) -> np.ndarray:
+    """A (2k, 2k) quadrature block acting on `modes`, inside the identity."""
+    if list(modes) == list(range(n_modes)):
+        return block
+    if not all(0 <= m < n_modes for m in modes):
+        raise ValueError(f"modes {list(modes)} out of range for {n_modes} modes")
+    idx = [2 * m + k for m in modes for k in (0, 1)]
+    s = np.eye(2 * n_modes)
+    s[np.ix_(idx, idx)] = block
+    return s
+
+
 def passive_symplectic(u: np.ndarray, modes, n_modes: int) -> SymplecticOp:
     """Embed a complex unitary mode map as a real symplectic matrix.
 
@@ -131,12 +143,11 @@ def passive_symplectic(u: np.ndarray, modes, n_modes: int) -> SymplecticOp:
     modes.  Each complex entry becomes the 2x2 block
     [[Re u, -Im u], [Im u, Re u]] on the corresponding (x, p) pair.
     """
-    s = np.eye(2 * n_modes)
-    for a, i in enumerate(modes):
-        for b, j in enumerate(modes):
-            re, im = u[a, b].real, u[a, b].imag
-            s[2 * i:2 * i + 2, 2 * j:2 * j + 2] = [[re, -im], [im, re]]
-    return SymplecticOp(s)
+    rows = []
+    for row in u.tolist():
+        rows.append([v for z in row for v in (z.real, -z.imag)])
+        rows.append([v for z in row for v in (z.imag, z.real)])
+    return SymplecticOp(_embed(np.array(rows), modes, n_modes))
 
 
 def two_mode_squeezer(G: float, xi: float = 0.0, mode_i: int = 0, mode_j: int = 1,
@@ -163,19 +174,21 @@ def two_mode_squeezer(G: float, xi: float = 0.0, mode_i: int = 0, mode_j: int = 
     # Quadrature image of V = Re V + i Im V = s sin(xi) - i s cos(xi):
     #   x' = c x + Re(V) x_other + Im(V) p_other
     #   p' = c p - Re(V) p_other + Im(V) x_other
-    blk_o = np.array([[s * sx, -s * cx], [-s * cx, -s * sx]])
-    m = np.eye(2 * n_modes)
-    for i in (mode_i, mode_j):
-        m[2 * i:2 * i + 2, 2 * i:2 * i + 2] = c * np.eye(2)
-    for i, j in ((mode_i, mode_j), (mode_j, mode_i)):
-        m[2 * i:2 * i + 2, 2 * j:2 * j + 2] = blk_o
-    return SymplecticOp(m)
+    m = np.array([[c, 0.0, s * sx, -s * cx],
+                  [0.0, c, -s * cx, -s * sx],
+                  [s * sx, -s * cx, c, 0.0],
+                  [-s * cx, -s * sx, 0.0, c]])
+    return SymplecticOp(_embed(m, (mode_i, mode_j), n_modes))
 
 
 def phase_shifter(phi: float, mode: int = 0, n_modes: int = 2) -> SymplecticOp:
     """Phase shift a -> e^{i phi} a on one mode: an (x, p) rotation."""
-    u = np.array([[np.exp(1j * phi)]])
-    return passive_symplectic(u, [mode], n_modes)
+    if not 0 <= mode < n_modes:
+        raise ValueError(f"mode {mode} out of range for {n_modes} modes")
+    z = np.exp(1j * phi)
+    m = np.eye(2 * n_modes)
+    m[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = [[z.real, -z.imag], [z.imag, z.real]]
+    return SymplecticOp(m)
 
 
 def beam_splitter(spec: BsSpec, mode_i: int = 0, mode_j: int = 1,

@@ -12,9 +12,10 @@ Element order, fixed by the physical layout:
 
 The engine carries a factor F of the covariance, C = F F^T, starting from
 the squeezer's matrix (the vacuum is the identity).  Each symplectic element
-multiplies F from the left; each nonzero loss scales its mode's rows by
-cos(angle) and appends two noise columns of sin(angle).  C is formed only at
-the outputs, as a sum of products of rows, so no step subtracts the large
+multiplies F from the left.  Each loss station (preparation, arm) is one
+step: it scales the rows of every lossy mode by cos(angle) and appends that
+mode's two noise columns of sin(angle), in one allocation.  C is formed only
+at the outputs, as a sum of products of rows, so no step subtracts the large
 entries of an earlier covariance: the dark-fringe noise keeps a relative
 roundoff of about eps (1 + N) / sigma, and the ideal device is the single
 product M M^T.
@@ -22,6 +23,7 @@ product M M^T.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -57,8 +59,9 @@ class InterferometerConfig:
     Loss angles alpha1/beta1 act right after the squeezer (source and
     injection imperfections); alpha2/beta2 act inside the arms.  delta1 and
     delta2 are the splitting-ratio imbalances of the two beam splitters.
-    Construction raises ValueError unless every field is finite, G >= 0, each
-    loss angle lies in [0, pi/2] and each |delta| < pi/4.
+    Construction raises ValueError unless every field is a finite real number
+    (not a bool), G >= 0, each loss angle lies in [0, pi/2] and each
+    |delta| < pi/4.
     """
 
     G: float
@@ -73,6 +76,8 @@ class InterferometerConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.G < 0:
@@ -91,30 +96,33 @@ class InterferometerConfig:
         return cls(G=G, alpha1=prep, beta1=prep, alpha2=arm, beta2=arm, **kwargs)
 
 
-def _lose(f: np.ndarray, mode: int, angle: float) -> np.ndarray:
-    """Loss of `angle` on one mode of the covariance F F^T.
+def _lose(f: np.ndarray, angles) -> np.ndarray:
+    """Loss of angles[m] on each mode m of the covariance F F^T: one station.
 
-    The mode's two rows scale by cos(angle) and two noise columns of
-    sin(angle) join the factor, so F F^T picks up sin^2(angle) on the mode's
-    diagonal block: the `apply_loss` channel without forming the covariance.
+    Each lossy mode's two rows scale by cos(angle) and two noise columns of
+    sin(angle) join the factor, mode 0's before mode 1's, so F F^T picks up
+    sin^2(angle) on the mode's diagonal block: the `apply_loss` channel
+    without forming the covariance.
     """
-    if angle == 0.0:
+    lossy = [(m, a) for m, a in enumerate(angles) if a != 0.0]
+    if not lossy:
         return f
-    rows = slice(2 * mode, 2 * mode + 2)
-    noise = np.zeros((4, 2))
-    noise[rows] = math.sin(angle) * np.eye(2)
-    f = np.hstack([f, noise])
-    f[rows, :-2] *= math.cos(angle)
-    return f
+    n = f.shape[1]
+    out = np.zeros((f.shape[0], n + 2 * len(lossy)))
+    out[:, :n] = f
+    for k, (m, a) in enumerate(lossy):
+        out[2 * m:2 * m + 2, :n] *= math.cos(a)
+        out[2 * m, n + 2 * k] = out[2 * m + 1, n + 2 * k + 1] = math.sin(a)
+    return out
 
 
 def output_state(config: InterferometerConfig, phi: float) -> GaussianState:
     """State at the recombiner outputs for phase phi."""
     f = two_mode_squeezer(config.G, config.xi).matrix
-    f = _lose(_lose(f, 0, config.alpha1), 1, config.beta1)
+    f = _lose(f, (config.alpha1, config.beta1))
     f = beam_splitter(BsSpec("B1", config.delta1)).matrix @ f
     f = phase_shifter(phi, mode=0).matrix @ f
-    f = _lose(_lose(f, 0, config.alpha2), 1, config.beta2)
+    f = _lose(f, (config.alpha2, config.beta2))
     f = beam_splitter(BsSpec("B2", config.delta2)).matrix @ f
     return GaussianState(2, f @ f.T)
 

@@ -18,6 +18,35 @@ def run_json(argv, capsys):
     return code, json.loads(capsys.readouterr().out)
 
 
+def test_parser_reuse_carries_no_state(capsys, monkeypatch):
+    runs = [["resolve", "-G", "2", "--refine-phi"], ["resolve", "-G", "2"],
+            ["signal", "--degrees", "--phi-max", "90", "--points", "3"],
+            ["signal", "--points", "3"]]
+
+    def help_text():
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    help_before = help_text()
+    shared = []
+    for argv in runs:
+        assert main(argv) == 0
+        shared.append(capsys.readouterr().out)
+    help_after = help_text()
+
+    monkeypatch.setattr(squint.cli, "_build_parser", squint.cli._build_parser.__wrapped__)
+    for argv, out in zip(runs, shared):
+        assert main(argv) == 0
+        assert out == capsys.readouterr().out
+    assert help_before == help_after == help_text()
+    assert "refined_working_point" in shared[0]
+    assert "refined_working_point" not in shared[1]
+    assert [line.split(",")[0] for line in shared[3].splitlines()[1:]] == [
+        fmt(0.0), fmt(2 * math.pi / 3), fmt(4 * math.pi / 3)]
+
+
 def test_cell_formatting():
     assert fmt(True) == "true"
     assert fmt(False) == "false"

@@ -8,6 +8,7 @@ from squint import (
     apply_symplectic,
     beam_splitter,
     mean_photon_number,
+    passive_symplectic,
     phase_shifter,
     physicality_defect,
     symplectic_form,
@@ -138,3 +139,66 @@ def test_balanced_splitter_moduli():
     # both variants split 50:50 at zero imbalance
     for spec in (BsSpec("B1"), BsSpec("B2")):
         np.testing.assert_allclose(np.abs(spec.unitary()), np.sqrt(0.5), atol=1e-15)
+
+
+def embed_blocks(blocks, modes, n_modes):
+    """Reference embedding: blocks[a][b] is the 2x2 quadrature block from mode
+    modes[b] into mode modes[a], written one slice at a time into the identity."""
+    s = np.eye(2 * n_modes)
+    for a, i in enumerate(modes):
+        for b, j in enumerate(modes):
+            s[2 * i:2 * i + 2, 2 * j:2 * j + 2] = blocks[a][b]
+    return s
+
+
+def reference_passive(u, modes, n_modes):
+    return embed_blocks([[[[z.real, -z.imag], [z.imag, z.real]] for z in row] for row in u],
+                        modes, n_modes)
+
+
+def reference_squeezer(G, xi, modes, n_modes):
+    c, s = np.cosh(G), np.sinh(G)
+    sx, cx = np.sin(xi), np.cos(xi)
+    diag = c * np.eye(2)
+    off = np.array([[s * sx, -s * cx], [-s * cx, -s * sx]])
+    return embed_blocks([[diag, off], [off, diag]], modes, n_modes)
+
+
+def assert_bit_equal(got, ref):
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
+PAIRS = [((0, 1), 2), ((1, 0), 2), ((0, 2), 3), ((2, 1), 3)]
+
+
+def test_builders_match_block_reference(rng):
+    draws = [(rng.uniform(0.0, 3.0), *rng.uniform(-2 * np.pi, 2 * np.pi, size=3))
+             for _ in range(25)]
+    edges = [(0.0, np.pi, -0.0, -0.0), (0.0, -0.4, -0.0, 1.1)]  # G = 0, signed zeros
+    for k, (G, xi, phi, phase) in enumerate(draws + edges):
+        spec = BsSpec(("B1", "B2")[k % 2], 0.7 * np.sin(phase), phase=phase)
+        for modes, n in PAIRS:
+            assert_bit_equal(two_mode_squeezer(G, xi, *modes, n_modes=n).matrix,
+                             reference_squeezer(G, xi, modes, n))
+            assert_bit_equal(beam_splitter(spec, *modes, n_modes=n).matrix,
+                             reference_passive(spec.unitary(), modes, n))
+            assert_bit_equal(passive_symplectic(spec.unitary(), modes, n).matrix,
+                             reference_passive(spec.unitary(), modes, n))
+        for mode, n in ((0, 2), (1, 2), (2, 3)):
+            assert_bit_equal(phase_shifter(phi, mode=mode, n_modes=n).matrix,
+                             reference_passive(np.array([[np.exp(1j * phi)]]), [mode], n))
+
+
+def test_builders_reject_modes_out_of_range():
+    u = BsSpec("B1").unitary()
+    for modes in ((0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            passive_symplectic(u, modes, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            two_mode_squeezer(1.0, 0.0, *modes)
+        with pytest.raises(ValueError, match="out of range"):
+            beam_splitter(BsSpec("B2"), *modes)
+    for mode in (2, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            phase_shifter(0.3, mode=mode)

@@ -1,5 +1,6 @@
 """Full pipeline against the closed-form reference and its symmetries."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -106,6 +107,35 @@ def test_loss_degrades_noise_floor_monotonically():
     assert all(b > a for a, b in zip(sigmas, sigmas[1:]))
 
 
+def lose_one_mode(f, mode, angle):
+    """Reference loss step: one mode at a time, two noise columns per call."""
+    if angle == 0.0:
+        return f
+    rows = slice(2 * mode, 2 * mode + 2)
+    noise = np.zeros((4, 2))
+    noise[rows] = math.sin(angle) * np.eye(2)
+    f = np.hstack([f, noise])
+    f[rows, :-2] *= math.cos(angle)
+    return f
+
+
+@pytest.mark.parametrize("losses", [
+    dict(alpha1=0.13), dict(beta2=0.21), dict(beta1=0.04, alpha2=0.09),
+    dict(alpha1=0.05, beta1=0.05, alpha2=0.08, beta2=0.08),
+    dict(alpha1=0.02, beta1=0.11, alpha2=np.pi / 2, beta2=0.3),
+])
+def test_output_state_matches_per_mode_loss_chain(losses):
+    cfg = InterferometerConfig(G=1.7, xi=0.6, delta1=0.04, delta2=-0.23, **losses)
+    for phi in (0.0, -0.0, 1.1, np.pi / 2, 4.0):
+        f = two_mode_squeezer(cfg.G, cfg.xi).matrix
+        f = lose_one_mode(lose_one_mode(f, 0, cfg.alpha1), 1, cfg.beta1)
+        f = beam_splitter(BsSpec("B1", cfg.delta1)).matrix @ f
+        f = phase_shifter(phi, mode=0).matrix @ f
+        f = lose_one_mode(lose_one_mode(f, 0, cfg.alpha2), 1, cfg.beta2)
+        f = beam_splitter(BsSpec("B2", cfg.delta2)).matrix @ f
+        np.testing.assert_array_equal(output_state(cfg, phi).cov, f @ f.T)
+
+
 def test_arm_loss_commutes_with_phase():
     # applying the arm loss before or after the phase shifter is identical
     cfg = InterferometerConfig(G=1.2, alpha2=0.1, beta2=0.07, delta1=0.05)
@@ -210,6 +240,7 @@ def test_symmetric_loss_constructor():
     ("xi", np.nan), ("xi", -np.inf),
     ("alpha1", -0.01), ("beta1", np.pi / 2 + 0.01), ("alpha2", np.nan), ("beta2", np.inf),
     ("delta1", np.pi / 4), ("delta2", -0.8), ("delta2", np.nan),
+    ("G", "1"), ("G", None), ("G", 1 + 0j), ("G", True), ("xi", False), ("beta2", [0.1]),
 ])
 def test_config_rejects_invalid_fields(field, bad):
     fields = {"G": 1.0, field: bad}
@@ -221,3 +252,4 @@ def test_config_rejects_invalid_fields(field, bad):
 
 def test_config_accepts_range_edges():
     InterferometerConfig(G=0.0, alpha1=np.pi / 2, beta2=0.0, delta1=0.785, delta2=-0.785)
+    InterferometerConfig(G=np.float64(1.5), xi=2, alpha2=np.float64(0.1), delta1=0)
