@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import equivalence_grid
-from .interferometer import InterferometerConfig, evaluate
+from .interferometer import InterferometerConfig, _check_finite, evaluate
 from .resolution import (
     _CRITERIA,
     SWEEP_PARAMETERS,
@@ -90,11 +90,7 @@ class RunConfig:
         if self.param not in SWEEP_PARAMETERS:
             raise ValueError(f"unknown sweep parameter {self.param!r}")
         for name in ("working_point", "phi_min", "phi_max", "param_min", "param_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            _check_finite(name, getattr(self, name))
         for lo, hi, pts, what in ((self.phi_min, self.phi_max, self.phi_points, "phi"),
                                   (self.param_min, self.param_max, self.param_points, "param")):
             if not hi > lo:

@@ -439,8 +439,11 @@ def equivalence_grid(n_max: int | None = None, tolerance: float = 1e-8) -> GridR
     (270 cases) well under a minute.
 
     The deviation of a case is the largest absolute difference over the
-    mean, second moment, sigma, and photon count.
+    mean, second moment, sigma, and photon count.  A tolerance that is not
+    finite and non-negative raises ValueError before the grid runs.
     """
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
     imbalances = (-0.1, 0.0, 0.1)
     cases, cutoff_errors = [], []
     for G in (0.2, 0.5, 0.8):

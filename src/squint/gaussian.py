@@ -1,6 +1,6 @@
 """Zero-mean Gaussian states and the elementary optical transformations.
 
-A state is a real covariance matrix in quadrature ordering
+A state is its real covariance matrix, an ndarray in quadrature ordering
 (x1, p1, x2, p2, ...) with the convention
 
     x = a^dag + a,    p = i(a^dag - a),
@@ -9,9 +9,10 @@ so the vacuum covariance is the identity and the homodyne observable is
 exactly x with no rescaling.  Every state in scope is zero mean (vacuum
 inputs, linear transformations), so the covariance is the whole state.
 
-Lossless transformations are real symplectic matrices acting as
-cov -> S cov S^T.  Pure loss is applied directly as a covariance
-contraction; its ancilla-dilation twin lives in the Fock oracle.
+Each element of the device acts on the squeezed pair, modes 0 and 1, and is
+its real 4x4 symplectic matrix S, acting as cov -> S cov S^T.  Pure loss is
+applied directly as a covariance contraction; its ancilla-dilation twin
+lives in the Fock oracle.
 """
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "GaussianState",
-    "SymplecticOp",
     "BsSpec",
     "vacuum_state",
     "symplectic_form",
@@ -36,39 +35,11 @@ __all__ = [
 ]
 
 
-@dataclass
-class GaussianState:
-    """Zero-mean Gaussian state of `n_modes` modes.
-
-    Attributes
-    ----------
-    n_modes : int
-        Number of bosonic modes.
-    cov : ndarray
-        Real symmetric (2 n_modes, 2 n_modes) covariance matrix in
-        (x1, p1, x2, p2, ...) ordering.  Vacuum is the identity.
-    """
-
-    n_modes: int
-    cov: np.ndarray
-
-    def copy(self) -> "GaussianState":
-        return GaussianState(self.n_modes, self.cov.copy())
-
-
-@dataclass
-class SymplecticOp:
-    """Real symplectic matrix acting on a state's covariance."""
-
-    matrix: np.ndarray
-
-
 @dataclass(frozen=True)
 class BsSpec:
     """Beam-splitter specification.
 
-    variant "B1" mixes with the -i cross phase and optionally embeds the
-    interferometric phase on its first output arm; variant "B2" carries the
+    variant "B1" mixes with the -i cross phase; variant "B2" carries the
     recombining sign pattern.  `imbalance` shifts the mixing angle away from
     45 degrees: amplitude pairs become cos(pi/4 + imbalance),
     sin(pi/4 + imbalance).
@@ -76,7 +47,6 @@ class BsSpec:
 
     variant: str
     imbalance: float = 0.0
-    phase: float = 0.0  # used by B1 only
 
     def __post_init__(self):
         if self.variant not in ("B1", "B2"):
@@ -89,9 +59,8 @@ class BsSpec:
         th = np.pi / 4 + self.imbalance
         c, s = np.cos(th), np.sin(th)
         if self.variant == "B1":
-            # a' = e^{i phase} (cos a - i sin b), b' = -i sin a + cos b
-            ph = np.exp(1j * self.phase)
-            return np.array([[ph * c, -1j * ph * s], [-1j * s, c]])
+            # a' = cos a - i sin b, b' = -i sin a + cos b
+            return np.array([[c, -1j * s], [-1j * s, c]])
         # B2: a' = -cos a + i sin b, b' = -i sin a + cos b
         return np.array([[-c, 1j * s], [-1j * s, c]])
 
@@ -105,54 +74,41 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
-def vacuum_state(n_modes: int) -> GaussianState:
-    """Vacuum of `n_modes` modes: identity covariance."""
+def vacuum_state(n_modes: int) -> np.ndarray:
+    """Vacuum covariance of `n_modes` modes: the identity."""
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    return GaussianState(n_modes, np.eye(2 * n_modes))
+    return np.eye(2 * n_modes)
 
 
-def physicality_defect(state: GaussianState) -> float:
+def physicality_defect(cov: np.ndarray) -> float:
     """Most negative eigenvalue of cov + i Omega (0 for physical states).
 
     A covariance matrix is physical iff cov + i Omega >= 0; numerical noise
     keeps the smallest eigenvalue a hair below zero, so callers compare the
     returned value against -1e-10 rather than 0.
     """
-    omega = symplectic_form(state.n_modes)
-    eigs = np.linalg.eigvalsh(state.cov + 1j * omega)
+    omega = symplectic_form(cov.shape[0] // 2)
+    eigs = np.linalg.eigvalsh(cov + 1j * omega)
     return float(min(eigs.min(), 0.0))
 
 
-def _embed(block: np.ndarray, modes, n_modes: int) -> np.ndarray:
-    """A (2k, 2k) quadrature block acting on `modes`, inside the identity."""
-    if list(modes) == list(range(n_modes)):
-        return block
-    if not all(0 <= m < n_modes for m in modes):
-        raise ValueError(f"modes {list(modes)} out of range for {n_modes} modes")
-    idx = [2 * m + k for m in modes for k in (0, 1)]
-    s = np.eye(2 * n_modes)
-    s[np.ix_(idx, idx)] = block
-    return s
+def passive_symplectic(u: np.ndarray) -> np.ndarray:
+    """Real symplectic matrix of a complex 2x2 mode map on the pair.
 
-
-def passive_symplectic(u: np.ndarray, modes, n_modes: int) -> SymplecticOp:
-    """Embed a complex unitary mode map as a real symplectic matrix.
-
-    Heisenberg convention: the op maps a_i -> sum_j u[i, j] a_j on the listed
-    modes.  Each complex entry becomes the 2x2 block
-    [[Re u, -Im u], [Im u, Re u]] on the corresponding (x, p) pair.
+    Heisenberg convention: the map is a_i -> sum_j u[i, j] a_j.  Each complex
+    entry becomes the 2x2 block [[Re u, -Im u], [Im u, Re u]] on the
+    corresponding (x, p) pair.
     """
     rows = []
     for row in u.tolist():
         rows.append([v for z in row for v in (z.real, -z.imag)])
         rows.append([v for z in row for v in (z.imag, z.real)])
-    return SymplecticOp(_embed(np.array(rows), modes, n_modes))
+    return np.array(rows)
 
 
-def two_mode_squeezer(G: float, xi: float = 0.0, mode_i: int = 0, mode_j: int = 1,
-                      n_modes: int = 2) -> SymplecticOp:
-    """Nondegenerate parametric amplifier acting on a mode pair.
+def two_mode_squeezer(G: float, xi: float = 0.0) -> np.ndarray:
+    """Nondegenerate parametric amplifier acting on the pair.
 
     Implements the Bogoliubov pair a' = U a + V b^dag, b' = U b + V a^dag
     with U = cosh G and V = -i e^{i xi} sinh G, converted to the real
@@ -162,11 +118,7 @@ def two_mode_squeezer(G: float, xi: float = 0.0, mode_i: int = 0, mode_j: int = 
     Args:
         G: dimensionless gain, >= 0.
         xi: pump phase in radians.
-        mode_i, mode_j: distinct target modes.
-        n_modes: total mode count of the embedding matrix.
     """
-    if mode_i == mode_j:
-        raise ValueError("squeezer requires two distinct modes")
     if not 0 <= G < np.inf:
         raise ValueError("gain G must be finite and non-negative")
     c, s = np.cosh(G), np.sinh(G)
@@ -174,29 +126,25 @@ def two_mode_squeezer(G: float, xi: float = 0.0, mode_i: int = 0, mode_j: int = 
     # Quadrature image of V = Re V + i Im V = s sin(xi) - i s cos(xi):
     #   x' = c x + Re(V) x_other + Im(V) p_other
     #   p' = c p - Re(V) p_other + Im(V) x_other
-    m = np.array([[c, 0.0, s * sx, -s * cx],
-                  [0.0, c, -s * cx, -s * sx],
-                  [s * sx, -s * cx, c, 0.0],
-                  [-s * cx, -s * sx, 0.0, c]])
-    return SymplecticOp(_embed(m, (mode_i, mode_j), n_modes))
+    return np.array([[c, 0.0, s * sx, -s * cx],
+                     [0.0, c, -s * cx, -s * sx],
+                     [s * sx, -s * cx, c, 0.0],
+                     [-s * cx, -s * sx, 0.0, c]])
 
 
-def phase_shifter(phi: float, mode: int = 0, n_modes: int = 2) -> SymplecticOp:
-    """Phase shift a -> e^{i phi} a on one mode: an (x, p) rotation."""
-    if not 0 <= mode < n_modes:
-        raise ValueError(f"mode {mode} out of range for {n_modes} modes")
+def phase_shifter(phi: float, mode: int = 0) -> np.ndarray:
+    """Phase shift a -> e^{i phi} a on mode 0 or 1: an (x, p) rotation."""
+    if mode not in (0, 1):
+        raise ValueError(f"mode {mode} out of range for the pair (0 or 1)")
     z = np.exp(1j * phi)
-    m = np.eye(2 * n_modes)
+    m = np.eye(4)
     m[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = [[z.real, -z.imag], [z.imag, z.real]]
-    return SymplecticOp(m)
+    return m
 
 
-def beam_splitter(spec: BsSpec, mode_i: int = 0, mode_j: int = 1,
-                  n_modes: int = 2) -> SymplecticOp:
-    """Beam splitter on a mode pair, built from its complex mode map."""
-    if mode_i == mode_j:
-        raise ValueError("beam splitter requires two distinct modes")
-    return passive_symplectic(spec.unitary(), [mode_i, mode_j], n_modes)
+def beam_splitter(spec: BsSpec) -> np.ndarray:
+    """Beam splitter on the pair, built from its complex mode map."""
+    return passive_symplectic(spec.unitary())
 
 
 def loss_unitary(alpha: float) -> np.ndarray:
@@ -210,15 +158,14 @@ def loss_unitary(alpha: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]], dtype=complex)
 
 
-def apply_symplectic(state: GaussianState, op: SymplecticOp) -> GaussianState:
+def apply_symplectic(cov: np.ndarray, s: np.ndarray) -> np.ndarray:
     """cov -> S cov S^T."""
-    if op.matrix.shape != state.cov.shape:
-        raise ValueError(
-            f"operation size {op.matrix.shape} does not match state size {state.cov.shape}")
-    return GaussianState(state.n_modes, op.matrix @ state.cov @ op.matrix.T)
+    if s.shape != cov.shape:
+        raise ValueError(f"operation size {s.shape} does not match state size {cov.shape}")
+    return s @ cov @ s.T
 
 
-def apply_loss(state: GaussianState, mode: int, alpha: float) -> GaussianState:
+def apply_loss(cov: np.ndarray, mode: int, alpha: float) -> np.ndarray:
     """Pure loss of angle alpha on one mode (intensity transmission cos^2).
 
     The mode's own 2x2 covariance block contracts toward vacuum,
@@ -226,18 +173,18 @@ def apply_loss(state: GaussianState, mode: int, alpha: float) -> GaussianState:
     cross-correlation row/column scales by cos(alpha).
 
     Args:
-        state: input state.
+        cov: input covariance.
         mode: target mode index.
         alpha: loss angle in [0, pi/2]; pi/2 replaces the mode by vacuum.
     """
     if not 0 <= alpha <= np.pi / 2:
         raise ValueError("loss angle must lie in [0, pi/2]")
-    if not 0 <= mode < state.n_modes:
+    if not 0 <= mode < cov.shape[0] // 2:
         raise ValueError(f"mode {mode} out of range")
     c = np.cos(alpha)
     idx = [2 * mode, 2 * mode + 1]
-    cov = state.cov.copy()
+    cov = cov.copy()
     cov[idx, :] *= c
     cov[:, idx] *= c
     cov[np.ix_(idx, idx)] += np.sin(alpha) ** 2 * np.eye(2)
-    return GaussianState(state.n_modes, cov)
+    return cov

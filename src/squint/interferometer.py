@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .gaussian import (
     BsSpec,
-    GaussianState,
     beam_splitter,
     phase_shifter,
     two_mode_squeezer,
@@ -50,6 +50,15 @@ __all__ = [
     "signal_slope",
     "closed_form_reference",
 ]
+
+
+def _check_finite(name: str, value) -> None:
+    """ValueError unless value is a real number (not a bool) within float
+    range: nan, +-inf and an int too large for a float are not finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,11 +84,7 @@ class InterferometerConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{f.name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            _check_finite(f.name, getattr(self, f.name))
         if self.G < 0:
             raise ValueError(f"gain G must be non-negative, got {self.G!r}")
         for name in ("alpha1", "beta1", "alpha2", "beta2"):
@@ -116,15 +121,15 @@ def _lose(f: np.ndarray, angles) -> np.ndarray:
     return out
 
 
-def output_state(config: InterferometerConfig, phi: float) -> GaussianState:
-    """State at the recombiner outputs for phase phi."""
-    f = two_mode_squeezer(config.G, config.xi).matrix
+def output_state(config: InterferometerConfig, phi: float) -> np.ndarray:
+    """Covariance at the recombiner outputs for phase phi."""
+    f = two_mode_squeezer(config.G, config.xi)
     f = _lose(f, (config.alpha1, config.beta1))
-    f = beam_splitter(BsSpec("B1", config.delta1)).matrix @ f
-    f = phase_shifter(phi, mode=0).matrix @ f
+    f = beam_splitter(BsSpec("B1", config.delta1)) @ f
+    f = phase_shifter(phi, mode=0) @ f
     f = _lose(f, (config.alpha2, config.beta2))
-    f = beam_splitter(BsSpec("B2", config.delta2)).matrix @ f
-    return GaussianState(2, f @ f.T)
+    f = beam_splitter(BsSpec("B2", config.delta2)) @ f
+    return f @ f.T
 
 
 def evaluate(config: InterferometerConfig, phi: float) -> SignalStats:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import InterferometerConfig, evaluate, signal_slope
+from .interferometer import InterferometerConfig, _check_finite, evaluate, signal_slope
 
 __all__ = [
     "ResolutionResult",
@@ -125,8 +125,7 @@ def _result(criterion, phi, d, n, iters, converged, message=""):
 
 
 def _check_phase(phi) -> None:
-    if not math.isfinite(phi):
-        raise ValueError(f"working point phi must be finite, got {phi!r}")
+    _check_finite("working point phi", phi)
 
 
 def _working_point(config: InterferometerConfig, phi: float, criterion: str):

@@ -30,8 +30,8 @@ def random_two_mode_state(rng, max_gain=1.2):
     for _ in range(int(rng.integers(1, 4))):
         kind = int(rng.integers(0, 4))
         if kind == 0:
-            op = beam_splitter(BsSpec("B1", rng.uniform(-0.6, 0.6),
-                                      phase=rng.uniform(0, 2 * np.pi)))
+            spec = BsSpec("B1", rng.uniform(-0.6, 0.6))
+            op = phase_shifter(rng.uniform(0, 2 * np.pi)) @ beam_splitter(spec)
         elif kind == 1:
             op = beam_splitter(BsSpec("B2", rng.uniform(-0.6, 0.6)))
         elif kind == 2:

@@ -99,7 +99,7 @@ def test_runconfig_validation():
     with pytest.raises(ValueError, match="positive minimum"):
         RunConfig(dev, param="delta2", param_min=-0.3, param_max=0.3, log_grid=True)
     for name in ("working_point", "phi_min", "phi_max", "param_min", "param_max"):
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad in (math.nan, math.inf, -math.inf, 10**400, -10**400):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 RunConfig(dev, **{name: bad})
         for bad in ("1.0", None, True):
@@ -115,6 +115,8 @@ def test_runconfig_validation():
     for bad in (3, b"out.csv"):
         with pytest.raises(ValueError, match="out must be"):
             RunConfig(dev, out=bad)
+    with pytest.raises(ValueError, match="working_point must be finite"):
+        RunConfig.from_dict({"working_point": 10**400})
 
 
 def test_signal_csv_values(tmp_path):
@@ -235,6 +237,13 @@ def test_config_errors_exit_1(tmp_path, capsys):
     unknown.write_text(json.dumps({"wavelength": 1550}))
     assert main(["resolve", "--config", str(unknown)]) == 1
 
+    # JSON integers beyond float range are refused as not finite
+    for doc in ({"working_point": 10**400}, {"interferometer": {"G": 10**400}}):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc))
+        assert main(["resolve", "--config", str(huge)]) == 1
+        assert "config error" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("argv", [
     ["signal", "--xi", "nan"],
@@ -311,6 +320,17 @@ def test_optimize_imbalance_cli(tmp_path):
     assert -0.245 <= res["delta2_opt"] <= -0.230
     assert 2.70 <= res["kappa_opt"] <= 2.85
     assert len(payload["profile"]) == 33
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_oracle_check_rejects_bad_tolerance(tolerance, capsys):
+    # refused before the grid runs: exit 1, nothing on stdout
+    with pytest.raises(ValueError, match="tolerance"):
+        squint.equivalence_grid(tolerance=float(tolerance))
+    assert main(["oracle-check", f"--tolerance={tolerance}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerance must be finite and non-negative" in captured.err
 
 
 def test_oracle_check_cutoff_failure_exits_2(capsys):

@@ -127,13 +127,13 @@ def lose_one_mode(f, mode, angle):
 def test_output_state_matches_per_mode_loss_chain(losses):
     cfg = InterferometerConfig(G=1.7, xi=0.6, delta1=0.04, delta2=-0.23, **losses)
     for phi in (0.0, -0.0, 1.1, np.pi / 2, 4.0):
-        f = two_mode_squeezer(cfg.G, cfg.xi).matrix
+        f = two_mode_squeezer(cfg.G, cfg.xi)
         f = lose_one_mode(lose_one_mode(f, 0, cfg.alpha1), 1, cfg.beta1)
-        f = beam_splitter(BsSpec("B1", cfg.delta1)).matrix @ f
-        f = phase_shifter(phi, mode=0).matrix @ f
+        f = beam_splitter(BsSpec("B1", cfg.delta1)) @ f
+        f = phase_shifter(phi, mode=0) @ f
         f = lose_one_mode(lose_one_mode(f, 0, cfg.alpha2), 1, cfg.beta2)
-        f = beam_splitter(BsSpec("B2", cfg.delta2)).matrix @ f
-        np.testing.assert_array_equal(output_state(cfg, phi).cov, f @ f.T)
+        f = beam_splitter(BsSpec("B2", cfg.delta2)) @ f
+        np.testing.assert_array_equal(output_state(cfg, phi), f @ f.T)
 
 
 def test_arm_loss_commutes_with_phase():
@@ -147,10 +147,10 @@ def test_arm_loss_commutes_with_phase():
     a = apply_loss(apply_loss(a, 0, cfg.alpha2), 1, cfg.beta2)
     b = apply_loss(apply_loss(state, 0, cfg.alpha2), 1, cfg.beta2)
     b = apply_symplectic(b, phase_shifter(phi, 0))
-    np.testing.assert_allclose(a.cov, b.cov, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
     a = apply_symplectic(a, beam_splitter(BsSpec("B2", 0.0)))
     pipeline = output_state(cfg, phi)
-    np.testing.assert_allclose(pipeline.cov, a.cov, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pipeline, a, rtol=0, atol=1e-12)
 
 
 def test_symmetric_prep_loss_equals_symmetric_arm_loss():
@@ -183,17 +183,6 @@ def test_symmetric_prep_loss_equals_symmetric_arm_loss():
     gap = max(abs(evaluate(prep, float(p)).sigma - evaluate(arm, float(p)).sigma)
               for p in phis)
     assert gap > 1e-2
-
-
-def test_splitter_phase_embedding_equivalent_to_separate_shifter():
-    # B1 can carry the interferometric phase on its first output; the
-    # pipeline keeps the phase as its own element, and both agree.
-    state = apply_symplectic(vacuum_state(2), two_mode_squeezer(0.9, 0.4))
-    phi, d1 = 1.1, 0.12
-    embedded = apply_symplectic(state, beam_splitter(BsSpec("B1", d1, phase=phi)))
-    separate = apply_symplectic(state, beam_splitter(BsSpec("B1", d1)))
-    separate = apply_symplectic(separate, phase_shifter(phi, 0))
-    np.testing.assert_allclose(embedded.cov, separate.cov, rtol=0, atol=1e-12)
 
 
 def test_slope_matches_analytic_derivative():
@@ -241,6 +230,8 @@ def test_symmetric_loss_constructor():
     ("alpha1", -0.01), ("beta1", np.pi / 2 + 0.01), ("alpha2", np.nan), ("beta2", np.inf),
     ("delta1", np.pi / 4), ("delta2", -0.8), ("delta2", np.nan),
     ("G", "1"), ("G", None), ("G", 1 + 0j), ("G", True), ("xi", False), ("beta2", [0.1]),
+    pytest.param("G", 10**400, id="G-int-beyond-float"),
+    pytest.param("xi", -10**400, id="xi-int-beyond-float"),
 ])
 def test_config_rejects_invalid_fields(field, bad):
     fields = {"G": 1.0, field: bad}

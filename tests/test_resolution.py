@@ -167,7 +167,7 @@ def test_zero_slope_reports_diagnostic():
 
 def test_non_finite_working_point_raises():
     cfg = InterferometerConfig(G=1.0)
-    for phi in (math.nan, math.inf):
+    for phi in (math.nan, math.inf, 10**400):
         for call in (lambda: standard_resolution(cfg, phi=phi),
                      lambda: modified_resolution(cfg, phi=phi),
                      lambda: sweep(cfg, "G", [1.0, 2.0], phi=phi),
