@@ -5,7 +5,7 @@ Subcommands
 signal              fringe scan: mean product signal and its noise vs phase
 resolve             one resolution computation (JSON report)
 sweep               resolution along a parameter grid (CSV/JSON table)
-optimize-imbalance  best recombiner imbalance at fixed gain (JSON report)
+optimize-imbalance  best recombiner imbalance for the given device (JSON report)
 oracle-check        covariance engine vs Fock oracle agreement (JSON report)
 
 Conventions: all angles are radians unless --degrees is given, which
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import equivalence_grid
-from .interferometer import InterferometerConfig, _check_finite, evaluate
+from .gaussian import _check_finite
+from .interferometer import InterferometerConfig, evaluate
 from .resolution import (
     _CRITERIA,
     SWEEP_PARAMETERS,
@@ -251,7 +252,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_optimize_imbalance(cfg: RunConfig, args) -> int:
-    opt = optimize_delta2(cfg.interferometer.G, criterion=cfg.criterion,
+    opt = optimize_delta2(cfg.interferometer, criterion=cfg.criterion,
                           phi=cfg.working_point)
     payload = {
         "config": cfg.to_dict(),

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import BsSpec, loss_unitary
+from .gaussian import BsSpec, _check_finite, loss_unitary
 from .interferometer import InterferometerConfig, evaluate
 from .moments import SignalStats
 
@@ -98,7 +98,10 @@ def tail_cutoff(G: float) -> int:
     if t2 == 0.0:
         return 0
     c2 = np.cosh(G) ** 2
-    n = 0
+    # least n from logarithms, settled on the exact test; 1 / c2 <= 1e-14 if t2 == 1
+    n = 0 if t2 == 1.0 else max(0, math.ceil(math.log(_TAIL_TOL * c2) / math.log(t2)) - 1)
+    while n > 0 and t2 ** n / c2 <= _TAIL_TOL:
+        n -= 1
     while t2 ** (n + 1) / c2 > _TAIL_TOL:
         n += 1
     return n
@@ -138,6 +141,7 @@ def tmsv_fock(G: float, xi: float = 0.0, n_max: int | None = None) -> FockState:
 
     The exact discarded mass tanh^{2(n_max+1)} G is stored as norm_deficit.
     """
+    _check_finite("pump phase xi", xi)
     needed = tail_cutoff(G)
     if n_max is None:
         n_max = needed
@@ -173,19 +177,12 @@ def _pair_layout(di: int, dj: int):
     return order, np.argsort(order), starts
 
 
-# Generator and the sector blocks built so far, keyed by (u bytes, di, dj);
-# a block is built the first time a state occupies its pair total.
-_SECTOR_CACHE: dict = {}
-
-
-def _sector_blocks(u: np.ndarray, di: int, dj: int):
-    key = (u.tobytes(), di, dj)
-    hit = _SECTOR_CACHE.get(key)
-    if hit is None:
-        if len(_SECTOR_CACHE) > 64:
-            _SECTOR_CACHE.clear()
-        hit = _SECTOR_CACHE[key] = (_hermitian_generator(u), {})
-    return hit
+@functools.lru_cache(maxsize=64)
+def _sector_blocks(u_bytes: bytes, di: int, dj: int):
+    """Generator of the 2x2 map with bytes `u_bytes`, and the sector blocks
+    built so far, keyed by pair total; a block is built the first time a state
+    occupies its total."""
+    return _hermitian_generator(np.frombuffer(u_bytes, dtype=complex).reshape(2, 2)), {}
 
 
 def _sector_block(h: np.ndarray, n: int, di: int, dj: int) -> np.ndarray:
@@ -217,7 +214,7 @@ def _apply_pair(amps: np.ndarray, mode_i: int, mode_j: int, u: np.ndarray) -> np
     order, inverse, starts = _pair_layout(di, dj)
     st = np.transpose(amps, perm).reshape(di * dj, -1)[order]
     live = np.logical_or.reduceat(st != 0, starts[:-1], axis=0)
-    h, blocks = _sector_blocks(u, di, dj)
+    h, blocks = _sector_blocks(u.tobytes(), di, dj)
     out = np.zeros_like(st)
     for n in np.flatnonzero(live.any(axis=1)):
         block = blocks.get(n)
@@ -260,8 +257,7 @@ def apply_unitary_fock(state: FockState, op, modes) -> FockState:
     if isinstance(op, numbers.Real):
         if len(modes) != 1:
             raise ValueError("a phase acts on exactly one mode")
-        if not math.isfinite(op):
-            raise ValueError(f"phase angle must be finite, got {op!r}")
+        _check_finite("phase angle", op)
         return FockState(_apply_phase(state.amplitudes, modes[0], float(op)),
                          state.norm_deficit)
     u = np.asarray(op, dtype=complex)
@@ -379,8 +375,7 @@ def _measure(state: FockState) -> SignalStats:
         mean_photons=photon_number_expectation(state, (0, 1)))
 
 
-def oracle_pipeline(config: InterferometerConfig, phi: float,
-                    n_max: int | None = None) -> SignalStats:
+def oracle_pipeline(config: InterferometerConfig, phi: float) -> SignalStats:
     """Run the full interferometer in the Fock basis.
 
     Mirrors the covariance pipeline element by element: squeezed pair in,
@@ -389,11 +384,11 @@ def oracle_pipeline(config: InterferometerConfig, phi: float,
     signal modes (the photon count also covers only those, matching what a
     lossy channel leaves downstream).
 
-    Signal modes get 2 n_max + 3 levels for a pair cut off at n_max (default
-    `tail_cutoff(G)`), loss ancillas `ancilla_cutoff` levels; a state above
-    40M amplitudes raises ValueError.
+    Signal modes get 2 n + 3 levels for a pair cut off at n = `tail_cutoff(G)`,
+    loss ancillas `ancilla_cutoff` levels; a state above 40M amplitudes raises
+    ValueError.
     """
-    state, arm = _prepare(config, n_max)
+    state, arm = _prepare(config, None)
     state = apply_unitary_fock(state, BsSpec("B1", config.delta1), (0, 1))
     state = apply_unitary_fock(state, phi, 0)
     state = _lose(state, arm, state.n_modes - len(arm))
@@ -439,9 +434,13 @@ def equivalence_grid(n_max: int | None = None, tolerance: float = 1e-8) -> GridR
     (270 cases) well under a minute.
 
     The deviation of a case is the largest absolute difference over the
-    mean, second moment, sigma, and photon count.  A tolerance that is not
-    finite and non-negative raises ValueError before the grid runs.
+    mean, second moment, sigma, and photon count.  An `n_max` other than None
+    or an int >= 0 (not a bool), or a tolerance that is not finite and
+    non-negative, raises ValueError before the grid runs.
     """
+    if not (n_max is None or isinstance(n_max, numbers.Integral)
+            and not isinstance(n_max, bool) and n_max >= 0):
+        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
     imbalances = (-0.1, 0.0, 0.1)

@@ -16,6 +16,8 @@ lives in the Fock oracle.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,21 @@ __all__ = [
     "apply_symplectic",
     "apply_loss",
 ]
+
+
+def _check_finite(name: str, value) -> None:
+    """ValueError unless value is a real number (not a bool) within float
+    range: nan, +-inf and an int too large for a float are not finite."""
+    # a float (np.float64 too) skips the slow abstract-class checks: hot path
+    if not isinstance(value, float) and (isinstance(value, bool)
+                                         or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,20 +82,14 @@ class BsSpec:
         return np.array([[-c, 1j * s], [-1j * s, c]])
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Symplectic form Omega in the (x, p) interleaved ordering."""
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for m in range(n_modes):
-        omega[2 * m, 2 * m + 1] = 1.0
-        omega[2 * m + 1, 2 * m] = -1.0
-    return omega
+def symplectic_form() -> np.ndarray:
+    """The pair's symplectic form Omega in the (x1, p1, x2, p2) ordering."""
+    return np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
 
 
-def vacuum_state(n_modes: int) -> np.ndarray:
-    """Vacuum covariance of `n_modes` modes: the identity."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be at least 1")
-    return np.eye(2 * n_modes)
+def vacuum_state() -> np.ndarray:
+    """Vacuum covariance of the pair: the 4x4 identity."""
+    return np.eye(4)
 
 
 def physicality_defect(cov: np.ndarray) -> float:
@@ -88,8 +99,7 @@ def physicality_defect(cov: np.ndarray) -> float:
     keeps the smallest eigenvalue a hair below zero, so callers compare the
     returned value against -1e-10 rather than 0.
     """
-    omega = symplectic_form(cov.shape[0] // 2)
-    eigs = np.linalg.eigvalsh(cov + 1j * omega)
+    eigs = np.linalg.eigvalsh(cov + 1j * symplectic_form())
     return float(min(eigs.min(), 0.0))
 
 
@@ -121,6 +131,7 @@ def two_mode_squeezer(G: float, xi: float = 0.0) -> np.ndarray:
     """
     if not 0 <= G < np.inf:
         raise ValueError("gain G must be finite and non-negative")
+    _check_finite("pump phase xi", xi)
     c, s = np.cosh(G), np.sinh(G)
     sx, cx = np.sin(xi), np.cos(xi)
     # Quadrature image of V = Re V + i Im V = s sin(xi) - i s cos(xi):
@@ -136,6 +147,7 @@ def phase_shifter(phi: float, mode: int = 0) -> np.ndarray:
     """Phase shift a -> e^{i phi} a on mode 0 or 1: an (x, p) rotation."""
     if mode not in (0, 1):
         raise ValueError(f"mode {mode} out of range for the pair (0 or 1)")
+    _check_finite("phase phi", phi)
     z = np.exp(1j * phi)
     m = np.eye(4)
     m[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = [[z.real, -z.imag], [z.imag, z.real]]

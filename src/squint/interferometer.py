@@ -23,14 +23,13 @@ product M M^T.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .gaussian import (
     BsSpec,
+    _check_finite,
     beam_splitter,
     phase_shifter,
     two_mode_squeezer,
@@ -50,15 +49,6 @@ __all__ = [
     "signal_slope",
     "closed_form_reference",
 ]
-
-
-def _check_finite(name: str, value) -> None:
-    """ValueError unless value is a real number (not a bool) within float
-    range: nan, +-inf and an int too large for a float are not finite."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -136,9 +126,9 @@ def evaluate(config: InterferometerConfig, phi: float) -> SignalStats:
     """Product-signal statistics at phase phi."""
     out = output_state(config, phi)
     return SignalStats(
-        mean=product_mean(out, 0, 1),
-        second_moment=product_second_moment(out, 0, 1),
-        sigma=product_sigma(out, 0, 1),
+        mean=product_mean(out),
+        second_moment=product_second_moment(out),
+        sigma=product_sigma(out),
         mean_photons=mean_photon_number(out),
     )
 

@@ -5,8 +5,8 @@ Wick/Isserlis factoring; the fourth moment of the product needs only
 
     <(X_a X_b)^2> = <X_a^2><X_b^2> + 2 <X_a X_b>^2.
 
-All observables here use the x quadrature of each mode (x = a^dag + a), and
-each function takes the state as its covariance matrix.
+X_a and X_b are the x quadratures (x = a^dag + a) of the squeezed pair, and
+each function reads them from the pair's 4x4 covariance matrix.
 """
 from __future__ import annotations
 
@@ -33,29 +33,27 @@ class SignalStats:
     mean_photons: float    # <N> over all modes of the evaluated state
 
 
-def product_mean(cov: np.ndarray, mode_a: int, mode_b: int) -> float:
+def product_mean(cov: np.ndarray) -> float:
     """Mean of the product signal; for zero-mean states this is the
-    covariance <X_a X_b> of the two x quadratures."""
-    return float(cov[2 * mode_a, 2 * mode_b])
+    covariance <X_a X_b> of the two x quadratures, entry (0, 2)."""
+    return float(cov[0, 2])
 
 
-def product_second_moment(cov: np.ndarray, mode_a: int, mode_b: int) -> float:
+def product_second_moment(cov: np.ndarray) -> float:
     """Second moment <(X_a X_b)^2> by Isserlis factoring of the quartic."""
-    vaa = cov[2 * mode_a, 2 * mode_a]
-    vbb = cov[2 * mode_b, 2 * mode_b]
-    vab = cov[2 * mode_a, 2 * mode_b]
-    return float(vaa * vbb + 2.0 * vab * vab)
+    vab = cov[0, 2]
+    return float(cov[0, 0] * cov[2, 2] + 2.0 * vab * vab)
 
 
-def product_sigma(cov: np.ndarray, mode_a: int, mode_b: int) -> float:
+def product_sigma(cov: np.ndarray) -> float:
     """Standard deviation of the product signal.
 
     The variance <P^2> - <P>^2 is mathematically non-negative; a value below
     -1e-12 (relative to the second moment's scale) signals a bug upstream and
     raises, while sub-roundoff negatives are clamped to zero.
     """
-    m1 = product_mean(cov, mode_a, mode_b)
-    m2 = product_second_moment(cov, mode_a, mode_b)
+    m1 = product_mean(cov)
+    m2 = product_second_moment(cov)
     var = m2 - m1 * m1
     floor = -1e-12 * max(1.0, abs(m2))
     if var < floor:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import InterferometerConfig, _check_finite, evaluate, signal_slope
+from .gaussian import _check_finite
+from .interferometer import InterferometerConfig, evaluate, signal_slope
 
 __all__ = [
     "ResolutionResult",
@@ -105,7 +106,7 @@ class SweepTable:
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Best recombiner imbalance found for one gain setting."""
+    """Best recombiner imbalance found for one device."""
 
     delta2: float
     kappa: float
@@ -124,10 +125,6 @@ def _result(criterion, phi, d, n, iters, converged, message=""):
         mean_N=n, message=message)
 
 
-def _check_phase(phi) -> None:
-    _check_finite("working point phi", phi)
-
-
 def _working_point(config: InterferometerConfig, phi: float, criterion: str):
     """(sigma0, |slope|, mean_N, None) at phi, or a non-converged result last.
 
@@ -136,7 +133,7 @@ def _working_point(config: InterferometerConfig, phi: float, criterion: str):
     leaves it unresolved.  Both are reported, not raised; a non-finite phi
     raises ValueError.
     """
-    _check_phase(phi)
+    _check_finite("working point phi", phi)
     stats = evaluate(config, phi)
     slope = abs(signal_slope(config, phi))
     n, sigma0 = stats.mean_photons, stats.sigma
@@ -308,11 +305,12 @@ def _golden_min(f, lo: float, hi: float, tol: float):
     return (c, fc) if fc < fd else (d, fd)
 
 
-def optimize_delta2(G: float, criterion: str = "modified",
+def optimize_delta2(config: InterferometerConfig, criterion: str = "modified",
                     phi: float = np.pi / 2) -> OptimizeResult:
-    """Recombiner imbalance minimising kappa for an otherwise ideal device.
+    """Recombiner imbalance minimising kappa for the device `config`.
 
-    A coarse 33-point scan over delta2 in [-0.78, 0.78] locates the basin
+    `config.delta2` is the variable being optimised, so its given value is
+    ignored; every other field holds.  A coarse 33-point scan over delta2 in [-0.78, 0.78] locates the basin
     (and checks that the sampled profile has a single interior minimum);
     golden-section search then refines delta2 to 1e-6.  A multi-basin profile is reported
     with unimodal=False and the scan samples attached, refining the deepest
@@ -325,7 +323,7 @@ def optimize_delta2(G: float, criterion: str = "modified",
 
     def kappa_at(d2):
         if d2 not in cache:
-            cache[d2] = solver(InterferometerConfig(G=G, delta2=d2), phi=phi)
+            cache[d2] = solver(dataclasses.replace(config, delta2=d2), phi=phi)
         return cache[d2]
 
     xs = np.linspace(-0.78, 0.78, 33)
@@ -366,7 +364,7 @@ def refine_working_point(config: InterferometerConfig,
     1e-9, finds it.  Returns the refined phase; a non-finite phi raises
     ValueError.
     """
-    _check_phase(phi)
+    _check_finite("working point phi", phi)
     best, _ = _golden_min(lambda p: evaluate(config, p).sigma,
                           phi - 0.35, phi + 0.35, 1e-9)
     return best

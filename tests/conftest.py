@@ -24,7 +24,7 @@ def random_two_mode_state(rng, max_gain=1.2):
     Physicality holds by construction, so these states exercise the moment
     code on generic covariances without hand-tuning matrices.
     """
-    state = vacuum_state(2)
+    state = vacuum_state()
     state = apply_symplectic(
         state, two_mode_squeezer(rng.uniform(0.1, max_gain), rng.uniform(0, 2 * np.pi)))
     for _ in range(int(rng.integers(1, 4))):

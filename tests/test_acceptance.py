@@ -151,7 +151,7 @@ def test_gate_03_ideal_resolution_scaling():
 
 def test_gate_04_recombiner_optimum():
     t0 = time.perf_counter()
-    opt = optimize_delta2(5.0)
+    opt = optimize_delta2(InterferometerConfig(G=5.0))
     dt = time.perf_counter() - t0
     ok = (opt.converged and opt.unimodal
           and -0.245 <= opt.delta2 <= -0.230
@@ -237,7 +237,7 @@ def test_gate_09_structural_properties():
     checks = []
 
     # symplectic preservation
-    omega = symplectic_form(2)
+    omega = symplectic_form()
     ops = [two_mode_squeezer(1.2, xi=0.7),
            phase_shifter(0.3) @ beam_splitter(BsSpec("B1", 0.1)),
            beam_splitter(BsSpec("B2", -0.08)),
@@ -253,7 +253,7 @@ def test_gate_09_structural_properties():
     checks.append(("physicality", worst_phys >= -1e-10, f"{worst_phys:.1e}"))
 
     # passive operations conserve photon number
-    state = apply_symplectic(vacuum_state(2), two_mode_squeezer(1.3, xi=0.4))
+    state = apply_symplectic(vacuum_state(), two_mode_squeezer(1.3, xi=0.4))
     n0 = mean_photon_number(state)
     for op in (phase_shifter(1.1) @ beam_splitter(BsSpec("B1", 0.07)),
                phase_shifter(0.5), beam_splitter(BsSpec("B2", -0.1))):

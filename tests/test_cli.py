@@ -83,6 +83,14 @@ def test_runconfig_rejects_unknown_keys():
         RunConfig.from_dict({"param_grid": {"name": "G", "logarithmic": False}})
 
 
+def test_runconfig_rejects_non_object_sections():
+    for key in ("phi_grid", "param_grid", "interferometer"):
+        with pytest.raises(ValueError, match=f"{key} must be a JSON object"):
+            RunConfig.from_dict({key: 3})
+    with pytest.raises(ValueError, match="config must be a JSON object"):
+        RunConfig.from_dict([])
+
+
 def test_runconfig_validation():
     dev = InterferometerConfig(G=1.0)
     for bad in ("tight", ["modified"]):
@@ -322,6 +330,16 @@ def test_optimize_imbalance_cli(tmp_path):
     assert len(payload["profile"]) == 33
 
 
+def test_optimize_imbalance_uses_every_device_flag(capsys):
+    code, payload = run_json(["optimize-imbalance", "-G", "3", "--alpha2=0.1"], capsys)
+    assert code == 0
+    want = squint.optimize_delta2(InterferometerConfig(G=3.0, alpha2=0.1))
+    assert payload["result"]["kappa_opt"] == float(f"{want.kappa:.12g}")
+    assert payload["result"]["delta2_opt"] == float(f"{want.delta2:.12g}")
+    # the lossless optimum at this gain is kappa = 2.7489
+    assert payload["result"]["kappa_opt"] == pytest.approx(3.821, abs=1e-3)
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
 def test_oracle_check_rejects_bad_tolerance(tolerance, capsys):
     # refused before the grid runs: exit 1, nothing on stdout
@@ -331,6 +349,17 @@ def test_oracle_check_rejects_bad_tolerance(tolerance, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "tolerance must be finite and non-negative" in captured.err
+
+
+def test_oracle_check_rejects_bad_n_max(capsys):
+    # refused before the grid runs: exit 1, nothing on stdout
+    for bad in (-1, True, 2.5, "3"):
+        with pytest.raises(ValueError, match="n_max must be a non-negative integer"):
+            squint.equivalence_grid(n_max=bad)
+    assert main(["oracle-check", "--n-max=-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_max must be a non-negative integer, got -5" in captured.err
 
 
 def test_oracle_check_cutoff_failure_exits_2(capsys):

@@ -1,5 +1,6 @@
 """Truncated number-basis machinery: construction, unitaries, guards."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,32 @@ def test_tail_cutoff_reference_points():
     assert tail_cutoff(0.0) == 0
 
 
+def counted_tail_cutoff(G):
+    """Reference: count pair levels up until the first omitted weight
+    tanh^{2(n+1)} G / cosh^2 G is within 1e-14."""
+    t2, c2 = np.tanh(G) ** 2, np.cosh(G) ** 2
+    n = 0
+    while t2 ** (n + 1) / c2 > 1e-14:
+        n += 1
+    return n
+
+
+def test_tail_cutoff_matches_level_count():
+    for G in np.concatenate([np.geomspace(1e-4, 3.0, 150), [1e-8, 1e-300, 3.7]]):
+        assert tail_cutoff(G) == counted_tail_cutoff(G), G
+    # tanh^2 G rounds to 1 here, and 1 / cosh^2 G is already below the bound
+    assert np.tanh(20.0) ** 2 == 1.0
+    assert tail_cutoff(20.0) == counted_tail_cutoff(20.0) == 0
+
+
+def test_high_gain_pipeline_is_refused_quickly():
+    # the pair cutoff at G = 10 is about 1.65e9 levels; sizing it takes no loop
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="amplitudes"):
+        oracle_pipeline(InterferometerConfig(G=10.0), 0.3)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_ancilla_cutoff_reference_points():
     n_sup = tail_cutoff(0.8)
     assert [ancilla_cutoff(0.8, a, n_sup) for a in (0.02, 0.1, 0.2, 0.3)] == [5, 9, 13, 19]
@@ -50,6 +77,15 @@ def test_cutoffs_reject_bad_input():
     for bad in (-0.1, np.pi / 2 + 0.1, np.nan):
         with pytest.raises(ValueError, match="loss angle"):
             ancilla_cutoff(0.5, bad, 10)
+
+
+def test_fock_angles_refuse_non_numbers_and_non_finite_values():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="pump phase xi must be finite"):
+            tmsv_fock(0.5, xi=bad)
+    # a bool is not a phase angle, as everywhere else a number is checked
+    with pytest.raises(ValueError, match="phase angle must be a number"):
+        apply_unitary_fock(tmsv_fock(0.3, n_max=16), True, 0)
 
 
 def test_tmsv_zero_gain_is_vacuum():

@@ -19,13 +19,7 @@ from conftest import random_two_mode_state
 
 
 def test_vacuum_is_identity_covariance():
-    for n in (1, 2, 5):
-        np.testing.assert_array_equal(vacuum_state(n), np.eye(2 * n))
-
-
-def test_vacuum_rejects_zero_modes():
-    with pytest.raises(ValueError):
-        vacuum_state(0)
+    np.testing.assert_array_equal(vacuum_state(), np.eye(4))
 
 
 @pytest.mark.parametrize("op", [
@@ -39,7 +33,7 @@ def test_vacuum_rejects_zero_modes():
     beam_splitter(BsSpec("B2", -0.25)),
 ])
 def test_operations_are_symplectic(op):
-    omega = symplectic_form(2)
+    omega = symplectic_form()
     defect = op @ omega @ op.T - omega
     assert np.max(np.abs(defect)) <= 1e-12
 
@@ -53,7 +47,7 @@ def test_random_pipeline_states_stay_physical(rng):
 def test_squeezer_photon_number():
     # vacuum in -> 2 sinh^2 G photons out, split evenly over the pair
     for G in (0.0, 0.3, 1.0, 2.5):
-        state = apply_symplectic(vacuum_state(2), two_mode_squeezer(G, 0.7))
+        state = apply_symplectic(vacuum_state(), two_mode_squeezer(G, 0.7))
         assert mean_photon_number(state) == pytest.approx(2 * np.sinh(G) ** 2, abs=1e-12)
 
 
@@ -80,7 +74,7 @@ def test_loss_composition():
 
 
 def test_full_loss_restores_vacuum_block():
-    state = apply_symplectic(vacuum_state(2), two_mode_squeezer(1.0, 0.0))
+    state = apply_symplectic(vacuum_state(), two_mode_squeezer(1.0, 0.0))
     lost = apply_loss(state, 0, np.pi / 2)
     np.testing.assert_allclose(lost[:2, :2], np.eye(2), atol=1e-14)
     np.testing.assert_allclose(lost[:2, 2:], 0.0, atol=1e-14)
@@ -92,7 +86,7 @@ def test_zero_loss_is_identity(rng):
 
 
 def test_loss_validation():
-    state = vacuum_state(2)
+    state = vacuum_state()
     with pytest.raises(ValueError):
         apply_loss(state, 0, -0.1)
     with pytest.raises(ValueError):
@@ -109,6 +103,15 @@ def test_squeezer_validation():
             two_mode_squeezer(bad, 0.0)
 
 
+def test_builders_refuse_non_finite_angles():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="pump phase xi must be finite"):
+            two_mode_squeezer(1.0, bad)
+        for mode in (0, 1):
+            with pytest.raises(ValueError, match="phase phi must be finite"):
+                phase_shifter(bad, mode=mode)
+
+
 def test_beam_splitter_validation():
     with pytest.raises(ValueError):
         BsSpec("B3")
@@ -120,7 +123,7 @@ def test_beam_splitter_validation():
 
 def test_apply_symplectic_size_mismatch():
     with pytest.raises(ValueError):
-        apply_symplectic(vacuum_state(3), two_mode_squeezer(1.0, 0.0))
+        apply_symplectic(np.eye(6), two_mode_squeezer(1.0, 0.0))
 
 
 def test_bs_unitaries_are_unitary():

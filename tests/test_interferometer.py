@@ -140,7 +140,7 @@ def test_arm_loss_commutes_with_phase():
     # applying the arm loss before or after the phase shifter is identical
     cfg = InterferometerConfig(G=1.2, alpha2=0.1, beta2=0.07, delta1=0.05)
     phi = 0.9
-    state = vacuum_state(2)
+    state = vacuum_state()
     state = apply_symplectic(state, two_mode_squeezer(cfg.G, cfg.xi))
     state = apply_symplectic(state, beam_splitter(BsSpec("B1", cfg.delta1)))
     a = apply_symplectic(state, phase_shifter(phi, 0))
@@ -239,6 +239,13 @@ def test_config_rejects_invalid_fields(field, bad):
         InterferometerConfig(**fields)
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(InterferometerConfig(G=1.0), **{field: bad})
+
+
+def test_evaluate_refuses_non_finite_phase():
+    cfg = InterferometerConfig(G=1.0, alpha2=0.1)
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="phase phi must be finite"):
+            evaluate(cfg, phi)
 
 
 def test_config_accepts_range_edges():

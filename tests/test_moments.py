@@ -19,24 +19,24 @@ def test_moments_match_direct_integration(rng):
     for _ in range(60):
         state = random_two_mode_state(rng)
         m1_ref, m2_ref = quadrature_product_moments(state)
-        assert product_mean(state, 0, 1) == pytest.approx(m1_ref, abs=1e-8)
-        assert product_second_moment(state, 0, 1) == pytest.approx(m2_ref, abs=1e-8)
+        assert product_mean(state) == pytest.approx(m1_ref, abs=1e-8)
+        assert product_second_moment(state) == pytest.approx(m2_ref, abs=1e-8)
 
 
 def test_sigma_consistent_with_moments(rng):
     for _ in range(40):
         state = random_two_mode_state(rng)
-        m1 = product_mean(state, 0, 1)
-        m2 = product_second_moment(state, 0, 1)
-        sig = product_sigma(state, 0, 1)
+        m1 = product_mean(state)
+        m2 = product_second_moment(state)
+        sig = product_sigma(state)
         assert sig * sig + m1 * m1 == pytest.approx(m2, abs=1e-12 * max(1.0, m2))
 
 
 def test_vacuum_moments():
-    vac = vacuum_state(2)
-    assert product_mean(vac, 0, 1) == 0.0
-    assert product_second_moment(vac, 0, 1) == pytest.approx(1.0, abs=1e-15)
-    assert product_sigma(vac, 0, 1) == pytest.approx(1.0, abs=1e-15)
+    vac = vacuum_state()
+    assert product_mean(vac) == 0.0
+    assert product_second_moment(vac) == pytest.approx(1.0, abs=1e-15)
+    assert product_sigma(vac) == pytest.approx(1.0, abs=1e-15)
     assert mean_photon_number(vac) == 0.0
 
 
@@ -46,15 +46,15 @@ def test_squeezed_pair_moments_closed_form():
     # the x-x covariance and the product moments follow the N-formulas below.
     G = 1.0
     n = 2 * np.sinh(G) ** 2
-    state = apply_symplectic(vacuum_state(2), two_mode_squeezer(G, np.pi / 2))
+    state = apply_symplectic(vacuum_state(), two_mode_squeezer(G, np.pi / 2))
     # xi = pi/2 aligns the correlation with the x quadratures
-    assert product_mean(state, 0, 1) == pytest.approx(
+    assert product_mean(state) == pytest.approx(
         2 * np.sinh(G) * np.cosh(G), abs=1e-12)
     assert mean_photon_number(state) == pytest.approx(n, abs=1e-12)
     # second moment of the product: vaa*vbb + 2 vab^2 with vaa = vbb = cosh 2G
     vab = 2 * np.sinh(G) * np.cosh(G)
     expected = np.cosh(2 * G) ** 2 + 2 * vab ** 2
-    assert product_second_moment(state, 0, 1) == pytest.approx(expected, abs=1e-10)
+    assert product_second_moment(state) == pytest.approx(expected, abs=1e-10)
 
 
 def test_product_second_moment_equals_squared_mean_plus_one_package():
@@ -73,7 +73,7 @@ def test_sigma_clamps_tiny_negative_variance():
     cov = np.eye(4)
     cov[0, 2] = cov[2, 0] = 0.999999999
     cov[0, 0] = cov[2, 2] = 1.0
-    assert product_sigma(cov, 0, 1) >= 0.0
+    assert product_sigma(cov) >= 0.0
 
 
 def test_sigma_raises_on_inconsistent_state():
@@ -84,11 +84,11 @@ def test_sigma_raises_on_inconsistent_state():
     cov[0, 0] = -5.0
     cov[0, 2] = cov[2, 0] = 2.0  # m2 = -5 + 8 = 3 < m1^2 = 4
     with pytest.raises(ArithmeticError):
-        product_sigma(cov, 0, 1)
+        product_sigma(cov)
 
 
 def test_mean_photon_number_additive():
     G = 0.8
-    state = apply_symplectic(vacuum_state(2), two_mode_squeezer(G, 0.3))
+    state = apply_symplectic(vacuum_state(), two_mode_squeezer(G, 0.3))
     per_mode = np.sinh(G) ** 2
     assert mean_photon_number(state) == pytest.approx(2 * per_mode, abs=1e-12)

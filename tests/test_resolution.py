@@ -171,7 +171,7 @@ def test_non_finite_working_point_raises():
         for call in (lambda: standard_resolution(cfg, phi=phi),
                      lambda: modified_resolution(cfg, phi=phi),
                      lambda: sweep(cfg, "G", [1.0, 2.0], phi=phi),
-                     lambda: optimize_delta2(1.0, phi=phi),
+                     lambda: optimize_delta2(InterferometerConfig(G=1.0), phi=phi),
                      lambda: refine_working_point(cfg, phi=phi)):
             with pytest.raises(ValueError, match="must be finite"):
                 call()
@@ -215,6 +215,15 @@ def test_sweep_symmetric_shorthand_sets_both_modes():
     assert table.rows[1].mean_N < table.rows[0].mean_N
 
 
+def test_sweep_symmetric_alpha1_sets_both_prep_losses():
+    table = sweep(InterferometerConfig(G=2.0), "symmetric_alpha1", [0.0, 0.1],
+                  criterion="standard")
+    both = standard_resolution(InterferometerConfig(G=2.0, alpha1=0.1, beta1=0.1))
+    one_sided = standard_resolution(InterferometerConfig(G=2.0, alpha1=0.1))
+    assert (table.rows[1].delta_phi, table.rows[1].mean_N) == (both.delta_phi, both.mean_N)
+    assert table.rows[1].mean_N < one_sided.mean_N
+
+
 def test_sweep_validation():
     cfg = InterferometerConfig(G=1.0)
     with pytest.raises(ValueError):
@@ -246,7 +255,7 @@ def test_kappa_continuous_in_recombiner_imbalance():
 
 
 def test_optimize_delta2_headline():
-    opt = optimize_delta2(5.0)
+    opt = optimize_delta2(InterferometerConfig(G=5.0))
     assert opt.converged and opt.unimodal
     assert -0.245 <= opt.delta2 <= -0.230
     assert 2.70 <= opt.kappa <= 2.85
@@ -255,6 +264,25 @@ def test_optimize_delta2_headline():
     assert min(d2s) == pytest.approx(-0.78) and max(d2s) == pytest.approx(0.78)
     balanced = min(opt.profile, key=lambda t: abs(t[0]))
     assert balanced[1] == pytest.approx(4.0, abs=0.01)
+
+
+def test_optimize_delta2_keeps_every_other_device_field():
+    # arm loss moves the optimum; the given delta2 is the variable, not a start
+    lossy = optimize_delta2(InterferometerConfig(G=3.0, alpha2=0.1))
+    lossless = optimize_delta2(InterferometerConfig(G=3.0))
+    assert lossy.converged and lossy.unimodal
+    assert lossy.delta2 == pytest.approx(-0.3345, abs=1e-3)
+    assert lossy.kappa == pytest.approx(3.821, abs=1e-3)
+    assert lossy.kappa > lossless.kappa + 1.0
+    assert optimize_delta2(InterferometerConfig(G=3.0, alpha2=0.1, delta2=0.3)) == lossy
+
+
+def test_optimize_delta2_reports_failure_at_every_point():
+    opt = optimize_delta2(InterferometerConfig(G=0.0))
+    assert not opt.converged and not opt.unimodal
+    assert opt.message == "resolution solver failed at every scan point"
+    assert math.isnan(opt.delta2) and math.isnan(opt.kappa)
+    assert len(opt.profile) == 33
 
 
 def test_negative_third_imbalance_beats_balanced():
