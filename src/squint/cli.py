@@ -159,11 +159,14 @@ def _with_fields(cfg: RunConfig, fields: dict) -> RunConfig:
 
 def fmt(value) -> str:
     """Render one CSV cell: 12 significant digits, decimal point kept."""
-    if isinstance(value, (bool, np.bool_)):
+    if type(value) is float:  # most cells: skip the abstract-class checks
+        x = value
+    elif isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    elif isinstance(value, (int, np.integer)):
         return f"{int(value)}.0"
-    x = float(value)
+    else:
+        x = float(value)
     if not math.isfinite(x):
         return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
     s = f"{x:.12g}"

@@ -52,6 +52,19 @@ class CutoffError(ValueError):
     """A Fock cutoff too small for the requested accuracy."""
 
 
+def _check_gain(G) -> None:
+    """ValueError unless G is a finite real number >= 0 (not a bool)."""
+    _check_finite("gain G", G)
+    if G < 0:
+        raise ValueError("gain G must be finite and non-negative")
+
+
+def _check_cutoff(name: str, value) -> None:
+    """ValueError unless value is an int >= 0 (np.integer too, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FockState:
     """Pure state as a complex amplitude tensor over per-mode ladders.
@@ -92,8 +105,7 @@ def tail_cutoff(G: float) -> int:
     The squeezed pair state has weights tanh^{2n} G / cosh^2 G, so the first
     omitted term at cutoff n_max is tanh^{2(n_max+1)} G / cosh^2 G.
     """
-    if not 0 <= G < math.inf:
-        raise ValueError("gain G must be finite and non-negative")
+    _check_gain(G)
     t2 = np.tanh(G) ** 2
     if t2 == 0.0:
         return 0
@@ -113,10 +125,12 @@ def ancilla_cutoff(G: float, angle: float, n_sup: int) -> int:
     The least K whose tail bound (module docstring) is within 1e-14 while the
     top two levels stay under the measurement guard's 1e-9, capped at the
     2 n_sup + 3 levels of a signal mode: every photon of a pair cut off at
-    n_sup, plus the guard's two-level pad.
+    n_sup, plus the guard's two-level pad.  ValueError unless G is a finite
+    number >= 0, angle a number in [0, pi/2] and n_sup an int >= 0.
     """
-    if not 0 <= G < math.inf:
-        raise ValueError("gain G must be finite and non-negative")
+    _check_gain(G)
+    _check_finite("loss angle", angle)
+    _check_cutoff("n_sup", n_sup)
     if not 0 <= angle <= np.pi / 2:
         raise ValueError("loss angle must lie in [0, pi/2]")
     cap = 2 * n_sup + 3
@@ -137,6 +151,7 @@ def tmsv_fock(G: float, xi: float = 0.0, n_max: int | None = None) -> FockState:
         G: squeezer gain.
         xi: pump phase.
         n_max: pair cutoff, by default tail_cutoff(G).  An explicit cutoff
+            that is not an int >= 0 (or is a bool) raises ValueError; one
             below tail_cutoff(G) raises CutoffError.
 
     The exact discarded mass tanh^{2(n_max+1)} G is stored as norm_deficit.
@@ -145,6 +160,7 @@ def tmsv_fock(G: float, xi: float = 0.0, n_max: int | None = None) -> FockState:
     needed = tail_cutoff(G)
     if n_max is None:
         n_max = needed
+    _check_cutoff("n_max", n_max)
     if n_max < needed:
         raise CutoffError(
             f"cutoff too small: n_max={n_max} leaves a tail term above {_TAIL_TOL:g} "
@@ -438,9 +454,8 @@ def equivalence_grid(n_max: int | None = None, tolerance: float = 1e-8) -> GridR
     or an int >= 0 (not a bool), or a tolerance that is not finite and
     non-negative, raises ValueError before the grid runs.
     """
-    if not (n_max is None or isinstance(n_max, numbers.Integral)
-            and not isinstance(n_max, bool) and n_max >= 0):
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    if n_max is not None:
+        _check_cutoff("n_max", n_max)
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
     imbalances = (-0.1, 0.0, 0.1)

@@ -68,7 +68,8 @@ class BsSpec:
     def __post_init__(self):
         if self.variant not in ("B1", "B2"):
             raise ValueError(f"unknown beam-splitter variant {self.variant!r}")
-        if not abs(self.imbalance) < np.pi / 4:
+        _check_finite("imbalance", self.imbalance)
+        if not abs(self.imbalance) < math.pi / 4:
             raise ValueError("imbalance must satisfy |delta| < pi/4")
 
     def unitary(self) -> np.ndarray:
@@ -133,14 +134,14 @@ def two_mode_squeezer(G: float, xi: float = 0.0) -> np.ndarray:
         raise ValueError("gain G must be finite and non-negative")
     _check_finite("pump phase xi", xi)
     c, s = np.cosh(G), np.sinh(G)
-    sx, cx = np.sin(xi), np.cos(xi)
+    re, im = s * math.sin(xi), -s * math.cos(xi)
     # Quadrature image of V = Re V + i Im V = s sin(xi) - i s cos(xi):
     #   x' = c x + Re(V) x_other + Im(V) p_other
     #   p' = c p - Re(V) p_other + Im(V) x_other
-    return np.array([[c, 0.0, s * sx, -s * cx],
-                     [0.0, c, -s * cx, -s * sx],
-                     [s * sx, -s * cx, c, 0.0],
-                     [-s * cx, -s * sx, 0.0, c]])
+    return np.array([[c, 0.0, re, im],
+                     [0.0, c, im, -re],
+                     [re, im, c, 0.0],
+                     [im, -re, 0.0, c]])
 
 
 def phase_shifter(phi: float, mode: int = 0) -> np.ndarray:
@@ -148,15 +149,34 @@ def phase_shifter(phi: float, mode: int = 0) -> np.ndarray:
     if mode not in (0, 1):
         raise ValueError(f"mode {mode} out of range for the pair (0 or 1)")
     _check_finite("phase phi", phi)
-    z = np.exp(1j * phi)
-    m = np.eye(4)
-    m[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = [[z.real, -z.imag], [z.imag, z.real]]
-    return m
+    # + 0.0 turns sin(-0.0) into the +0.0 that Im exp(1j * -0.0) carries
+    c, s = math.cos(phi), math.sin(phi) + 0.0
+    if mode == 0:
+        return np.array([[c, -s, 0.0, 0.0],
+                         [s, c, 0.0, 0.0],
+                         [0.0, 0.0, 1.0, 0.0],
+                         [0.0, 0.0, 0.0, 1.0]])
+    return np.array([[1.0, 0.0, 0.0, 0.0],
+                     [0.0, 1.0, 0.0, 0.0],
+                     [0.0, 0.0, c, -s],
+                     [0.0, 0.0, s, c]])
 
 
 def beam_splitter(spec: BsSpec) -> np.ndarray:
-    """Beam splitter on the pair, built from its complex mode map."""
-    return passive_symplectic(spec.unitary())
+    """Beam splitter on the pair: `passive_symplectic(spec.unitary())`,
+    written out entry by entry, signed zeros included (Re(-1j * s) is +0.0,
+    -Im(c + 0j) is -0.0)."""
+    th = math.pi / 4 + spec.imbalance
+    c, s = math.cos(th), math.sin(th)
+    if spec.variant == "B1":
+        return np.array([[c, -0.0, 0.0, s],
+                         [0.0, c, -s, 0.0],
+                         [0.0, s, c, -0.0],
+                         [-s, 0.0, 0.0, c]])
+    return np.array([[-c, -0.0, 0.0, -s],
+                     [0.0, -c, s, 0.0],
+                     [0.0, s, c, -0.0],
+                     [-s, 0.0, 0.0, c]])
 
 
 def loss_unitary(alpha: float) -> np.ndarray:

@@ -13,8 +13,8 @@ Element order, fixed by the physical layout:
 The engine carries a factor F of the covariance, C = F F^T, starting from
 the squeezer's matrix (the vacuum is the identity).  Each symplectic element
 multiplies F from the left.  Each loss station (preparation, arm) is one
-step: it scales the rows of every lossy mode by cos(angle) and appends that
-mode's two noise columns of sin(angle), in one allocation.  C is formed only
+step: it scales the rows of every mode by cos(angle) and appends each lossy
+mode's two noise columns of sin(angle), in one concatenation.  C is formed only
 at the outputs, as a sum of products of rows, so no step subtracts the large
 entries of an earlier covariance: the dark-fringe noise keeps a relative
 roundoff of about eps (1 + N) / sigma, and the ideal device is the single
@@ -94,21 +94,25 @@ class InterferometerConfig:
 def _lose(f: np.ndarray, angles) -> np.ndarray:
     """Loss of angles[m] on each mode m of the covariance F F^T: one station.
 
-    Each lossy mode's two rows scale by cos(angle) and two noise columns of
-    sin(angle) join the factor, mode 0's before mode 1's, so F F^T picks up
-    sin^2(angle) on the mode's diagonal block: the `apply_loss` channel
-    without forming the covariance.
+    Each mode's two rows scale by cos(angle), exactly 1.0 for a lossless
+    mode, and two noise columns of sin(angle) join the factor for each lossy
+    mode, mode 0's before mode 1's, so F F^T picks up sin^2(angle) on the
+    mode's diagonal block: the `apply_loss` channel without forming the
+    covariance.
     """
-    lossy = [(m, a) for m, a in enumerate(angles) if a != 0.0]
-    if not lossy:
+    a0, a1 = angles
+    if a0 == 0.0 and a1 == 0.0:
         return f
-    n = f.shape[1]
-    out = np.zeros((f.shape[0], n + 2 * len(lossy)))
-    out[:, :n] = f
-    for k, (m, a) in enumerate(lossy):
-        out[2 * m:2 * m + 2, :n] *= math.cos(a)
-        out[2 * m, n + 2 * k] = out[2 * m + 1, n + 2 * k + 1] = math.sin(a)
-    return out
+    c0, s0, c1, s1 = math.cos(a0), math.sin(a0), math.cos(a1), math.sin(a1)
+    # column 0 scales the rows, the rest are the noise columns
+    if a1 == 0.0:
+        w = np.array([[c0, s0, 0.0], [c0, 0.0, s0], [c1, 0.0, 0.0], [c1, 0.0, 0.0]])
+    elif a0 == 0.0:
+        w = np.array([[c0, 0.0, 0.0], [c0, 0.0, 0.0], [c1, s1, 0.0], [c1, 0.0, s1]])
+    else:
+        w = np.array([[c0, s0, 0.0, 0.0, 0.0], [c0, 0.0, s0, 0.0, 0.0],
+                      [c1, 0.0, 0.0, s1, 0.0], [c1, 0.0, 0.0, 0.0, s1]])
+    return np.concatenate((f * w[:, :1], w[:, 1:]), axis=1)
 
 
 def output_state(config: InterferometerConfig, phi: float) -> np.ndarray:

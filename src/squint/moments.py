@@ -10,6 +10,7 @@ each function reads them from the pair's 4x4 covariance matrix.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +37,13 @@ class SignalStats:
 def product_mean(cov: np.ndarray) -> float:
     """Mean of the product signal; for zero-mean states this is the
     covariance <X_a X_b> of the two x quadratures, entry (0, 2)."""
-    return float(cov[0, 2])
+    return cov.item(0, 2)
 
 
 def product_second_moment(cov: np.ndarray) -> float:
     """Second moment <(X_a X_b)^2> by Isserlis factoring of the quartic."""
-    vab = cov[0, 2]
-    return float(cov[0, 0] * cov[2, 2] + 2.0 * vab * vab)
+    vab = cov.item(0, 2)
+    return cov.item(0, 0) * cov.item(2, 2) + 2.0 * vab * vab
 
 
 def product_sigma(cov: np.ndarray) -> float:
@@ -59,12 +60,14 @@ def product_sigma(cov: np.ndarray) -> float:
     if var < floor:
         raise ArithmeticError(
             f"product variance {var} is negative beyond roundoff; state is inconsistent")
-    return float(np.sqrt(max(var, 0.0)))
+    return math.sqrt(max(var, 0.0))
 
 
 def mean_photon_number(cov: np.ndarray) -> float:
-    """Total mean photon number, (trace(cov) - 2 n_modes) / 4.
+    """Total mean photon number of the pair, (trace(cov) - 4) / 4.
 
-    Follows from <x^2> + <p^2> = 4<n> + 2 per mode in this scaling.
+    Follows from <x^2> + <p^2> = 4<n> + 2 per mode in this scaling.  The
+    diagonal is summed left to right, the order np.trace adds four entries in.
     """
-    return float((np.trace(cov) - cov.shape[0]) / 4.0)
+    trace = cov.item(0, 0) + cov.item(1, 1) + cov.item(2, 2) + cov.item(3, 3)
+    return (trace - 4.0) / 4.0

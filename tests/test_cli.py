@@ -60,6 +60,31 @@ def test_cell_formatting():
     assert fmt(float("nan")) == "nan"
 
 
+def reference_fmt(value) -> str:
+    """fmt as it was before its float fast path."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return f"{int(value)}.0"
+    x = float(value)
+    if not math.isfinite(x):
+        return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
+    s = f"{x:.12g}"
+    if "." not in s and "e" not in s and "E" not in s:
+        s += ".0"
+    return s
+
+
+def test_cell_formatting_matches_reference():
+    values = [0.0, -0.0, 1.0, -2.5, 1e16, 1e-300, 5e-324, math.pi, -1 / 3, 123456789012.5,
+              math.nan, math.inf, -math.inf, np.float64(-0.0), np.float64(2.0),
+              np.float64(math.pi), np.float64("nan"), np.float64("-inf"),
+              0, 7, -3, 10 ** 20, np.int64(-4), np.int64(0), True, False,
+              np.bool_(True), np.bool_(False)]
+    for value in values:
+        assert fmt(value) == reference_fmt(value), value
+
+
 def test_runconfig_round_trips_through_json():
     cfg = RunConfig(
         interferometer=InterferometerConfig(G=2.5, xi=0.3, alpha1=0.04, beta1=0.02,

@@ -79,6 +79,27 @@ def test_cutoffs_reject_bad_input():
             ancilla_cutoff(0.5, bad, 10)
 
 
+def test_cutoffs_refuse_non_numbers_and_bad_level_counts():
+    with pytest.raises(ValueError, match="loss angle must be a number"):
+        ancilla_cutoff(0.5, "0.1", 10)
+    for bad in ("1", None, True):
+        with pytest.raises(ValueError, match="gain G must be a number"):
+            ancilla_cutoff(bad, 0.1, 10)
+        with pytest.raises(ValueError, match="gain G must be a number"):
+            tail_cutoff(bad)
+    for bad in (-3, 2.5, True, "4", None):
+        with pytest.raises(ValueError, match="n_sup must be a non-negative integer"):
+            ancilla_cutoff(0.5, 0.1, bad)
+    assert ancilla_cutoff(0.8, 0.1, np.int64(tail_cutoff(0.8))) == 9
+
+
+def test_tmsv_rejects_a_cutoff_that_is_not_a_count():
+    for bad in (2.5, True, False, -1, "5", np.float64(5.0)):
+        with pytest.raises(ValueError, match="n_max must be a non-negative integer"):
+            tmsv_fock(0.0, n_max=bad)
+    assert tmsv_fock(0.0, n_max=np.int64(3)).dims == (4, 4)
+
+
 def test_fock_angles_refuse_non_numbers_and_non_finite_values():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="pump phase xi must be finite"):

@@ -121,6 +121,16 @@ def test_beam_splitter_validation():
         BsSpec("B1", imbalance=-np.pi / 3)
 
 
+def test_splitter_imbalance_must_be_a_real_number():
+    for bad in ("0.1", None, True, 0.5 + 0j):
+        with pytest.raises(ValueError, match="imbalance must be a number"):
+            BsSpec("B1", imbalance=bad)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="imbalance must be finite"):
+            BsSpec("B2", imbalance=bad)
+    assert np.array_equal(beam_splitter(BsSpec("B1", 0)), beam_splitter(BsSpec("B1", 0.0)))
+
+
 def test_apply_symplectic_size_mismatch():
     with pytest.raises(ValueError):
         apply_symplectic(np.eye(6), two_mode_squeezer(1.0, 0.0))

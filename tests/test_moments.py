@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 from squint import (
+    InterferometerConfig,
     apply_symplectic,
     mean_photon_number,
+    output_state,
     product_mean,
     product_second_moment,
     product_sigma,
@@ -92,3 +94,28 @@ def test_mean_photon_number_additive():
     state = apply_symplectic(vacuum_state(), two_mode_squeezer(G, 0.3))
     per_mode = np.sinh(G) ** 2
     assert mean_photon_number(state) == pytest.approx(2 * per_mode, abs=1e-12)
+
+
+def reference_readers(cov):
+    """The readers as numpy expressions: np.trace, numpy-scalar products and
+    np.sqrt, each converted to a float at the end."""
+    vab = cov[0, 2]
+    m2 = float(cov[0, 0] * cov[2, 2] + 2.0 * vab * vab)
+    var = m2 - float(vab) * float(vab)
+    return (float(vab), m2, float(np.sqrt(max(var, 0.0))),
+            float((np.trace(cov) - cov.shape[0]) / 4.0))
+
+
+def test_readers_match_numpy_reference_bit_for_bit(rng):
+    states = [random_two_mode_state(rng) for _ in range(60)]
+    lossy = InterferometerConfig(G=2.1, xi=0.4, alpha1=0.03, beta2=0.2, delta1=0.1,
+                                 delta2=-0.2)
+    states += [output_state(cfg, phi)
+               for cfg in (lossy, InterferometerConfig.with_symmetric_loss(1.3, 0.05, 0.1))
+               for phi in (0.0, -0.0, 0.3, np.pi / 2, 2.9)]
+    for cov in states:
+        got = (product_mean(cov), product_second_moment(cov), product_sigma(cov),
+               mean_photon_number(cov))
+        assert all(type(v) is float for v in got)
+        # float.hex tells -0.0 from 0.0
+        assert [v.hex() for v in got] == [v.hex() for v in reference_readers(cov)]
