@@ -4,12 +4,14 @@ Everything in the main engine reduces to 2x2 covariance algebra, so this
 module recomputes the same observables by brute force in a truncated
 number basis: amplitudes on a product of per-mode ladders, passive
 unitaries applied sector by sector (a beam splitter conserves the total
-excitation of its mode pair, so it block-diagonalises over pair totals,
-and each block exponentiates a small tridiagonal generator; only the
-sectors a state occupies are built and multiplied), and loss
-realised as a beam splitter onto a vacuum ancilla that is never traced
-out explicitly.  None of the covariance shortcuts are reused, which makes
-the comparison meaningful.
+excitation of its mode pair, so it block-diagonalises over pair totals; a
+sector below both ladder ceilings holds the spin-n/2 representation of the
+2x2 map, from one real eigenbasis per pair total n that every map shares,
+and a sector cut by a ceiling, met only at loss ancillas, exponentiates its
+truncated generator; only the sectors a state occupies are built and
+multiplied), and loss realised as a beam splitter onto a vacuum ancilla
+that is never traced out explicitly.  None of the covariance shortcuts are
+reused, which makes the comparison meaningful.
 
 Truncation is bounded and guarded.  A squeezed pair keeps its exact
 geometric tail mass as `norm_deficit`, and cutoffs below the per-term bound
@@ -176,37 +178,60 @@ def tmsv_fock(G: float, xi: float = 0.0, n_max: int | None = None) -> FockState:
     return FockState(amps, deficit)
 
 
-def _hermitian_generator(u: np.ndarray) -> np.ndarray:
-    """h with u = exp(-i h), from the eigendecomposition of the unitary."""
-    lam, w = np.linalg.eig(u)
+@functools.lru_cache(maxsize=64)
+def _hermitian_generator(u_bytes: bytes) -> np.ndarray:
+    """h with u = exp(-i h) for the 2x2 map u with bytes `u_bytes`, via eig(u)."""
+    lam, w = np.linalg.eig(np.frombuffer(u_bytes, dtype=complex).reshape(2, 2))
     h = w @ np.diag(1j * np.log(lam)) @ np.conj(w.T)
     return 0.5 * (h + np.conj(h.T))
 
 
 @functools.lru_cache(maxsize=64)
-def _pair_layout(di: int, dj: int):
-    """Rows k * dj + c of a pair matrix in pair-total order (k ascending within
-    each total n = k + c), the inverse permutation, and each total's first row."""
-    k, c = np.divmod(np.arange(di * dj), dj)
-    order = np.lexsort((k, k + c))
-    starts = np.searchsorted((k + c)[order], np.arange(di + dj))
-    return order, np.argsort(order), starts
+def _rotation_factors(u_bytes: bytes):
+    """Phases (l0, l1), angle t = atan2(|u10|, |u00|) and phases (1, r1) with
+    u = diag(l0, l1) R(t) diag(1, r1), R(t) = [[cos t, -sin t], [sin t, cos t]],
+    for the 2x2 map u with bytes `u_bytes`; l0 is 1 if u00 = 0, l1 if u10 = 0."""
+    a, b, c, d = np.frombuffer(u_bytes, dtype=complex).tolist()
+    l0, l1 = (z / abs(z) if z else 1.0 for z in (a, c))
+    r1 = d * l1.conjugate() - b * l0.conjugate()  # (cos t + sin t) r1, never 0
+    return (l0, l1), math.atan2(abs(c), abs(a)), (1.0, r1 / abs(r1))
 
 
-@functools.lru_cache(maxsize=64)
-def _sector_blocks(u_bytes: bytes, di: int, dj: int):
-    """Generator of the 2x2 map with bytes `u_bytes`, and the sector blocks
-    built so far, keyed by pair total; a block is built the first time a state
-    occupies its total."""
-    return _hermitian_generator(np.frombuffer(u_bytes, dtype=complex).reshape(2, 2)), {}
+@functools.lru_cache(maxsize=None)  # one entry per pair total; a bound would thrash
+def _spin_basis(n: int):
+    """Eigenvalues and real orthonormal eigenvectors of the tridiagonal X_n with
+    off-diagonal sqrt((k + 1)(n - k)), twice J_x of spin n/2: -n, -n + 2, ..., n."""
+    off = np.sqrt(np.arange(1.0, n + 1) * np.arange(n, 0, -1))
+    return np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
 
 
-def _sector_block(h: np.ndarray, n: int, di: int, dj: int) -> np.ndarray:
-    """exp(-i H) on the pair total n, over the basis |k, n - k>, k ascending."""
+@functools.lru_cache(maxsize=4096)
+def _sector_block(u_bytes: bytes, n: int, di: int, dj: int) -> np.ndarray:
+    """Block of the 2x2 map u with bytes `u_bytes` on the pair total n, over
+    |k, n - k>, k ascending; built the first time a state occupies the total.
+
+    A full sector (n < min(di, dj)) uses the shared basis: it holds the
+    spin-n/2 representation of u (Schwinger's two-boson realisation of
+    SU(2)), Gamma(D_L) P V exp(-i t L) V^T P^dag Gamma(D_R) for
+    u = D_L R(t) D_R (`_rotation_factors`), Gamma(diag(p, q)) =
+    diag(p^k q^(n - k)), P = diag((-i)^k) and (L, V) = `_spin_basis(n)`.
+    A sector cut by a ladder ceiling uses the truncated generator: exp(-i H),
+    H from `_hermitian_generator(u)`, which is not a representation of u.
+    """
     ks = np.arange(max(0, n - (dj - 1)), min(n, di - 1) + 1)
+    if n < min(di, dj):
+        (l0, l1), t, (_, r1) = _rotation_factors(u_bytes)
+        lam, vec = _spin_basis(n)
+        # Gamma(D_L) P = l1^n diag((-i l0/l1)^k), P^dag Gamma(D_R) = r1^n diag((i/r1)^k):
+        # unit ratios raised to k keep the splitters' exact phases exact
+        left = (l1 * r1) ** n * np.power(-1j * l0 * l1.conjugate(), ks)
+        right = np.outer(np.exp(-1j * t * lam), np.power(1j * r1.conjugate(), ks))
+        right *= vec.T
+        # real V times the complex rest as one real product on its float view
+        return left[:, None] * (vec @ right.view(float)).view(complex)
+    h = _hermitian_generator(u_bytes)
     size = len(ks)
-    diag = h[0, 0].real * ks + h[1, 1].real * (n - ks)
-    ham = np.diag(diag.astype(complex))
+    ham = np.diag((h[0, 0].real * ks + h[1, 1].real * (n - ks)).astype(complex))
     if size > 1:
         kk = ks[:-1]  # hopping k -> k+1 via a_i^dag a_j
         off = h[0, 1] * np.sqrt((kk + 1.0) * (n - kk))
@@ -219,27 +244,27 @@ def _sector_block(h: np.ndarray, n: int, di: int, dj: int) -> np.ndarray:
 def _apply_pair(amps: np.ndarray, mode_i: int, mode_j: int, u: np.ndarray) -> np.ndarray:
     """Pair unitary on two modes of the amplitude tensor, sector by sector.
 
-    With the pair axes first the tensor is a (di dj) x (other modes) matrix
-    whose rows are gathered into pair-total order; each sector block then
-    multiplies only the columns of its rows that hold amplitude.  A block maps
-    a zero slice to zero, so the skipped output is exactly 0.
+    With the pair axes first the tensor is a (di dj) x (other modes) matrix;
+    the rows k dj + (n - k) of pair total n form a slice of stride dj - 1, so
+    each sector block multiplies a strided view, restricted to the columns
+    that hold amplitude, and writes the same slice of the output.  A block
+    maps a zero slice to zero, so the skipped output is exactly 0.
     """
     dims = amps.shape
     di, dj = dims[mode_i], dims[mode_j]
     perm = [mode_i, mode_j] + [k for k in range(len(dims)) if k not in (mode_i, mode_j)]
-    order, inverse, starts = _pair_layout(di, dj)
-    st = np.transpose(amps, perm).reshape(di * dj, -1)[order]
-    live = np.logical_or.reduceat(st != 0, starts[:-1], axis=0)
-    h, blocks = _sector_blocks(u.tobytes(), di, dj)
+    st = np.transpose(amps, perm).reshape(di * dj, -1)
+    nonzero = st != 0
+    key = u.tobytes()
     out = np.zeros_like(st)
-    for n in np.flatnonzero(live.any(axis=1)):
-        block = blocks.get(n)
-        if block is None:
-            block = blocks[n] = _sector_block(h, n, di, dj)
-        rows = slice(starts[n], starts[n + 1])
-        cols = np.flatnonzero(live[n])
-        out[rows, cols] = block @ st[rows][:, cols]
-    return np.transpose(out[inverse].reshape([dims[k] for k in perm]), np.argsort(perm))
+    for n in range(di + dj - 1):
+        first = n + max(0, n - (dj - 1)) * (dj - 1)
+        rows = slice(first, n + min(n, di - 1) * (dj - 1) + 1, max(dj - 1, 1))
+        live = nonzero[rows].any(axis=0)
+        if live.any():
+            cols = live.nonzero()[0]
+            out[rows, cols] = _sector_block(key, n, di, dj) @ st[rows][:, cols]
+    return np.transpose(out.reshape([dims[k] for k in perm]), np.argsort(perm))
 
 
 def _check_modes(state: FockState, modes) -> tuple:

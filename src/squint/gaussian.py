@@ -130,7 +130,8 @@ def two_mode_squeezer(G: float, xi: float = 0.0) -> np.ndarray:
         G: dimensionless gain, >= 0.
         xi: pump phase in radians.
     """
-    if not 0 <= G < np.inf:
+    _check_finite("gain G", G)
+    if G < 0:
         raise ValueError("gain G must be finite and non-negative")
     _check_finite("pump phase xi", xi)
     c, s = np.cosh(G), np.sinh(G)
@@ -209,10 +210,13 @@ def apply_loss(cov: np.ndarray, mode: int, alpha: float) -> np.ndarray:
         mode: target mode index.
         alpha: loss angle in [0, pi/2]; pi/2 replaces the mode by vacuum.
     """
+    _check_finite("loss angle", alpha)
     if not 0 <= alpha <= np.pi / 2:
         raise ValueError("loss angle must lie in [0, pi/2]")
-    if not 0 <= mode < cov.shape[0] // 2:
-        raise ValueError(f"mode {mode} out of range")
+    n_modes = cov.shape[0] // 2
+    if isinstance(mode, bool) or not isinstance(mode, numbers.Integral) \
+            or not 0 <= mode < n_modes:
+        raise ValueError(f"mode must be an integer in [0, {n_modes}), got {mode!r}")
     c = np.cos(alpha)
     idx = [2 * mode, 2 * mode + 1]
     cov = cov.copy()

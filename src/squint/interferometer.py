@@ -36,10 +36,10 @@ from .gaussian import (
 )
 from .moments import (
     SignalStats,
+    _sigma,
     mean_photon_number,
     product_mean,
     product_second_moment,
-    product_sigma,
 )
 
 __all__ = [
@@ -129,12 +129,9 @@ def output_state(config: InterferometerConfig, phi: float) -> np.ndarray:
 def evaluate(config: InterferometerConfig, phi: float) -> SignalStats:
     """Product-signal statistics at phase phi."""
     out = output_state(config, phi)
-    return SignalStats(
-        mean=product_mean(out),
-        second_moment=product_second_moment(out),
-        sigma=product_sigma(out),
-        mean_photons=mean_photon_number(out),
-    )
+    m1, m2 = product_mean(out), product_second_moment(out)
+    return SignalStats(mean=m1, second_moment=m2, sigma=_sigma(m1, m2),
+                       mean_photons=mean_photon_number(out))
 
 
 def signal_slope(config: InterferometerConfig, phi: float) -> float:

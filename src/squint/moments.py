@@ -53,8 +53,11 @@ def product_sigma(cov: np.ndarray) -> float:
     -1e-12 (relative to the second moment's scale) signals a bug upstream and
     raises, while sub-roundoff negatives are clamped to zero.
     """
-    m1 = product_mean(cov)
-    m2 = product_second_moment(cov)
+    return _sigma(product_mean(cov), product_second_moment(cov))
+
+
+def _sigma(m1: float, m2: float) -> float:
+    """`product_sigma` from the mean m1 and second moment m2 already read."""
     var = m2 - m1 * m1
     floor = -1e-12 * max(1.0, abs(m2))
     if var < floor:

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from squint import fock
 from squint import (
     BsSpec,
     CutoffError,
@@ -364,3 +365,106 @@ def test_pipeline_arm_loss_matches_engine():
             assert got.second_moment == pytest.approx(ref.second_moment, abs=1e-8)
             assert got.sigma == pytest.approx(ref.sigma, abs=1e-8)
             assert got.mean_photons == pytest.approx(ref.mean_photons, abs=1e-8)
+
+
+def test_pair_maps_with_a_one_level_mode_match_dense_reference():
+    # a one-level mode makes every pair total a single row of the pair matrix
+    rng = np.random.default_rng(8)
+    dims = (4, 1, 3)
+    amps = _random_state(rng, dims)
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    h = 0.6 * (g + g.conj().T)
+    lam, vec = np.linalg.eigh(h)
+    u = (vec * np.exp(-1j * lam)) @ vec.conj().T
+    for i, j in ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)):
+        other = 3 - i - j
+        pair = (dims[i], dims[j])
+        a = [_mode_op(_ladder(d), k, pair) for k, d in enumerate(pair)]
+        ham = sum(h[p, q] * a[p].conj().T @ a[q] for p in range(2) for q in range(2))
+        w, v = np.linalg.eigh(ham)
+        dense = (v * np.exp(-1j * w)) @ v.conj().T
+        got = apply_unitary_fock(FockState(amps), u, (i, j)).amplitudes
+        flat = np.moveaxis(amps, (i, j), (0, 1)).reshape(pair[0] * pair[1], -1)
+        want = np.moveaxis((dense @ flat).reshape(pair + (dims[other],)), (0, 1), (i, j))
+        assert np.max(np.abs(got - want)) <= 1e-12, (i, j)
+
+
+def _pair_maps():
+    """Splitters, losses, diagonal and anti-diagonal maps, 20 random unitaries."""
+    maps = [BsSpec(v, d).unitary() for v in ("B1", "B2")
+            for d in (0.0, 0.1, -0.1, 0.7, -0.7)]
+    maps += [loss_unitary(a) for a in (0.0, 0.3, np.pi / 2)]
+    maps += [np.diag([np.exp(0.3j), np.exp(-1.1j)]),
+             np.array([[0.0, np.exp(0.4j)], [np.exp(2.0j), 0.0]])]
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        maps.append(q)
+    return [np.ascontiguousarray(u, dtype=complex) for u in maps]
+
+
+def _generator_block(u, n, di, dj):
+    """Sector block as exp(-i H) of the generator h = i log u restricted to
+    the sector, the construction truncated sectors keep."""
+    lam, w = np.linalg.eig(u)
+    h = w @ np.diag(1j * np.log(lam)) @ np.conj(w.T)
+    h = 0.5 * (h + np.conj(h.T))
+    ks = np.arange(max(0, n - (dj - 1)), min(n, di - 1) + 1)
+    size = len(ks)
+    ham = np.diag((h[0, 0].real * ks + h[1, 1].real * (n - ks)).astype(complex))
+    if size > 1:
+        kk = ks[:-1]
+        off = h[0, 1] * np.sqrt((kk + 1.0) * (n - kk))
+        ham[np.arange(1, size), np.arange(size - 1)] = off
+        ham[np.arange(size - 1), np.arange(1, size)] = np.conj(off)
+    lam, vec = np.linalg.eigh(ham)
+    return (vec * np.exp(-1j * lam)) @ np.conj(vec.T)
+
+
+def test_spin_basis_is_orthogonal_with_the_spin_spectrum():
+    for n in (0, 1, 2, 7, 40, 100, 160):
+        lam, vec = fock._spin_basis(n)
+        assert np.isrealobj(vec) and vec.shape == (n + 1, n + 1)
+        assert np.max(np.abs(vec.T @ vec - np.eye(n + 1))) <= 1e-13, n
+        assert np.max(np.abs(lam - np.arange(-n, n + 1, 2))) <= 1e-12 * (n + 1), n
+
+
+def test_rotation_factors_rebuild_the_map():
+    for u in _pair_maps():
+        (l0, l1), t, (r0, r1) = fock._rotation_factors(u.tobytes())
+        rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        rebuilt = np.diag([l0, l1]) @ rot @ np.diag([r0, r1])
+        assert np.max(np.abs(rebuilt - u)) <= 1e-15, u
+        assert all(abs(abs(p) - 1.0) <= 1e-15 for p in (l0, l1, r0, r1))
+        assert 0.0 <= t <= np.pi / 2
+    # the phases a zero entry leaves free are 1
+    diag = np.diag([np.exp(0.3j), np.exp(-1.1j)])
+    assert fock._rotation_factors(diag.tobytes())[:2] == ((np.exp(0.3j), 1.0), 0.0)
+    anti = np.array([[0.0, np.exp(0.4j)], [np.exp(2.0j), 0.0]])
+    (l0, _), t, _ = fock._rotation_factors(anti.tobytes())
+    assert (l0, t) == (1.0, np.pi / 2)
+
+
+def test_full_sector_blocks_match_the_generator_construction():
+    for u in _pair_maps():
+        for n in (0, 1, 2, 5, 31, 104):
+            got = fock._sector_block.__wrapped__(u.tobytes(), n, n + 1, n + 3)
+            assert np.max(np.abs(got - _generator_block(u, n, n + 1, n + 3))) <= 1e-12, n
+
+
+def test_truncated_sector_blocks_keep_the_generator_construction():
+    for u in _pair_maps():
+        for di, dj in ((5, 3), (3, 5), (4, 1), (1, 4), (19, 6)):
+            for n in range(min(di, dj), di + dj - 1):
+                got = fock._sector_block.__wrapped__(u.tobytes(), n, di, dj)
+                assert np.array_equal(got, _generator_block(u, n, di, dj)), (n, di, dj)
+
+
+def test_pipeline_is_identical_with_cold_and_warm_caches():
+    cfg = InterferometerConfig(G=0.5, xi=0.4, alpha1=0.1, beta2=0.2,
+                               delta1=0.05, delta2=-0.1)
+    for cache in (fock._spin_basis, fock._rotation_factors,
+                  fock._hermitian_generator, fock._sector_block):
+        cache.cache_clear()
+    cold = oracle_pipeline(cfg, 0.7)
+    assert oracle_pipeline(cfg, 0.7) == cold

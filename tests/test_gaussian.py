@@ -103,6 +103,22 @@ def test_squeezer_validation():
             two_mode_squeezer(bad, 0.0)
 
 
+def test_squeezer_and_loss_refuse_non_numbers():
+    for bad in ("1", None, True, 1j):
+        with pytest.raises(ValueError, match="gain G must be a number"):
+            two_mode_squeezer(bad, 0.0)
+        with pytest.raises(ValueError, match="loss angle must be a number"):
+            apply_loss(vacuum_state(), 0, bad)
+    for bad in (True, False, 1.0, "0", None, np.float64(0.0)):
+        with pytest.raises(ValueError, match="mode must be an integer"):
+            apply_loss(vacuum_state(), bad, 0.1)
+    with pytest.raises(ValueError, match="loss angle must be finite"):
+        apply_loss(vacuum_state(), 0, np.nan)
+    # numpy integers are valid mode indices
+    np.testing.assert_array_equal(apply_loss(vacuum_state(), np.int64(1), 0.3),
+                                  apply_loss(vacuum_state(), 1, 0.3))
+
+
 def test_builders_refuse_non_finite_angles():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="pump phase xi must be finite"):

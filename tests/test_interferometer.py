@@ -15,6 +15,9 @@ from squint import (
     evaluate,
     output_state,
     phase_shifter,
+    product_mean,
+    product_second_moment,
+    product_sigma,
     signal_slope,
     two_mode_squeezer,
     vacuum_state,
@@ -134,6 +137,21 @@ def test_output_state_matches_per_mode_loss_chain(losses):
         f = lose_one_mode(lose_one_mode(f, 0, cfg.alpha2), 1, cfg.beta2)
         f = beam_splitter(BsSpec("B2", cfg.delta2)) @ f
         np.testing.assert_array_equal(output_state(cfg, phi), f @ f.T)
+
+
+def test_evaluate_reads_the_public_moment_readers_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        cfg = InterferometerConfig(
+            G=rng.uniform(0.0, 6.0), xi=rng.uniform(-np.pi, np.pi),
+            delta1=rng.uniform(-0.7, 0.7), delta2=rng.uniform(-0.7, 0.7),
+            alpha1=rng.uniform(0, 0.3), beta1=rng.uniform(0, 0.3),
+            alpha2=rng.uniform(0, 0.3), beta2=rng.uniform(0, 0.3))
+        for phi in (rng.uniform(0, 2 * np.pi), np.pi / 2):
+            got, out = evaluate(cfg, phi), output_state(cfg, phi)
+            assert got.mean == product_mean(out)
+            assert got.second_moment == product_second_moment(out)
+            assert got.sigma == product_sigma(out)
 
 
 def test_arm_loss_commutes_with_phase():
