@@ -25,14 +25,13 @@ import dataclasses
 import functools
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import equivalence_grid
-from .gaussian import _check_finite
+from .gaussian import _check_choice, _check_finite, _check_integer
 from .interferometer import InterferometerConfig, evaluate
 from .resolution import (
     _CRITERIA,
@@ -84,22 +83,16 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.criterion not in tuple(_CRITERIA):  # a tuple: no hashing of bad input
-            raise ValueError(f"unknown criterion {self.criterion!r}")
-        if self.format not in _FORMATS:
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.param not in SWEEP_PARAMETERS:
-            raise ValueError(f"unknown sweep parameter {self.param!r}")
+        _check_choice("criterion", self.criterion, _CRITERIA)
+        _check_choice("format", self.format, _FORMATS)
+        _check_choice("sweep parameter", self.param, SWEEP_PARAMETERS)
         for name in ("working_point", "phi_min", "phi_max", "param_min", "param_max"):
             _check_finite(name, getattr(self, name))
         for lo, hi, pts, what in ((self.phi_min, self.phi_max, self.phi_points, "phi"),
                                   (self.param_min, self.param_max, self.param_points, "param")):
             if not hi > lo:
                 raise ValueError(f"{what} grid must be strictly increasing (max > min)")
-            if isinstance(pts, bool) or not isinstance(pts, numbers.Integral):
-                raise ValueError(f"{what} grid points must be an integer, got {pts!r}")
-            if pts < 2:
-                raise ValueError(f"{what} grid needs at least 2 points")
+            _check_integer(f"{what} grid points", pts, least=2)
         if not isinstance(self.log_grid, bool):
             raise ValueError(f"log_grid must be true or false, got {self.log_grid!r}")
         if self.log_grid and self.param_min <= 0:

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import BsSpec, _check_finite, loss_unitary
+from .gaussian import (BsSpec, _check_finite, _check_integer, _check_loss_angle,
+                       _check_non_negative, loss_unitary)
 from .interferometer import InterferometerConfig, evaluate
 from .moments import SignalStats
 
@@ -52,19 +53,6 @@ _MAX_ELEMENTS = 40_000_000  # ~640 MB of complex128; refuse beyond this
 
 class CutoffError(ValueError):
     """A Fock cutoff too small for the requested accuracy."""
-
-
-def _check_gain(G) -> None:
-    """ValueError unless G is a finite real number >= 0 (not a bool)."""
-    _check_finite("gain G", G)
-    if G < 0:
-        raise ValueError("gain G must be finite and non-negative")
-
-
-def _check_cutoff(name: str, value) -> None:
-    """ValueError unless value is an int >= 0 (np.integer too, not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +95,7 @@ def tail_cutoff(G: float) -> int:
     The squeezed pair state has weights tanh^{2n} G / cosh^2 G, so the first
     omitted term at cutoff n_max is tanh^{2(n_max+1)} G / cosh^2 G.
     """
-    _check_gain(G)
+    _check_non_negative("gain G", G)
     t2 = np.tanh(G) ** 2
     if t2 == 0.0:
         return 0
@@ -130,11 +118,9 @@ def ancilla_cutoff(G: float, angle: float, n_sup: int) -> int:
     n_sup, plus the guard's two-level pad.  ValueError unless G is a finite
     number >= 0, angle a number in [0, pi/2] and n_sup an int >= 0.
     """
-    _check_gain(G)
-    _check_finite("loss angle", angle)
-    _check_cutoff("n_sup", n_sup)
-    if not 0 <= angle <= np.pi / 2:
-        raise ValueError("loss angle must lie in [0, pi/2]")
+    _check_non_negative("gain G", G)
+    _check_loss_angle("loss angle", angle)
+    _check_integer("n_sup", n_sup)
     cap = 2 * n_sup + 3
     r = np.sin(angle) ** 2 * np.expm1(2 * G) / 2  # t / (1 - t) = (e^{2G} - 1) / 2
     if r >= 1.0:
@@ -162,7 +148,7 @@ def tmsv_fock(G: float, xi: float = 0.0, n_max: int | None = None) -> FockState:
     needed = tail_cutoff(G)
     if n_max is None:
         n_max = needed
-    _check_cutoff("n_max", n_max)
+    _check_integer("n_max", n_max)
     if n_max < needed:
         raise CutoffError(
             f"cutoff too small: n_max={n_max} leaves a tail term above {_TAIL_TOL:g} "
@@ -270,8 +256,8 @@ def _apply_pair(amps: np.ndarray, mode_i: int, mode_j: int, u: np.ndarray) -> np
 def _check_modes(state: FockState, modes) -> tuple:
     """Mode indices as a tuple of ints in [0, n_modes); ValueError otherwise."""
     modes = tuple(modes) if np.iterable(modes) else (modes,)
-    if not all(isinstance(m, numbers.Integral) and 0 <= m < state.n_modes for m in modes):
-        raise ValueError(f"modes {modes} must be integers in [0, {state.n_modes})")
+    for m in modes:
+        _check_integer(f"each of modes {modes}", m, bound=state.n_modes)
     return tuple(int(m) for m in modes)
 
 
@@ -480,9 +466,11 @@ def equivalence_grid(n_max: int | None = None, tolerance: float = 1e-8) -> GridR
     non-negative, raises ValueError before the grid runs.
     """
     if n_max is not None:
-        _check_cutoff("n_max", n_max)
-    if not 0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
+        _check_integer("n_max", n_max)
+    try:
+        _check_non_negative("tolerance", tolerance)
+    except ValueError:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}") from None
     imbalances = (-0.1, 0.0, 0.1)
     cases, cutoff_errors = [], []
     for G in (0.2, 0.5, 0.8):

@@ -25,13 +25,10 @@ import numpy as np
 __all__ = [
     "BsSpec",
     "vacuum_state",
-    "symplectic_form",
-    "physicality_defect",
     "two_mode_squeezer",
     "phase_shifter",
     "beam_splitter",
     "loss_unitary",
-    "passive_symplectic",
     "apply_symplectic",
     "apply_loss",
 ]
@@ -52,6 +49,46 @@ def _check_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _check_non_negative(name: str, value) -> None:
+    """ValueError unless value passes `_check_finite` and is >= 0."""
+    _check_finite(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value!r}")
+
+
+def _check_loss_angle(name: str, value) -> None:
+    """ValueError unless value passes `_check_finite` and lies in [0, pi/2]."""
+    _check_finite(name, value)
+    if not 0 <= value <= math.pi / 2:
+        raise ValueError(f"{name} must lie in [0, pi/2]")
+
+
+def _check_imbalance(name: str, value) -> None:
+    """ValueError unless value passes `_check_finite` and |value| < pi/4."""
+    _check_finite(name, value)
+    if not abs(value) < math.pi / 4:
+        raise ValueError(f"{name} must satisfy |delta| < pi/4")
+
+
+def _check_integer(name: str, value, least: int = 0, bound: int | None = None) -> None:
+    """ValueError unless value is an int or np.integer (not a bool) >= least
+    and, given a bound, below it: a mode index, a level count or a grid size."""
+    # an int skips the slow abstract-class checks: hot path
+    integer = type(value) is int or (not isinstance(value, bool)
+                                     and isinstance(value, numbers.Integral))
+    if not (integer and least <= value and (bound is None or value < bound)):
+        want = (f"an integer in [{least}, {bound})" if bound is not None else
+                f"an integer >= {least}" if least else "a non-negative integer")
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+
+
+def _check_choice(name: str, value, choices) -> None:
+    """ValueError unless value is a str equal to one of `choices`; any other
+    type is refused before a lookup could hash it."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"unknown {name} {value!r}; choose from {tuple(choices)}")
+
+
 @dataclass(frozen=True)
 class BsSpec:
     """Beam-splitter specification.
@@ -66,11 +103,8 @@ class BsSpec:
     imbalance: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in ("B1", "B2"):
-            raise ValueError(f"unknown beam-splitter variant {self.variant!r}")
-        _check_finite("imbalance", self.imbalance)
-        if not abs(self.imbalance) < math.pi / 4:
-            raise ValueError("imbalance must satisfy |delta| < pi/4")
+        _check_choice("beam-splitter variant", self.variant, ("B1", "B2"))
+        _check_imbalance("imbalance", self.imbalance)
 
     def unitary(self) -> np.ndarray:
         """Complex 2x2 mode map of this beam splitter."""
@@ -83,39 +117,9 @@ class BsSpec:
         return np.array([[-c, 1j * s], [-1j * s, c]])
 
 
-def symplectic_form() -> np.ndarray:
-    """The pair's symplectic form Omega in the (x1, p1, x2, p2) ordering."""
-    return np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
-
-
 def vacuum_state() -> np.ndarray:
     """Vacuum covariance of the pair: the 4x4 identity."""
     return np.eye(4)
-
-
-def physicality_defect(cov: np.ndarray) -> float:
-    """Most negative eigenvalue of cov + i Omega (0 for physical states).
-
-    A covariance matrix is physical iff cov + i Omega >= 0; numerical noise
-    keeps the smallest eigenvalue a hair below zero, so callers compare the
-    returned value against -1e-10 rather than 0.
-    """
-    eigs = np.linalg.eigvalsh(cov + 1j * symplectic_form())
-    return float(min(eigs.min(), 0.0))
-
-
-def passive_symplectic(u: np.ndarray) -> np.ndarray:
-    """Real symplectic matrix of a complex 2x2 mode map on the pair.
-
-    Heisenberg convention: the map is a_i -> sum_j u[i, j] a_j.  Each complex
-    entry becomes the 2x2 block [[Re u, -Im u], [Im u, Re u]] on the
-    corresponding (x, p) pair.
-    """
-    rows = []
-    for row in u.tolist():
-        rows.append([v for z in row for v in (z.real, -z.imag)])
-        rows.append([v for z in row for v in (z.imag, z.real)])
-    return np.array(rows)
 
 
 def two_mode_squeezer(G: float, xi: float = 0.0) -> np.ndarray:
@@ -130,9 +134,7 @@ def two_mode_squeezer(G: float, xi: float = 0.0) -> np.ndarray:
         G: dimensionless gain, >= 0.
         xi: pump phase in radians.
     """
-    _check_finite("gain G", G)
-    if G < 0:
-        raise ValueError("gain G must be finite and non-negative")
+    _check_non_negative("gain G", G)
     _check_finite("pump phase xi", xi)
     c, s = np.cosh(G), np.sinh(G)
     re, im = s * math.sin(xi), -s * math.cos(xi)
@@ -147,8 +149,7 @@ def two_mode_squeezer(G: float, xi: float = 0.0) -> np.ndarray:
 
 def phase_shifter(phi: float, mode: int = 0) -> np.ndarray:
     """Phase shift a -> e^{i phi} a on mode 0 or 1: an (x, p) rotation."""
-    if mode not in (0, 1):
-        raise ValueError(f"mode {mode} out of range for the pair (0 or 1)")
+    _check_integer("mode", mode, bound=2)
     _check_finite("phase phi", phi)
     # + 0.0 turns sin(-0.0) into the +0.0 that Im exp(1j * -0.0) carries
     c, s = math.cos(phi), math.sin(phi) + 0.0
@@ -164,9 +165,10 @@ def phase_shifter(phi: float, mode: int = 0) -> np.ndarray:
 
 
 def beam_splitter(spec: BsSpec) -> np.ndarray:
-    """Beam splitter on the pair: `passive_symplectic(spec.unitary())`,
-    written out entry by entry, signed zeros included (Re(-1j * s) is +0.0,
-    -Im(c + 0j) is -0.0)."""
+    """Beam splitter on the pair: the real image of `spec.unitary()`, each
+    complex entry z the block [[Re z, -Im z], [Im z, Re z]], written out
+    entry by entry, signed zeros included (Re(-1j * s) is +0.0, -Im(c + 0j)
+    is -0.0)."""
     th = math.pi / 4 + spec.imbalance
     c, s = math.cos(th), math.sin(th)
     if spec.variant == "B1":
@@ -210,13 +212,8 @@ def apply_loss(cov: np.ndarray, mode: int, alpha: float) -> np.ndarray:
         mode: target mode index.
         alpha: loss angle in [0, pi/2]; pi/2 replaces the mode by vacuum.
     """
-    _check_finite("loss angle", alpha)
-    if not 0 <= alpha <= np.pi / 2:
-        raise ValueError("loss angle must lie in [0, pi/2]")
-    n_modes = cov.shape[0] // 2
-    if isinstance(mode, bool) or not isinstance(mode, numbers.Integral) \
-            or not 0 <= mode < n_modes:
-        raise ValueError(f"mode must be an integer in [0, {n_modes}), got {mode!r}")
+    _check_loss_angle("loss angle", alpha)
+    _check_integer("mode", mode, bound=cov.shape[0] // 2)
     c = np.cos(alpha)
     idx = [2 * mode, 2 * mode + 1]
     cov = cov.copy()

@@ -23,13 +23,16 @@ product M M^T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussian import (
     BsSpec,
     _check_finite,
+    _check_imbalance,
+    _check_loss_angle,
+    _check_non_negative,
     beam_splitter,
     phase_shifter,
     two_mode_squeezer,
@@ -73,16 +76,12 @@ class InterferometerConfig:
     delta2: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            _check_finite(f.name, getattr(self, f.name))
-        if self.G < 0:
-            raise ValueError(f"gain G must be non-negative, got {self.G!r}")
+        _check_non_negative("gain G", self.G)
+        _check_finite("pump phase xi", self.xi)
         for name in ("alpha1", "beta1", "alpha2", "beta2"):
-            if not 0 <= getattr(self, name) <= math.pi / 2:
-                raise ValueError(f"loss angle {name} must lie in [0, pi/2]")
+            _check_loss_angle(f"loss angle {name}", getattr(self, name))
         for name in ("delta1", "delta2"):
-            if not abs(getattr(self, name)) < math.pi / 4:
-                raise ValueError(f"imbalance {name} must satisfy |delta| < pi/4")
+            _check_imbalance(f"imbalance {name}", getattr(self, name))
 
     @classmethod
     def with_symmetric_loss(cls, G: float, prep: float = 0.0, arm: float = 0.0,

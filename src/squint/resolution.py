@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import _check_finite
+from .gaussian import _check_choice, _check_finite
 from .interferometer import InterferometerConfig, evaluate, signal_slope
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "modified_resolution",
     "sweep",
     "SWEEP_PARAMETERS",
-    "detect_saturation",
     "optimize_delta2",
     "refine_working_point",
     "small_angle_root",
@@ -171,8 +170,7 @@ def modified_resolution(config: InterferometerConfig, phi: float = np.pi / 2,
     the root, and the bracket is also closed once no phase lies strictly
     inside it.  `iterations` counts the evaluations of g.
     """
-    if method not in ("illinois", "bisection"):
-        raise ValueError(f"unknown method {method!r}")
+    _check_choice("method", method, ("illinois", "bisection"))
     sigma0, slope, n, failed = _working_point(config, phi, "modified")
     if failed:
         return failed
@@ -247,15 +245,14 @@ def sweep(config: InterferometerConfig, parameter: str, grid,
     station together.  Non-convergence on a row is recorded in that row and
     the sweep keeps going.
     """
-    if parameter not in SWEEP_PARAMETERS:
-        raise ValueError(
-            f"unknown sweep parameter {parameter!r}; choose from {SWEEP_PARAMETERS}")
-    if criterion not in _CRITERIA:
-        raise ValueError(f"unknown criterion {criterion!r}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
+    _check_choice("sweep parameter", parameter, SWEEP_PARAMETERS)
+    _check_choice("criterion", criterion, _CRITERIA)
+    if np.ndim(grid) != 1 or len(grid) < 1:
         raise ValueError("grid must be a one-dimensional sequence of values")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
+    for value in grid:
+        _check_finite("grid value", value)
+    grid = np.asarray(grid, dtype=float)
+    if not np.all(np.diff(grid) > 0):
         raise ValueError("grid values must be strictly increasing")
     solver = _CRITERIA[criterion]
     rows = []
@@ -266,24 +263,6 @@ def sweep(config: InterferometerConfig, parameter: str, grid,
             param=float(value), G=cfg.G, mean_N=res.mean_N,
             delta_phi=res.delta_phi, kappa=res.kappa, converged=res.converged))
     return SweepTable(parameter=parameter, criterion=criterion, rows=tuple(rows))
-
-
-def detect_saturation(values):
-    """Whether the tail of a sweep has flattened out.
-
-    Returns (saturated, tail_value): saturated is True when the last three
-    values agree pairwise to within 1% of the final value, and tail_value is
-    that final value.
-    """
-    vals = [float(v) for v in values]
-    if len(vals) < 3:
-        return False, vals[-1] if vals else math.nan
-    tail = vals[-3:]
-    ref = abs(tail[-1])
-    if not math.isfinite(ref) or ref == 0.0:
-        return False, tail[-1]
-    spread = max(tail) - min(tail)
-    return bool(spread <= 0.01 * ref), tail[-1]
 
 
 def _golden_min(f, lo: float, hi: float, tol: float):
@@ -316,8 +295,7 @@ def optimize_delta2(config: InterferometerConfig, criterion: str = "modified",
     with unimodal=False and the scan samples attached, refining the deepest
     basin found.
     """
-    if criterion not in _CRITERIA:
-        raise ValueError(f"unknown criterion {criterion!r}")
+    _check_choice("criterion", criterion, _CRITERIA)
     solver = _CRITERIA[criterion]
     cache = {}
 

