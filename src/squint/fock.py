@@ -8,10 +8,13 @@ excitation of its mode pair, so it block-diagonalises over pair totals; a
 sector below both ladder ceilings holds the spin-n/2 representation of the
 2x2 map, from one real eigenbasis per pair total n that every map shares,
 and a sector cut by a ceiling, met only at loss ancillas, exponentiates its
-truncated generator; only the sectors a state occupies are built and
-multiplied), and loss realised as a beam splitter onto a vacuum ancilla
-that is never traced out explicitly.  None of the covariance shortcuts are
-reused, which makes the comparison meaningful.
+truncated generator, the cut sectors of one size in one stacked eigh; only
+the sectors a state occupies are built and multiplied), and loss realised as
+a beam splitter onto a vacuum ancilla that is never traced out explicitly.
+An ancilla joins the tensor as its last mode when its loss acts, so the
+elements before it act on a smaller tensor and the ancillas keep pipeline
+order.  None of the covariance shortcuts are reused, which makes the
+comparison meaningful.
 
 Truncation is bounded and guarded.  A squeezed pair keeps its exact
 geometric tail mass as `norm_deficit`, and cutoffs below the per-term bound
@@ -192,39 +195,59 @@ def _spin_basis(n: int):
 
 
 @functools.lru_cache(maxsize=4096)
-def _sector_block(u_bytes: bytes, n: int, di: int, dj: int) -> np.ndarray:
-    """Block of the 2x2 map u with bytes `u_bytes` on the pair total n, over
-    |k, n - k>, k ascending; built the first time a state occupies the total.
+def _sector_block(u_bytes: bytes, n: int) -> np.ndarray:
+    """Block of the 2x2 map u with bytes `u_bytes` on a full pair total n, one
+    below both ladder ceilings, over |k, n - k>, k = 0..n; built the first time
+    a state occupies the total.
 
-    A full sector (n < min(di, dj)) uses the shared basis: it holds the
-    spin-n/2 representation of u (Schwinger's two-boson realisation of
-    SU(2)), Gamma(D_L) P V exp(-i t L) V^T P^dag Gamma(D_R) for
+    It holds the spin-n/2 representation of u (Schwinger's two-boson
+    realisation of SU(2)), Gamma(D_L) P V exp(-i t L) V^T P^dag Gamma(D_R) for
     u = D_L R(t) D_R (`_rotation_factors`), Gamma(diag(p, q)) =
     diag(p^k q^(n - k)), P = diag((-i)^k) and (L, V) = `_spin_basis(n)`.
-    A sector cut by a ladder ceiling uses the truncated generator: exp(-i H),
-    H from `_hermitian_generator(u)`, which is not a representation of u.
     """
-    ks = np.arange(max(0, n - (dj - 1)), min(n, di - 1) + 1)
-    if n < min(di, dj):
-        (l0, l1), t, (_, r1) = _rotation_factors(u_bytes)
-        lam, vec = _spin_basis(n)
-        # Gamma(D_L) P = l1^n diag((-i l0/l1)^k), P^dag Gamma(D_R) = r1^n diag((i/r1)^k):
-        # unit ratios raised to k keep the splitters' exact phases exact
-        left = (l1 * r1) ** n * np.power(-1j * l0 * l1.conjugate(), ks)
-        right = np.outer(np.exp(-1j * t * lam), np.power(1j * r1.conjugate(), ks))
-        right *= vec.T
-        # real V times the complex rest as one real product on its float view
-        return left[:, None] * (vec @ right.view(float)).view(complex)
+    ks = np.arange(n + 1)
+    (l0, l1), t, (_, r1) = _rotation_factors(u_bytes)
+    lam, vec = _spin_basis(n)
+    # Gamma(D_L) P = l1^n diag((-i l0/l1)^k), P^dag Gamma(D_R) = r1^n diag((i/r1)^k):
+    # unit ratios raised to k keep the splitters' exact phases exact
+    left = (l1 * r1) ** n * np.power(-1j * l0 * l1.conjugate(), ks)
+    right = np.outer(np.exp(-1j * t * lam), np.power(1j * r1.conjugate(), ks))
+    right *= vec.T
+    # real V times the complex rest as one real product on its float view
+    return left[:, None] * (vec @ right.view(float)).view(complex)
+
+
+def _cut_blocks(u_bytes: bytes, totals, di: int, dj: int) -> dict:
+    """Blocks of the 2x2 map u with bytes `u_bytes` on pair totals cut by a
+    ladder ceiling (each n >= min(di, dj)), as {n: block} over |k, n - k>, k
+    ascending.
+
+    A cut sector holds exp(-i H) of the truncated generator, H from
+    `_hermitian_generator(u)`, which is not a representation of u.  The
+    totals of one block size share one stacked eigh and one stacked product;
+    nothing is cached, since a ceiling is met only at a loss ancilla, whose
+    map and dims a state meets once.
+    """
     h = _hermitian_generator(u_bytes)
-    size = len(ks)
-    ham = np.diag((h[0, 0].real * ks + h[1, 1].real * (n - ks)).astype(complex))
-    if size > 1:
-        kk = ks[:-1]  # hopping k -> k+1 via a_i^dag a_j
-        off = h[0, 1] * np.sqrt((kk + 1.0) * (n - kk))
-        ham[np.arange(1, size), np.arange(size - 1)] = off
-        ham[np.arange(size - 1), np.arange(1, size)] = np.conj(off)
-    lam, vec = np.linalg.eigh(ham)
-    return (vec * np.exp(-1j * lam)) @ np.conj(vec.T)
+    totals = np.asarray(totals)
+    lows = np.maximum(0, totals - (dj - 1))
+    sizes = np.minimum(totals, di - 1) - lows + 1
+    blocks = {}
+    for size in np.unique(sizes).tolist():
+        pick = sizes == size
+        n = totals[pick, None]
+        ks = lows[pick, None] + np.arange(size)
+        ham = np.zeros((len(n), size, size), dtype=complex)
+        ham[:, range(size), range(size)] = h[0, 0].real * ks + h[1, 1].real * (n - ks)
+        if size > 1:
+            kk = ks[:, :-1]  # hopping k -> k+1 via a_i^dag a_j
+            off = h[0, 1] * np.sqrt((kk + 1.0) * (n - kk))
+            ham[:, range(1, size), range(size - 1)] = off
+            ham[:, range(size - 1), range(1, size)] = np.conj(off)
+        lam, vec = np.linalg.eigh(ham)
+        stack = (vec * np.exp(-1j * lam)[:, None, :]) @ np.conj(vec.transpose(0, 2, 1))
+        blocks.update(zip(totals[pick].tolist(), stack))
+    return blocks
 
 
 def _apply_pair(amps: np.ndarray, mode_i: int, mode_j: int, u: np.ndarray) -> np.ndarray:
@@ -234,7 +257,8 @@ def _apply_pair(amps: np.ndarray, mode_i: int, mode_j: int, u: np.ndarray) -> np
     the rows k dj + (n - k) of pair total n form a slice of stride dj - 1, so
     each sector block multiplies a strided view, restricted to the columns
     that hold amplitude, and writes the same slice of the output.  A block
-    maps a zero slice to zero, so the skipped output is exactly 0.
+    maps a zero slice to zero, so the skipped output is exactly 0.  The live
+    totals are found first, so the ones cut by a ceiling are built together.
     """
     dims = amps.shape
     di, dj = dims[mode_i], dims[mode_j]
@@ -242,14 +266,20 @@ def _apply_pair(amps: np.ndarray, mode_i: int, mode_j: int, u: np.ndarray) -> np
     st = np.transpose(amps, perm).reshape(di * dj, -1)
     nonzero = st != 0
     key = u.tobytes()
-    out = np.zeros_like(st)
+    live = []
     for n in range(di + dj - 1):
         first = n + max(0, n - (dj - 1)) * (dj - 1)
         rows = slice(first, n + min(n, di - 1) * (dj - 1) + 1, max(dj - 1, 1))
-        live = nonzero[rows].any(axis=0)
-        if live.any():
-            cols = live.nonzero()[0]
-            out[rows, cols] = _sector_block(key, n, di, dj) @ st[rows][:, cols]
+        cols = nonzero[rows].any(axis=0).nonzero()[0]
+        if len(cols):
+            live.append((n, rows, cols))
+    full = min(di, dj)
+    cut = [n for n, _, _ in live if n >= full]
+    blocks = _cut_blocks(key, cut, di, dj) if cut else {}
+    out = np.zeros_like(st)
+    for n, rows, cols in live:
+        block = blocks[n] if n >= full else _sector_block(key, n)
+        out[rows, cols] = block @ st[rows][:, cols]
     return np.transpose(out.reshape([dims[k] for k in perm]), np.argsort(perm))
 
 
@@ -362,36 +392,45 @@ def fock_moments(state: FockState, mode_a: int, mode_b: int):
     return float(m1c.real), m2
 
 
-def _lose(state: FockState, losses, first_ancilla: int) -> FockState:
-    """Each (mode, angle) loss as `loss_unitary` onto the next vacuum ancilla."""
-    for k, (mode, angle) in enumerate(losses):
-        state = apply_unitary_fock(state, loss_unitary(angle), (mode, first_ancilla + k))
+def _lose(state: FockState, losses) -> FockState:
+    """Each (mode, angle, levels) loss as `loss_unitary` onto a vacuum ancilla
+    of `levels` levels, appended as the last mode (its level 0 holding the
+    state) when the loss acts."""
+    for mode, angle, levels in losses:
+        amps = np.zeros(state.dims + (levels,), dtype=complex)
+        amps[..., 0] = state.amplitudes
+        state = apply_unitary_fock(FockState(amps, state.norm_deficit), loss_unitary(angle),
+                                   (mode, state.n_modes))
     return state
 
 
 def _prepare(config: InterferometerConfig, n_max: int | None):
     """Squeezed pair cut off at n_max (default `tail_cutoff(G)`) after the
-    preparation losses, and the arm losses still to apply.
+    preparation losses, and the arm losses still to apply, as `_lose` takes
+    them.
 
-    Each nonzero loss gets a vacuum ancilla, in pipeline order after the two
-    signal modes, so the arm ancillas are the last modes.
+    Each nonzero loss gets a vacuum ancilla of `ancilla_cutoff` levels,
+    appended when its loss acts, so the ancillas follow the two signal modes
+    in pipeline order and the arm ancillas are the last modes.  The tensor
+    the last loss leaves is checked against the cap before anything is
+    allocated.
     """
-    losses = [(mode, angle) for mode, angle in ((0, config.alpha1), (1, config.beta1),
-                                                (0, config.alpha2), (1, config.beta2))
-              if angle != 0.0]
-    n_prep = (config.alpha1 != 0.0) + (config.beta1 != 0.0)
     n_sup = tail_cutoff(config.G) if n_max is None else n_max
     dim = 2 * n_sup + 3
-    dims = [dim, dim] + [ancilla_cutoff(config.G, angle, n_sup) for _, angle in losses]
-    total = math.prod(dims)
+    losses = [(mode, angle, ancilla_cutoff(config.G, angle, n_sup))
+              for mode, angle in ((0, config.alpha1), (1, config.beta1),
+                                  (0, config.alpha2), (1, config.beta2))
+              if angle != 0.0]
+    total = math.prod([dim, dim] + [levels for _, _, levels in losses])
     if total > _MAX_ELEMENTS:
         raise ValueError(
             f"state tensor would need {total} amplitudes; reduce gain or losses")
+    n_prep = (config.alpha1 != 0.0) + (config.beta1 != 0.0)
     seed = tmsv_fock(config.G, config.xi, n_max=n_sup)
-    amps = np.zeros(dims, dtype=complex)
+    amps = np.zeros((dim, dim), dtype=complex)
     idx = np.arange(n_sup + 1)
-    amps[(idx, idx) + (0,) * len(losses)] = seed.amplitudes[idx, idx]
-    return _lose(FockState(amps, seed.norm_deficit), losses[:n_prep], 2), losses[n_prep:]
+    amps[idx, idx] = seed.amplitudes[idx, idx]
+    return _lose(FockState(amps, seed.norm_deficit), losses[:n_prep]), losses[n_prep:]
 
 
 def _measure(state: FockState) -> SignalStats:
@@ -409,16 +448,18 @@ def oracle_pipeline(config: InterferometerConfig, phi: float) -> SignalStats:
     per-mode losses as beam splitters onto fresh vacuum ancillas, splitter,
     phase, arm losses, recombiner, then the product moments on the two
     signal modes (the photon count also covers only those, matching what a
-    lossy channel leaves downstream).
+    lossy channel leaves downstream).  Each ancilla is appended as the last
+    mode when its loss acts, so the ancillas keep the order of the losses:
+    preparation (alpha1, beta1), then arm (alpha2, beta2).
 
     Signal modes get 2 n + 3 levels for a pair cut off at n = `tail_cutoff(G)`,
-    loss ancillas `ancilla_cutoff` levels; a state above 40M amplitudes raises
-    ValueError.
+    loss ancillas `ancilla_cutoff` levels; a final state above 40M amplitudes
+    raises ValueError before anything is allocated.
     """
     state, arm = _prepare(config, None)
     state = apply_unitary_fock(state, BsSpec("B1", config.delta1), (0, 1))
     state = apply_unitary_fock(state, phi, 0)
-    state = _lose(state, arm, state.n_modes - len(arm))
+    state = _lose(state, arm)
     state = apply_unitary_fock(state, BsSpec("B2", config.delta2), (0, 1))
     return _measure(state)
 

@@ -187,8 +187,9 @@ def loss_unitary(alpha: float) -> np.ndarray:
 
     Real orthogonal map on (system, ancilla); used by the Fock oracle.  The
     covariance-level channel in `apply_loss` is this unitary with the vacuum
-    ancilla traced out.
+    ancilla traced out.  ValueError unless alpha is a number in [0, pi/2].
     """
+    _check_loss_angle("loss angle", alpha)
     c, s = np.cos(alpha), np.sin(alpha)
     return np.array([[c, s], [-s, c]], dtype=complex)
 

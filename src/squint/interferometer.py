@@ -159,8 +159,11 @@ def closed_form_reference(G: float, phi: float) -> SignalStats:
         <P^2>  = 1 + (7/4 + cos(2 phi) - (3/4) cos(4 phi)) (N^2/2 + N)
         sigma  = sqrt(1 + (3/2 + cos(2 phi) - (1/2) cos(4 phi)) (N^2/2 + N))
 
-    Used as an independent oracle against the matrix pipeline.
+    Used as an independent oracle against the matrix pipeline.  ValueError
+    unless G is a finite number >= 0 and phi a finite number.
     """
+    _check_non_negative("gain G", G)
+    _check_finite("phase phi", phi)
     n = 2.0 * np.sinh(G) ** 2
     half = n * n / 2.0 + n
     mean = np.sinh(G) * np.cosh(G) * np.sin(2.0 * phi)

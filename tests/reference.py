@@ -3,11 +3,16 @@
 The symplectic form and the physicality test check the Gaussian layer's
 invariants, the block embedding rebuilds each element's real 4x4 matrix
 slice by slice, independently of the builders' literals, and the saturation
-test reads the tail of a sweep for the acceptance gates.
+test reads the tail of a sweep for the acceptance gates.  The eager Fock
+pipeline allocates every loss ancilla before the first element acts, the
+layout the oracle's lazily appended ancillas must reproduce bit for bit.
 """
 import math
 
 import numpy as np
+
+from squint import (BsSpec, FockState, ancilla_cutoff, apply_unitary_fock, loss_unitary,
+                    tail_cutoff, tmsv_fock)
 
 
 def symplectic_form() -> np.ndarray:
@@ -60,3 +65,40 @@ def detect_saturation(values):
         return False, tail[-1]
     spread = max(tail) - min(tail)
     return bool(spread <= 0.01 * ref), tail[-1]
+
+
+def eager_lose(state, losses, first_ancilla):
+    """Each (mode, angle) loss as `loss_unitary` onto the next vacuum ancilla,
+    already present in the tensor from `first_ancilla` on."""
+    for k, (mode, angle) in enumerate(losses):
+        state = apply_unitary_fock(state, loss_unitary(angle), (mode, first_ancilla + k))
+    return state
+
+
+def eager_prepare(config, n_max=None):
+    """Squeezed pair cut off at n_max (default `tail_cutoff(G)`) after the
+    preparation losses, with one vacuum ancilla of `ancilla_cutoff` levels
+    per nonzero loss allocated up front, in pipeline order after the two
+    signal modes; returns the state and the arm losses still to apply."""
+    losses = [(mode, angle) for mode, angle in ((0, config.alpha1), (1, config.beta1),
+                                                (0, config.alpha2), (1, config.beta2))
+              if angle != 0.0]
+    n_prep = (config.alpha1 != 0.0) + (config.beta1 != 0.0)
+    n_sup = tail_cutoff(config.G) if n_max is None else n_max
+    dim = 2 * n_sup + 3
+    dims = [dim, dim] + [ancilla_cutoff(config.G, angle, n_sup) for _, angle in losses]
+    seed = tmsv_fock(config.G, config.xi, n_max=n_sup)
+    amps = np.zeros(dims, dtype=complex)
+    idx = np.arange(n_sup + 1)
+    amps[(idx, idx) + (0,) * len(losses)] = seed.amplitudes[idx, idx]
+    return (eager_lose(FockState(amps, seed.norm_deficit), losses[:n_prep], 2),
+            losses[n_prep:])
+
+
+def eager_pipeline_state(config, phi):
+    """The oracle pipeline's state before measurement, ancillas allocated up front."""
+    state, arm = eager_prepare(config)
+    state = apply_unitary_fock(state, BsSpec("B1", config.delta1), (0, 1))
+    state = apply_unitary_fock(state, phi, 0)
+    state = eager_lose(state, arm, state.n_modes - len(arm))
+    return apply_unitary_fock(state, BsSpec("B2", config.delta2), (0, 1))

@@ -21,6 +21,7 @@ from squint import (
     tail_cutoff,
     tmsv_fock,
 )
+from reference import eager_pipeline_state, eager_prepare
 
 
 def test_tail_cutoff_reference_points():
@@ -448,16 +449,22 @@ def test_rotation_factors_rebuild_the_map():
 def test_full_sector_blocks_match_the_generator_construction():
     for u in _pair_maps():
         for n in (0, 1, 2, 5, 31, 104):
-            got = fock._sector_block.__wrapped__(u.tobytes(), n, n + 1, n + 3)
+            got = fock._sector_block.__wrapped__(u.tobytes(), n)
             assert np.max(np.abs(got - _generator_block(u, n, n + 1, n + 3))) <= 1e-12, n
 
 
 def test_truncated_sector_blocks_keep_the_generator_construction():
+    # every cut total of each ladder pair at once ((19, 6) mixes block sizes 6
+    # down to 1), and one non-contiguous set of totals
+    cases = [(di, dj, range(min(di, dj), di + dj - 1))
+             for di, dj in ((5, 3), (3, 5), (4, 1), (1, 4), (19, 6))]
+    cases.append((19, 6, (7, 12, 19, 21, 23)))
     for u in _pair_maps():
-        for di, dj in ((5, 3), (3, 5), (4, 1), (1, 4), (19, 6)):
-            for n in range(min(di, dj), di + dj - 1):
-                got = fock._sector_block.__wrapped__(u.tobytes(), n, di, dj)
-                assert np.array_equal(got, _generator_block(u, n, di, dj)), (n, di, dj)
+        for di, dj, totals in cases:
+            got = fock._cut_blocks(u.tobytes(), list(totals), di, dj)
+            assert sorted(got) == sorted(totals), (di, dj)
+            for n in totals:
+                assert np.array_equal(got[n], _generator_block(u, n, di, dj)), (n, di, dj)
 
 
 def test_pipeline_is_identical_with_cold_and_warm_caches():
@@ -468,3 +475,24 @@ def test_pipeline_is_identical_with_cold_and_warm_caches():
         cache.cache_clear()
     cold = oracle_pipeline(cfg, 0.7)
     assert oracle_pipeline(cfg, 0.7) == cold
+
+
+def test_pipeline_is_bit_identical_to_eager_ancillas():
+    # ancillas appended as their losses act give the same bits as ancillas
+    # allocated up front, at the prepared state and at the outputs
+    rng = np.random.default_rng(13)
+    layouts = (("alpha1", "beta1"), ("alpha2",), ("beta1", "alpha2"), ("alpha2", "beta2"))
+    configs = [InterferometerConfig(
+        G=rng.uniform(0.2, 0.6), xi=rng.uniform(-np.pi, np.pi),
+        delta1=rng.uniform(-0.12, 0.12), delta2=rng.uniform(-0.12, 0.12),
+        **{name: rng.uniform(0.02, 0.3) for name in names}) for names in layouts]
+    # the deepest ancillas of test_pipeline_arm_loss_matches_engine
+    configs.append(InterferometerConfig(G=0.6, xi=-1.1, alpha1=0.3, alpha2=0.3,
+                                        delta1=-0.12, delta2=0.08))
+    for cfg in configs:
+        phi = rng.uniform(0, 2 * np.pi)
+        (state, arm), (want, want_arm) = fock._prepare(cfg, None), eager_prepare(cfg)
+        assert [loss[:2] for loss in arm] == want_arm
+        assert np.array_equal(state.amplitudes,
+                              want.amplitudes[(Ellipsis,) + (0,) * len(arm)]), cfg
+        assert oracle_pipeline(cfg, phi) == fock._measure(eager_pipeline_state(cfg, phi)), cfg

@@ -7,6 +7,7 @@ from squint import (
     apply_loss,
     apply_symplectic,
     beam_splitter,
+    loss_unitary,
     mean_photon_number,
     phase_shifter,
     two_mode_squeezer,
@@ -91,6 +92,19 @@ def test_loss_validation():
         apply_loss(state, 0, np.pi / 2 + 0.1)
     with pytest.raises(ValueError):
         apply_loss(state, 2, 0.1)
+
+
+def test_loss_unitary_applies_the_loss_angle_rule():
+    for bad in (5.0, -0.1, np.pi / 2 + 1e-9):
+        with pytest.raises(ValueError, match="loss angle must lie in"):
+            loss_unitary(bad)
+    for bad in ("0.1", None, True, 1j, np.nan, np.inf):
+        with pytest.raises(ValueError, match="loss angle must be"):
+            loss_unitary(bad)
+    # the range edges are accepted: no loss, and full loss onto the ancilla
+    np.testing.assert_array_equal(loss_unitary(0.0), np.eye(2))
+    np.testing.assert_array_equal(loss_unitary(np.pi / 2),
+                                  [[np.cos(np.pi / 2), 1.0], [-1.0, np.cos(np.pi / 2)]])
 
 
 def test_squeezer_validation():

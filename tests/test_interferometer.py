@@ -39,6 +39,19 @@ def test_ideal_device_matches_closed_form():
             assert abs(got.mean_photons - ref.mean_photons) <= 1e-10
 
 
+def test_closed_form_reference_applies_the_gain_and_phase_rules():
+    for bad in (-1.0, -1e-300):
+        with pytest.raises(ValueError, match="gain G must be non-negative"):
+            closed_form_reference(bad, 0.3)
+    for bad in (math.nan, math.inf, "1", None, True):
+        with pytest.raises(ValueError, match="gain G must be"):
+            closed_form_reference(bad, 0.3)
+    for bad in (math.nan, -math.inf, "0.3", None, False):
+        with pytest.raises(ValueError, match="phase phi must be"):
+            closed_form_reference(1.0, bad)
+    assert closed_form_reference(0.0, 0.3).mean_photons == 0.0
+
+
 def test_mean_signal_example():
     stats = evaluate(InterferometerConfig(G=1.0), np.pi / 4)
     assert stats.mean == pytest.approx(np.sinh(1) * np.cosh(1), abs=1e-12)
