@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import equivalence_grid
+from .fock import _PASS_TOL, equivalence_grid
 from .gaussian import _check_choice, _check_finite, _check_integer
 from .interferometer import InterferometerConfig, evaluate
 from .resolution import (
@@ -38,6 +38,7 @@ from .resolution import (
     SWEEP_PARAMETERS,
     optimize_delta2,
     refine_working_point,
+    small_angle_root,
     sweep,
 )
 
@@ -241,7 +242,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                   criterion=cfg.criterion, phi=cfg.working_point)
     columns = ("param", "G", "mean_N", "delta_phi", "kappa", "converged", "four_over_N")
     rows = [(r.param, r.G, r.mean_N, r.delta_phi, r.kappa, r.converged,
-             4.0 / r.mean_N if r.mean_N > 0 else math.inf)
+             small_angle_root() / r.mean_N if r.mean_N > 0 else math.inf)
             for r in table.rows]
     _emit(_table_text(cfg, columns, rows), cfg.out)
     return 0 if all(r.converged for r in table.rows) else 2
@@ -361,7 +362,7 @@ def _build_parser() -> _Parser:
     p = _add_subcommand(sub, "oracle-check", cmd_oracle_check,
                         "engine vs Fock oracle on the validation grid", device=False)
     p.add_argument("--n-max", type=int, help="override the pair cutoff (tiny values error)")
-    p.add_argument("--tolerance", type=float, default=1e-8,
+    p.add_argument("--tolerance", type=float, default=_PASS_TOL,
                    help="pass threshold on the max absolute deviation")
     return parser
 

@@ -40,7 +40,7 @@ import numpy as np
 from .gaussian import (BsSpec, _check_finite, _check_integer, _check_loss_angle,
                        _check_non_negative, loss_unitary)
 from .interferometer import InterferometerConfig, evaluate
-from .moments import SignalStats
+from .moments import SignalStats, _sigma
 
 __all__ = [
     "CutoffError", "FockState", "tail_cutoff", "ancilla_cutoff", "tmsv_fock",
@@ -52,6 +52,7 @@ _DEFICIT_CAP = 1e-12
 _TAIL_TOL = 1e-14
 _CEILING_TOL = 1e-9  # probability the top two levels of any mode may hold
 _MAX_ELEMENTS = 40_000_000  # ~640 MB of complex128; refuse beyond this
+_PASS_TOL = 1e-8  # equivalence_grid's default bound on a case's deviation
 
 
 class CutoffError(ValueError):
@@ -168,14 +169,6 @@ def tmsv_fock(G: float, xi: float = 0.0, n_max: int | None = None) -> FockState:
 
 
 @functools.lru_cache(maxsize=64)
-def _hermitian_generator(u_bytes: bytes) -> np.ndarray:
-    """h with u = exp(-i h) for the 2x2 map u with bytes `u_bytes`, via eig(u)."""
-    lam, w = np.linalg.eig(np.frombuffer(u_bytes, dtype=complex).reshape(2, 2))
-    h = w @ np.diag(1j * np.log(lam)) @ np.conj(w.T)
-    return 0.5 * (h + np.conj(h.T))
-
-
-@functools.lru_cache(maxsize=64)
 def _rotation_factors(u_bytes: bytes):
     """Phases (l0, l1), angle t = atan2(|u10|, |u00|) and phases (1, r1) with
     u = diag(l0, l1) R(t) diag(1, r1), R(t) = [[cos t, -sin t], [sin t, cos t]],
@@ -222,13 +215,15 @@ def _cut_blocks(u_bytes: bytes, totals, di: int, dj: int) -> dict:
     ladder ceiling (each n >= min(di, dj)), as {n: block} over |k, n - k>, k
     ascending.
 
-    A cut sector holds exp(-i H) of the truncated generator, H from
-    `_hermitian_generator(u)`, which is not a representation of u.  The
-    totals of one block size share one stacked eigh and one stacked product;
-    nothing is cached, since a ceiling is met only at a loss ancilla, whose
-    map and dims a state meets once.
+    A cut sector holds exp(-i H) of the truncated generator, H built from
+    the h with u = exp(-i h) that eig(u) gives, which is not a representation
+    of u.  The totals of one block size share one stacked eigh and one
+    stacked product; nothing is cached, since a ceiling is met only at a loss
+    ancilla, whose map and dims a state meets once.
     """
-    h = _hermitian_generator(u_bytes)
+    lam, w = np.linalg.eig(np.frombuffer(u_bytes, dtype=complex).reshape(2, 2))
+    h = w @ np.diag(1j * np.log(lam)) @ np.conj(w.T)
+    h = 0.5 * (h + np.conj(h.T))
     totals = np.asarray(totals)
     lows = np.maximum(0, totals - (dj - 1))
     sizes = np.minimum(totals, di - 1) - lows + 1
@@ -437,7 +432,7 @@ def _measure(state: FockState) -> SignalStats:
     """Product-signal statistics and photon count of the two signal modes."""
     m1, m2 = fock_moments(state, 0, 1)
     return SignalStats(
-        mean=m1, second_moment=m2, sigma=float(np.sqrt(max(m2 - m1 * m1, 0.0))),
+        mean=m1, second_moment=m2, sigma=_sigma(m1, m2),
         mean_photons=photon_number_expectation(state, (0, 1)))
 
 
@@ -490,7 +485,7 @@ class GridReport:
         return self.max_deviation <= self.tolerance
 
 
-def equivalence_grid(n_max: int | None = None, tolerance: float = 1e-8) -> GridReport:
+def equivalence_grid(n_max: int | None = None, tolerance: float = _PASS_TOL) -> GridReport:
     """Cross-check the covariance engine against the Fock oracle on a grid.
 
     The grid is every gain in (0.2, 0.5, 0.8), preparation loss in (0, 0.1)

@@ -12,10 +12,9 @@ the *average* of the noise at the two comparison points,
 
 which penalises the rapid noise growth away from the dark fringe and is the
 honest figure when sigma varies strongly over one resolution step.  The
-modified equation has one bracketed solver (Illinois regula falsi, with
-plain bisection as its reference).  Both criteria report diagnostics
-instead of raising, and neither marks a result converged where the
-engine's roundoff swamps the dark-fringe noise.
+modified equation has one bracketed solver, Illinois regula falsi.  Both
+criteria report diagnostics instead of raising, and neither marks a result
+converged where the engine's roundoff swamps the dark-fringe noise.
 """
 from __future__ import annotations
 
@@ -156,21 +155,19 @@ def standard_resolution(config: InterferometerConfig,
     return _result("standard", phi, sigma0 / slope, n, 1, True)
 
 
-def modified_resolution(config: InterferometerConfig, phi: float = np.pi / 2,
-                        method: str = "illinois") -> ResolutionResult:
+def modified_resolution(config: InterferometerConfig,
+                        phi: float = np.pi / 2) -> ResolutionResult:
     """Solve 2 |slope| d = sigma(phi) + sigma(phi + d) for d in (0, pi/2].
 
     In the scaled offset x = d |slope| the criterion is g(x) = 0 with
     g(x) = 2 x - sigma0 - sigma(phi + x / |slope|), and g(0) = -2 sigma0.
     The bracket [0, 2 sigma0] doubles until g > 0 at its top, capped at
     d = pi/2, and then closes to a relative width of 1e-14 by Illinois
-    regula falsi (Dowell & Jarratt, BIT 11, 168 (1971)), or by halving on
-    `method="bisection"`, the independent reference.  Every d is the offset
-    the engine receives, (phi + d) - phi, so rounding the phase cannot move
-    the root, and the bracket is also closed once no phase lies strictly
-    inside it.  `iterations` counts the evaluations of g.
+    regula falsi (Dowell & Jarratt, BIT 11, 168 (1971)).  Every d is the
+    offset the engine receives, (phi + d) - phi, so rounding the phase
+    cannot move the root, and the bracket is also closed once no phase lies
+    strictly inside it.  `iterations` counts the evaluations of g.
     """
-    _check_choice("method", method, ("illinois", "bisection"))
     sigma0, slope, n, failed = _working_point(config, phi, "modified")
     if failed:
         return failed
@@ -196,10 +193,7 @@ def modified_resolution(config: InterferometerConfig, phi: float = np.pi / 2,
 
     side = 0  # end moved by the last step: +1 top, -1 bottom
     while hi - lo > _X_RTOL * hi:
-        d = 0.5 * (lo + hi)
-        if method == "illinois":
-            d = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-        d = offset(d)
+        d = offset((lo * g_hi - hi * g_lo) / (g_hi - g_lo))
         if not lo < d < hi:
             # the step rounds onto an end, so the root lies within rounding
             # of it: step one tolerance, and at least one phase, inward

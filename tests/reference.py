@@ -3,16 +3,18 @@
 The symplectic form and the physicality test check the Gaussian layer's
 invariants, the block embedding rebuilds each element's real 4x4 matrix
 slice by slice, independently of the builders' literals, and the saturation
-test reads the tail of a sweep for the acceptance gates.  The eager Fock
-pipeline allocates every loss ancilla before the first element acts, the
-layout the oracle's lazily appended ancillas must reproduce bit for bit.
+test reads the tail of a sweep for the acceptance gates.  Plain bisection
+solves the modified criterion from the public `evaluate` and `signal_slope`
+alone, independent of the library solver's bracket and end handling.  The eager
+Fock pipeline allocates every loss ancilla before the first element acts,
+the layout the oracle's lazily appended ancillas must reproduce bit for bit.
 """
 import math
 
 import numpy as np
 
-from squint import (BsSpec, FockState, ancilla_cutoff, apply_unitary_fock, loss_unitary,
-                    tail_cutoff, tmsv_fock)
+from squint import (BsSpec, FockState, ancilla_cutoff, apply_unitary_fock, evaluate,
+                    loss_unitary, signal_slope, tail_cutoff, tmsv_fock)
 
 
 def symplectic_form() -> np.ndarray:
@@ -65,6 +67,32 @@ def detect_saturation(values):
         return False, tail[-1]
     spread = max(tail) - min(tail)
     return bool(spread <= 0.01 * ref), tail[-1]
+
+
+def bisection_resolution(config, phi=math.pi / 2):
+    """Modified-criterion root by plain bisection, as (delta_phi, evaluations).
+
+    Halves g(d) = 2 |s| d - sigma(phi) - sigma(phi + d), s the slope at phi,
+    on (0, pi/2] to a relative width of 1e-14; `evaluations` counts the
+    evaluations of g.  delta_phi is None when g(pi/2) <= 0 leaves no root.
+    """
+    slope = abs(signal_slope(config, phi))
+    sigma0 = evaluate(config, phi).sigma
+
+    def g(d):
+        return 2.0 * slope * d - sigma0 - evaluate(config, phi + d).sigma
+
+    lo, hi, evaluations = 0.0, math.pi / 2, 1
+    if not g(hi) > 0.0:
+        return None, evaluations
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        evaluations += 1
+        if g(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), evaluations
 
 
 def eager_lose(state, losses, first_ancilla):

@@ -2,8 +2,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +219,21 @@ def test_resolve_reports_modified_limit(capsys):
     assert res["delta_phi"] == pytest.approx(0.0198068, rel=1e-3)
     assert res["kappa"] == pytest.approx(3.9755, rel=1e-3)
     assert res["mean_N"] == pytest.approx(2 * math.sinh(3.0) ** 2, rel=1e-6)
+
+
+def test_readme_examples_match_the_cli(capsys):
+    # the README's signal CSV and resolve report, rerun from the commands it names
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    argv, block = re.search(r"`squint (signal [^`]*)` CSV starts like\n\n```\n(.*?)```",
+                            text, re.S).groups()
+    assert main(argv.split()) == 0
+    lines = block.splitlines()
+    assert capsys.readouterr().out.splitlines()[:len(lines)] == lines
+    argv, block = re.search(r"`squint (resolve [^`]*)` reports\n\n```json\n(.*?)```",
+                            text, re.S).groups()
+    code, payload = run_json(argv.split(), capsys)
+    assert code == 0
+    assert payload["result"] == json.loads("{" + block + "}")["result"]
 
 
 def test_resolve_nonconvergence_exits_2(capsys):

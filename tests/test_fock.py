@@ -470,8 +470,7 @@ def test_truncated_sector_blocks_keep_the_generator_construction():
 def test_pipeline_is_identical_with_cold_and_warm_caches():
     cfg = InterferometerConfig(G=0.5, xi=0.4, alpha1=0.1, beta2=0.2,
                                delta1=0.05, delta2=-0.1)
-    for cache in (fock._spin_basis, fock._rotation_factors,
-                  fock._hermitian_generator, fock._sector_block):
+    for cache in (fock._spin_basis, fock._rotation_factors, fock._sector_block):
         cache.cache_clear()
     cold = oracle_pipeline(cfg, 0.7)
     assert oracle_pipeline(cfg, 0.7) == cold

@@ -13,7 +13,7 @@ from squint import (
     standard_resolution,
     sweep,
 )
-from reference import detect_saturation
+from reference import bisection_resolution, detect_saturation
 
 
 def photons(G):
@@ -68,22 +68,22 @@ def test_modified_never_below_standard():
 
 
 def test_fixed_point_and_bisection_agree():
-    # the default step rule against plain bisection, the reference
+    # the Illinois solver against plain bisection, the reference
     for cfg in (InterferometerConfig(G=1.0),
                 InterferometerConfig(G=3.0),
                 InterferometerConfig(G=5.0),
                 InterferometerConfig(G=3.0, alpha2=0.05, beta2=0.05),
                 InterferometerConfig(G=4.0, delta2=-0.25)):
         got = modified_resolution(cfg)
-        ref = modified_resolution(cfg, method="bisection")
-        assert got.converged and ref.converged
-        assert got.delta_phi == pytest.approx(ref.delta_phi, rel=1e-10)
-        assert got.iterations < ref.iterations / 3  # superlinear, not halving
+        ref, evaluations = bisection_resolution(cfg)
+        assert got.converged and ref is not None
+        assert got.delta_phi == pytest.approx(ref, rel=1e-10)
+        assert got.iterations < evaluations / 3  # superlinear, not halving
     # no root in (0, pi/2]: both must say so rather than report one
     cfg = InterferometerConfig(G=5.0, delta2=0.5)
-    for method in ("illinois", "bisection"):
-        res = modified_resolution(cfg, method=method)
-        assert not res.converged and res.message, method
+    res = modified_resolution(cfg)
+    assert not res.converged and res.message
+    assert bisection_resolution(cfg)[0] is None
 
 
 def _ideal_modified_kappa(G):
