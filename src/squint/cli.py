@@ -36,6 +36,7 @@ from .interferometer import InterferometerConfig, evaluate
 from .resolution import (
     _CRITERIA,
     SWEEP_PARAMETERS,
+    _apply_parameter,
     optimize_delta2,
     refine_working_point,
     small_angle_root,
@@ -238,14 +239,16 @@ def cmd_resolve(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    table = sweep(cfg.interferometer, cfg.param, cfg.param_grid(),
-                  criterion=cfg.criterion, phi=cfg.working_point)
+    grid = [float(value) for value in cfg.param_grid()]
+    results = sweep(cfg.interferometer, cfg.param, grid,
+                    criterion=cfg.criterion, phi=cfg.working_point)
     columns = ("param", "G", "mean_N", "delta_phi", "kappa", "converged", "four_over_N")
-    rows = [(r.param, r.G, r.mean_N, r.delta_phi, r.kappa, r.converged,
+    rows = [(value, _apply_parameter(cfg.interferometer, cfg.param, value).G,
+             r.mean_N, r.delta_phi, r.kappa, r.converged,
              small_angle_root() / r.mean_N if r.mean_N > 0 else math.inf)
-            for r in table.rows]
+            for value, r in zip(grid, results)]
     _emit(_table_text(cfg, columns, rows), cfg.out)
-    return 0 if all(r.converged for r in table.rows) else 2
+    return 0 if all(r.converged for r in results) else 2
 
 
 def cmd_optimize_imbalance(cfg: RunConfig, args) -> int:

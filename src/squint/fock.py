@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (BsSpec, _check_finite, _check_integer, _check_loss_angle,
-                       _check_non_negative, loss_unitary)
+from .gaussian import (BsSpec, _check_finite, _check_gain, _check_integer,
+                       _check_loss_angle, _check_non_negative, loss_unitary)
 from .interferometer import InterferometerConfig, evaluate
 from .moments import SignalStats, _sigma
 
@@ -53,6 +53,13 @@ _TAIL_TOL = 1e-14
 _CEILING_TOL = 1e-9  # probability the top two levels of any mode may hold
 _MAX_ELEMENTS = 40_000_000  # ~640 MB of complex128; refuse beyond this
 _PASS_TOL = 1e-8  # equivalence_grid's default bound on a case's deviation
+
+
+def _check_size(total: int) -> None:
+    """ValueError if a tensor of `total` amplitudes would exceed the cap."""
+    if total > _MAX_ELEMENTS:
+        raise ValueError(
+            f"state tensor would need {total} amplitudes, above the cap of {_MAX_ELEMENTS}")
 
 
 class CutoffError(ValueError):
@@ -99,7 +106,7 @@ def tail_cutoff(G: float) -> int:
     The squeezed pair state has weights tanh^{2n} G / cosh^2 G, so the first
     omitted term at cutoff n_max is tanh^{2(n_max+1)} G / cosh^2 G.
     """
-    _check_non_negative("gain G", G)
+    _check_gain(G)
     t2 = np.tanh(G) ** 2
     if t2 == 0.0:
         return 0
@@ -119,10 +126,10 @@ def ancilla_cutoff(G: float, angle: float, n_sup: int) -> int:
     The least K whose tail bound (module docstring) is within 1e-14 while the
     top two levels stay under the measurement guard's 1e-9, capped at the
     2 n_sup + 3 levels of a signal mode: every photon of a pair cut off at
-    n_sup, plus the guard's two-level pad.  ValueError unless G is a finite
-    number >= 0, angle a number in [0, pi/2] and n_sup an int >= 0.
+    n_sup, plus the guard's two-level pad.  ValueError unless G is a number
+    in [0, 177.17], angle a number in [0, pi/2] and n_sup an int >= 0.
     """
-    _check_non_negative("gain G", G)
+    _check_gain(G)
     _check_loss_angle("loss angle", angle)
     _check_integer("n_sup", n_sup)
     cap = 2 * n_sup + 3
@@ -144,7 +151,8 @@ def tmsv_fock(G: float, xi: float = 0.0, n_max: int | None = None) -> FockState:
         xi: pump phase.
         n_max: pair cutoff, by default tail_cutoff(G).  An explicit cutoff
             that is not an int >= 0 (or is a bool) raises ValueError; one
-            below tail_cutoff(G) raises CutoffError.
+            below tail_cutoff(G) raises CutoffError, and one whose
+            (n_max + 1)^2 amplitudes exceed the 40M cap raises ValueError.
 
     The exact discarded mass tanh^{2(n_max+1)} G is stored as norm_deficit.
     """
@@ -153,6 +161,7 @@ def tmsv_fock(G: float, xi: float = 0.0, n_max: int | None = None) -> FockState:
     if n_max is None:
         n_max = needed
     _check_integer("n_max", n_max)
+    _check_size((n_max + 1) ** 2)
     if n_max < needed:
         raise CutoffError(
             f"cutoff too small: n_max={n_max} leaves a tail term above {_TAIL_TOL:g} "
@@ -416,10 +425,7 @@ def _prepare(config: InterferometerConfig, n_max: int | None):
               for mode, angle in ((0, config.alpha1), (1, config.beta1),
                                   (0, config.alpha2), (1, config.beta2))
               if angle != 0.0]
-    total = math.prod([dim, dim] + [levels for _, _, levels in losses])
-    if total > _MAX_ELEMENTS:
-        raise ValueError(
-            f"state tensor would need {total} amplitudes; reduce gain or losses")
+    _check_size(math.prod([dim, dim] + [levels for _, _, levels in losses]))
     n_prep = (config.alpha1 != 0.0) + (config.beta1 != 0.0)
     seed = tmsv_fock(config.G, config.xi, n_max=n_sup)
     amps = np.zeros((dim, dim), dtype=complex)

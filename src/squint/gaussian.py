@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,19 @@ def _check_non_negative(name: str, value) -> None:
     _check_finite(name, value)
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
+
+
+# Largest gain whose statistics fit in a float: each covariance entry is at
+# most 2 (1 + N) ~ e^{2G}, so the product's second moment is at most 3 e^{4G}.
+_G_MAX = (math.log(sys.float_info.max) - math.log(3.0)) / 4.0  # ~ 177.17
+
+
+def _check_gain(value) -> None:
+    """ValueError unless value passes `_check_non_negative` and is at most
+    `_G_MAX`, above which the statistics overflow."""
+    _check_non_negative("gain G", value)
+    if value > _G_MAX:
+        raise ValueError(f"gain G must be at most {_G_MAX:.6g}, got {value!r}")
 
 
 def _check_loss_angle(name: str, value) -> None:
@@ -131,10 +145,10 @@ def two_mode_squeezer(G: float, xi: float = 0.0) -> np.ndarray:
     mode.
 
     Args:
-        G: dimensionless gain, >= 0.
+        G: dimensionless gain in [0, 177.17].
         xi: pump phase in radians.
     """
-    _check_non_negative("gain G", G)
+    _check_gain(G)
     _check_finite("pump phase xi", xi)
     c, s = np.cosh(G), np.sinh(G)
     re, im = s * math.sin(xi), -s * math.cos(xi)
@@ -147,21 +161,15 @@ def two_mode_squeezer(G: float, xi: float = 0.0) -> np.ndarray:
                      [im, -re, 0.0, c]])
 
 
-def phase_shifter(phi: float, mode: int = 0) -> np.ndarray:
-    """Phase shift a -> e^{i phi} a on mode 0 or 1: an (x, p) rotation."""
-    _check_integer("mode", mode, bound=2)
+def phase_shifter(phi: float) -> np.ndarray:
+    """Phase shift a -> e^{i phi} a on mode 0: an (x, p) rotation."""
     _check_finite("phase phi", phi)
     # + 0.0 turns sin(-0.0) into the +0.0 that Im exp(1j * -0.0) carries
     c, s = math.cos(phi), math.sin(phi) + 0.0
-    if mode == 0:
-        return np.array([[c, -s, 0.0, 0.0],
-                         [s, c, 0.0, 0.0],
-                         [0.0, 0.0, 1.0, 0.0],
-                         [0.0, 0.0, 0.0, 1.0]])
-    return np.array([[1.0, 0.0, 0.0, 0.0],
-                     [0.0, 1.0, 0.0, 0.0],
-                     [0.0, 0.0, c, -s],
-                     [0.0, 0.0, s, c]])
+    return np.array([[c, -s, 0.0, 0.0],
+                     [s, c, 0.0, 0.0],
+                     [0.0, 0.0, 1.0, 0.0],
+                     [0.0, 0.0, 0.0, 1.0]])
 
 
 def beam_splitter(spec: BsSpec) -> np.ndarray:

@@ -30,9 +30,9 @@ import numpy as np
 from .gaussian import (
     BsSpec,
     _check_finite,
+    _check_gain,
     _check_imbalance,
     _check_loss_angle,
-    _check_non_negative,
     beam_splitter,
     phase_shifter,
     two_mode_squeezer,
@@ -62,7 +62,7 @@ class InterferometerConfig:
     injection imperfections); alpha2/beta2 act inside the arms.  delta1 and
     delta2 are the splitting-ratio imbalances of the two beam splitters.
     Construction raises ValueError unless every field is a finite real number
-    (not a bool), G >= 0, each loss angle lies in [0, pi/2] and each
+    (not a bool), 0 <= G <= 177.17, each loss angle lies in [0, pi/2] and each
     |delta| < pi/4.
     """
 
@@ -76,7 +76,7 @@ class InterferometerConfig:
     delta2: float = 0.0
 
     def __post_init__(self):
-        _check_non_negative("gain G", self.G)
+        _check_gain(self.G)
         _check_finite("pump phase xi", self.xi)
         for name in ("alpha1", "beta1", "alpha2", "beta2"):
             _check_loss_angle(f"loss angle {name}", getattr(self, name))
@@ -119,7 +119,7 @@ def output_state(config: InterferometerConfig, phi: float) -> np.ndarray:
     f = two_mode_squeezer(config.G, config.xi)
     f = _lose(f, (config.alpha1, config.beta1))
     f = beam_splitter(BsSpec("B1", config.delta1)) @ f
-    f = phase_shifter(phi, mode=0) @ f
+    f = phase_shifter(phi) @ f
     f = _lose(f, (config.alpha2, config.beta2))
     f = beam_splitter(BsSpec("B2", config.delta2)) @ f
     return f @ f.T
@@ -160,9 +160,9 @@ def closed_form_reference(G: float, phi: float) -> SignalStats:
         sigma  = sqrt(1 + (3/2 + cos(2 phi) - (1/2) cos(4 phi)) (N^2/2 + N))
 
     Used as an independent oracle against the matrix pipeline.  ValueError
-    unless G is a finite number >= 0 and phi a finite number.
+    unless G is a number in [0, 177.17] and phi a finite number.
     """
-    _check_non_negative("gain G", G)
+    _check_gain(G)
     _check_finite("phase phi", phi)
     n = 2.0 * np.sinh(G) ** 2
     half = n * n / 2.0 + n

@@ -29,8 +29,6 @@ from .interferometer import InterferometerConfig, evaluate, signal_slope
 
 __all__ = [
     "ResolutionResult",
-    "SweepRow",
-    "SweepTable",
     "OptimizeResult",
     "standard_resolution",
     "modified_resolution",
@@ -83,23 +81,6 @@ class ResolutionResult:
     converged: bool
     mean_N: float
     message: str = ""
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    param: float
-    G: float
-    mean_N: float
-    delta_phi: float
-    kappa: float
-    converged: bool
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    parameter: str
-    criterion: str
-    rows: tuple
 
 
 @dataclass(frozen=True)
@@ -231,13 +212,15 @@ def _apply_parameter(config: InterferometerConfig, parameter: str,
 
 
 def sweep(config: InterferometerConfig, parameter: str, grid,
-          criterion: str = "modified", phi: float = np.pi / 2) -> SweepTable:
+          criterion: str = "modified", phi: float = np.pi / 2) -> tuple:
     """Resolution along a one-parameter family of configurations.
 
     `parameter` names a config field, or one of the symmetric shorthands
     symmetric_alpha1 / symmetric_alpha2 that set both modes' loss at a
-    station together.  Non-convergence on a row is recorded in that row and
-    the sweep keeps going.
+    station together.  Returns, for each grid value in order, the
+    `ResolutionResult` the criterion's solver gives on that row's device; a
+    non-converged row keeps the solver's message and the sweep keeps going.
+    Every row's device is built, and so checked, before the first solve.
     """
     _check_choice("sweep parameter", parameter, SWEEP_PARAMETERS)
     _check_choice("criterion", criterion, _CRITERIA)
@@ -248,15 +231,9 @@ def sweep(config: InterferometerConfig, parameter: str, grid,
     grid = np.asarray(grid, dtype=float)
     if not np.all(np.diff(grid) > 0):
         raise ValueError("grid values must be strictly increasing")
+    devices = [_apply_parameter(config, parameter, float(value)) for value in grid]
     solver = _CRITERIA[criterion]
-    rows = []
-    for value in grid:
-        cfg = _apply_parameter(config, parameter, float(value))
-        res = solver(cfg, phi=phi)
-        rows.append(SweepRow(
-            param=float(value), G=cfg.G, mean_N=res.mean_N,
-            delta_phi=res.delta_phi, kappa=res.kappa, converged=res.converged))
-    return SweepTable(parameter=parameter, criterion=criterion, rows=tuple(rows))
+    return tuple(solver(device, phi=phi) for device in devices)
 
 
 def _golden_min(f, lo: float, hi: float, tol: float):

@@ -11,6 +11,7 @@ from squint import (
     two_mode_squeezer,
     vacuum_state,
 )
+from reference import reference_passive
 
 
 @pytest.fixture
@@ -35,7 +36,9 @@ def random_two_mode_state(rng, max_gain=1.2):
         elif kind == 1:
             op = beam_splitter(BsSpec("B2", rng.uniform(-0.6, 0.6)))
         elif kind == 2:
-            op = phase_shifter(rng.uniform(0, 2 * np.pi), mode=int(rng.integers(0, 2)))
+            phi, mode = rng.uniform(0, 2 * np.pi), int(rng.integers(0, 2))
+            op = (phase_shifter(phi) if mode == 0 else
+                  reference_passive(np.array([[np.exp(1j * phi)]]), [1]))
         else:
             state = apply_loss(state, int(rng.integers(0, 2)), rng.uniform(0, 0.5))
             continue

@@ -58,6 +58,14 @@ def test_high_gain_pipeline_is_refused_quickly():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_tmsv_refuses_an_oversized_cutoff_before_allocating():
+    # (n_max + 1)^2 = 1e10 amplitudes, 160 GB: refused by the size cap, not numpy
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="amplitudes"):
+        tmsv_fock(0.1, n_max=100_000)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_ancilla_cutoff_reference_points():
     n_sup = tail_cutoff(0.8)
     assert [ancilla_cutoff(0.8, a, n_sup) for a in (0.02, 0.1, 0.2, 0.3)] == [5, 9, 13, 19]

@@ -25,8 +25,7 @@ def test_vacuum_is_identity_covariance():
     two_mode_squeezer(0.7, 0.0),
     two_mode_squeezer(1.5, 2.1),
     two_mode_squeezer(3.0, -0.4),
-    phase_shifter(0.9, mode=0),
-    phase_shifter(-2.3, mode=1),
+    phase_shifter(0.9),
     beam_splitter(BsSpec("B1", 0.0)),
     phase_shifter(1.1) @ beam_splitter(BsSpec("B1", 0.3)),
     beam_splitter(BsSpec("B2", -0.25)),
@@ -56,7 +55,7 @@ def test_passive_operations_conserve_energy(rng):
         before = mean_photon_number(state)
         for op in (phase_shifter(1.3) @ beam_splitter(BsSpec("B1", rng.uniform(-0.5, 0.5))),
                    beam_splitter(BsSpec("B2", rng.uniform(-0.5, 0.5))),
-                   phase_shifter(rng.uniform(0, 2 * np.pi), mode=1)):
+                   phase_shifter(rng.uniform(0, 2 * np.pi))):
             state = apply_symplectic(state, op)
         assert mean_photon_number(state) == pytest.approx(before, abs=1e-12 * max(1, before))
 
@@ -135,9 +134,8 @@ def test_builders_refuse_non_finite_angles():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="pump phase xi must be finite"):
             two_mode_squeezer(1.0, bad)
-        for mode in (0, 1):
-            with pytest.raises(ValueError, match="phase phi must be finite"):
-                phase_shifter(bad, mode=mode)
+        with pytest.raises(ValueError, match="phase phi must be finite"):
+            phase_shifter(bad)
 
 
 def test_beam_splitter_validation():
@@ -197,12 +195,5 @@ def test_builders_match_block_reference(rng):
         spec = BsSpec(("B1", "B2")[k % 2], 0.7 * np.sin(phase))
         assert_bit_equal(two_mode_squeezer(G, xi), reference_squeezer(G, xi))
         assert_bit_equal(beam_splitter(spec), reference_passive(spec.unitary()))
-        for mode in (0, 1):
-            assert_bit_equal(phase_shifter(phi, mode=mode),
-                             reference_passive(np.array([[np.exp(1j * phi)]]), [mode]))
-
-
-def test_builders_reject_modes_out_of_range():
-    for mode in (2, -1, True, 1.0):
-        with pytest.raises(ValueError, match="mode must be an integer"):
-            phase_shifter(0.3, mode=mode)
+        assert_bit_equal(phase_shifter(phi),
+                         reference_passive(np.array([[np.exp(1j * phi)]]), [0]))

@@ -8,6 +8,7 @@ import pytest
 from squint import (
     BsSpec,
     InterferometerConfig,
+    ancilla_cutoff,
     apply_loss,
     apply_symplectic,
     beam_splitter,
@@ -19,9 +20,11 @@ from squint import (
     product_second_moment,
     product_sigma,
     signal_slope,
+    tail_cutoff,
     two_mode_squeezer,
     vacuum_state,
 )
+from squint.gaussian import _G_MAX
 
 GAINS = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
@@ -146,7 +149,7 @@ def test_output_state_matches_per_mode_loss_chain(losses):
         f = two_mode_squeezer(cfg.G, cfg.xi)
         f = lose_one_mode(lose_one_mode(f, 0, cfg.alpha1), 1, cfg.beta1)
         f = beam_splitter(BsSpec("B1", cfg.delta1)) @ f
-        f = phase_shifter(phi, mode=0) @ f
+        f = phase_shifter(phi) @ f
         f = lose_one_mode(lose_one_mode(f, 0, cfg.alpha2), 1, cfg.beta2)
         f = beam_splitter(BsSpec("B2", cfg.delta2)) @ f
         np.testing.assert_array_equal(output_state(cfg, phi), f @ f.T)
@@ -174,10 +177,10 @@ def test_arm_loss_commutes_with_phase():
     state = vacuum_state()
     state = apply_symplectic(state, two_mode_squeezer(cfg.G, cfg.xi))
     state = apply_symplectic(state, beam_splitter(BsSpec("B1", cfg.delta1)))
-    a = apply_symplectic(state, phase_shifter(phi, 0))
+    a = apply_symplectic(state, phase_shifter(phi))
     a = apply_loss(apply_loss(a, 0, cfg.alpha2), 1, cfg.beta2)
     b = apply_loss(apply_loss(state, 0, cfg.alpha2), 1, cfg.beta2)
-    b = apply_symplectic(b, phase_shifter(phi, 0))
+    b = apply_symplectic(b, phase_shifter(phi))
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
     a = apply_symplectic(a, beam_splitter(BsSpec("B2", 0.0)))
     pipeline = output_state(cfg, phi)
@@ -282,3 +285,25 @@ def test_evaluate_refuses_non_finite_phase():
 def test_config_accepts_range_edges():
     InterferometerConfig(G=0.0, alpha1=np.pi / 2, beta2=0.0, delta1=0.785, delta2=-0.785)
     InterferometerConfig(G=np.float64(1.5), xi=2, alpha2=np.float64(0.1), delta1=0)
+
+
+def test_statistics_stay_finite_at_the_gain_bound():
+    # the bound is derived from the float range, ln(DBL_MAX / 3) / 4, not measured
+    assert _G_MAX == pytest.approx(177.171, abs=1e-3)
+    for cfg in (InterferometerConfig(G=_G_MAX),
+                InterferometerConfig(G=_G_MAX, alpha1=0.3, beta2=0.2, delta1=0.1,
+                                     delta2=-0.2)):
+        for phi in np.linspace(0, 2 * np.pi, 1000, endpoint=False):
+            stats = evaluate(cfg, float(phi))
+            assert all(map(math.isfinite, dataclasses.astuple(stats))), (cfg, phi)
+
+
+def test_gain_entry_points_refuse_gains_above_the_bound():
+    above = math.nextafter(_G_MAX, math.inf)
+    for call in (lambda: InterferometerConfig(G=above),
+                 lambda: two_mode_squeezer(above, 0.0),
+                 lambda: closed_form_reference(above, 0.3),
+                 lambda: tail_cutoff(above),
+                 lambda: ancilla_cutoff(above, 0.1, 10)):
+        with pytest.raises(ValueError, match="gain G must be at most 177.171"):
+            call()

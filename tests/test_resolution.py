@@ -1,4 +1,5 @@
 """Resolution criteria, sweeps, and the imbalance optimizer."""
+import dataclasses
 import math
 
 import numpy as np
@@ -185,43 +186,55 @@ def test_working_point_recorded():
 
 def test_sweep_rows_ordered_and_complete():
     grid = np.linspace(1.0, 3.0, 7)
-    table = sweep(InterferometerConfig(G=1.0), "G", grid)
-    assert table.parameter == "G"
-    assert len(table.rows) == 7
-    params = [r.param for r in table.rows]
-    assert params == sorted(params)
-    assert len(set(params)) == len(params)
-    assert all(r.converged for r in table.rows)
-    assert all(r.G == r.param for r in table.rows)
+    results = sweep(InterferometerConfig(G=1.0), "G", grid)
+    assert isinstance(results, tuple) and len(results) == 7
+    assert all(r.converged for r in results)
+    # row i is the ideal device at the i-th gain of the grid
+    assert [r.mean_N for r in results] == pytest.approx(photons(grid), rel=1e-12)
+
+
+@pytest.mark.parametrize("criterion", ["standard", "modified"])
+def test_sweep_returns_the_solvers_results(criterion):
+    solver = {"standard": standard_resolution, "modified": modified_resolution}[criterion]
+    base = InterferometerConfig(G=2.0, alpha1=0.05, delta2=-0.1)
+    for parameter, grid, device in (
+            ("G", [0.5, 1.5, 4.0], lambda v: dataclasses.replace(base, G=v)),
+            ("symmetric_alpha2", [0.0, 0.05, 0.2],
+             lambda v: dataclasses.replace(base, alpha2=v, beta2=v))):
+        results = sweep(base, parameter, grid, criterion=criterion)
+        assert results == tuple(solver(device(v)) for v in grid)
 
 
 def test_sweep_records_nonconvergence_and_continues():
-    # delta2 near +pi/4 drives the solver past its bracket; the sweep must
-    # keep that row with converged=False and still finish the grid
-    table = sweep(InterferometerConfig(G=5.0), "delta2",
-                  [-0.3, 0.0, 0.78])
-    assert len(table.rows) == 3
-    assert table.rows[0].converged and table.rows[1].converged
-    assert not table.rows[2].converged
-    assert math.isinf(table.rows[2].delta_phi)
+    # delta2 near +pi/4 drives the solver past its bracket; the sweep keeps
+    # those rows as the solver returned them and still finishes the grid
+    grid = [-0.3, 0.0, 0.7, 0.78]
+    results = sweep(InterferometerConfig(G=5.0), "delta2", grid)
+    assert len(results) == 4
+    assert results[0].converged and results[1].converged
+    for d2, res in zip(grid[2:], results[2:]):
+        assert res == modified_resolution(InterferometerConfig(G=5.0, delta2=d2))
+        assert not res.converged and math.isinf(res.delta_phi)
+        assert res.message == "no root of the modified criterion in (0, pi/2]"
+    assert results[2].iterations == 12
 
 
 def test_sweep_symmetric_shorthand_sets_both_modes():
-    table = sweep(InterferometerConfig(G=2.0), "symmetric_alpha2", [0.0, 0.1],
-                  criterion="standard")
+    results = sweep(InterferometerConfig(G=2.0), "symmetric_alpha2", [0.0, 0.1],
+                    criterion="standard")
     # loss on both arms costs more than the same loss on one arm
     one_sided = standard_resolution(InterferometerConfig(G=2.0, alpha2=0.1))
-    assert table.rows[1].delta_phi > one_sided.delta_phi
-    assert table.rows[1].mean_N < table.rows[0].mean_N
+    assert results[1].delta_phi > one_sided.delta_phi
+    assert results[1].mean_N < results[0].mean_N
 
 
 def test_sweep_symmetric_alpha1_sets_both_prep_losses():
-    table = sweep(InterferometerConfig(G=2.0), "symmetric_alpha1", [0.0, 0.1],
-                  criterion="standard")
+    results = sweep(InterferometerConfig(G=2.0), "symmetric_alpha1", [0.0, 0.1],
+                    criterion="standard")
     both = standard_resolution(InterferometerConfig(G=2.0, alpha1=0.1, beta1=0.1))
     one_sided = standard_resolution(InterferometerConfig(G=2.0, alpha1=0.1))
-    assert (table.rows[1].delta_phi, table.rows[1].mean_N) == (both.delta_phi, both.mean_N)
-    assert table.rows[1].mean_N < one_sided.mean_N
+    assert results[1] == both
+    assert results[1].mean_N < one_sided.mean_N
 
 
 def test_sweep_validation():
@@ -240,6 +253,9 @@ def test_sweep_validation():
         sweep(cfg, "G", ["0.5", "1.0"])
     with pytest.raises(ValueError, match="grid value must be a number"):
         sweep(cfg, "G", [True, 2.0])
+    # each row's device meets the device rules
+    with pytest.raises(ValueError, match="gain G must be at most"):
+        sweep(cfg, "G", [1.0, 200.0])
 
 
 def test_detect_saturation():
@@ -251,9 +267,9 @@ def test_detect_saturation():
 
 def test_kappa_continuous_in_recombiner_imbalance():
     grid = np.linspace(-0.4, 0.2, 25)
-    table = sweep(InterferometerConfig(G=4.0), "delta2", grid)
-    kappas = np.array([r.kappa for r in table.rows])
-    assert all(r.converged for r in table.rows)
+    results = sweep(InterferometerConfig(G=4.0), "delta2", grid)
+    kappas = np.array([r.kappa for r in results])
+    assert all(r.converged for r in results)
     jumps = np.abs(np.diff(kappas))
     # no step jumps an order of magnitude beyond its neighbors' local scale
     local = np.minimum(jumps[:-1], jumps[1:])
