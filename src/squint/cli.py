@@ -218,9 +218,9 @@ def _result_dict(res) -> dict:
 def cmd_signal(cfg: RunConfig, args) -> int:
     columns = ("phi", "mean_P", "sqrt_second_moment", "sigma", "mean_N")
     rows = []
-    for phi in cfg.phi_grid():
-        st = evaluate(cfg.interferometer, float(phi))
-        rows.append((float(phi), st.mean, math.sqrt(st.second_moment),
+    for phi in cfg.phi_grid().tolist():
+        st = evaluate(cfg.interferometer, phi)
+        rows.append((phi, st.mean, math.sqrt(st.second_moment),
                      st.sigma, st.mean_photons))
     _emit(_table_text(cfg, columns, rows), cfg.out)
     return 0

@@ -155,10 +155,10 @@ def two_mode_squeezer(G: float, xi: float = 0.0) -> np.ndarray:
     # Quadrature image of V = Re V + i Im V = s sin(xi) - i s cos(xi):
     #   x' = c x + Re(V) x_other + Im(V) p_other
     #   p' = c p - Re(V) p_other + Im(V) x_other
-    return np.array([[c, 0.0, re, im],
-                     [0.0, c, im, -re],
-                     [re, im, c, 0.0],
-                     [im, -re, 0.0, c]])
+    return np.array((c, 0.0, re, im,
+                     0.0, c, im, -re,
+                     re, im, c, 0.0,
+                     im, -re, 0.0, c)).reshape(4, 4)
 
 
 def phase_shifter(phi: float) -> np.ndarray:
@@ -166,10 +166,10 @@ def phase_shifter(phi: float) -> np.ndarray:
     _check_finite("phase phi", phi)
     # + 0.0 turns sin(-0.0) into the +0.0 that Im exp(1j * -0.0) carries
     c, s = math.cos(phi), math.sin(phi) + 0.0
-    return np.array([[c, -s, 0.0, 0.0],
-                     [s, c, 0.0, 0.0],
-                     [0.0, 0.0, 1.0, 0.0],
-                     [0.0, 0.0, 0.0, 1.0]])
+    return np.array((c, -s, 0.0, 0.0,
+                     s, c, 0.0, 0.0,
+                     0.0, 0.0, 1.0, 0.0,
+                     0.0, 0.0, 0.0, 1.0)).reshape(4, 4)
 
 
 def beam_splitter(spec: BsSpec) -> np.ndarray:
@@ -180,14 +180,14 @@ def beam_splitter(spec: BsSpec) -> np.ndarray:
     th = math.pi / 4 + spec.imbalance
     c, s = math.cos(th), math.sin(th)
     if spec.variant == "B1":
-        return np.array([[c, -0.0, 0.0, s],
-                         [0.0, c, -s, 0.0],
-                         [0.0, s, c, -0.0],
-                         [-s, 0.0, 0.0, c]])
-    return np.array([[-c, -0.0, 0.0, -s],
-                     [0.0, -c, s, 0.0],
-                     [0.0, s, c, -0.0],
-                     [-s, 0.0, 0.0, c]])
+        return np.array((c, -0.0, 0.0, s,
+                         0.0, c, -s, 0.0,
+                         0.0, s, c, -0.0,
+                         -s, 0.0, 0.0, c)).reshape(4, 4)
+    return np.array((-c, -0.0, 0.0, -s,
+                     0.0, -c, s, 0.0,
+                     0.0, s, c, -0.0,
+                     -s, 0.0, 0.0, c)).reshape(4, 4)
 
 
 def loss_unitary(alpha: float) -> np.ndarray:

@@ -19,9 +19,15 @@ at the outputs, as a sum of products of rows, so no step subtracts the large
 entries of an earlier covariance: the dark-fringe noise keeps a relative
 roundoff of about eps (1 + N) / sigma, and the ideal device is the single
 product M M^T.
+
+Built once per device, on its first evaluation, and kept by the config: the
+two splitters' specs and both loss stations' row scales and noise columns.
+Built per phase: the squeezer, the two splitter matrices and the phase
+shifter, each from its builder, then the products and the output moments.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,19 +95,30 @@ class InterferometerConfig:
         """Config with equal loss on both modes at each of the two stations."""
         return cls(G=G, alpha1=prep, beta1=prep, alpha2=arm, beta2=arm, **kwargs)
 
+    @functools.cached_property
+    def _stations(self) -> tuple:
+        """The phase-independent pieces of the device, built on first use and
+        kept by this instance: the B1 and B2 specs, then the preparation and
+        arm loss stations as `_station` gives them.  The cache is per
+        instance, so a device built by `dataclasses.replace` builds its own,
+        and it is not a field: equality, hashing and repr ignore it."""
+        return (BsSpec("B1", self.delta1), BsSpec("B2", self.delta2),
+                _station(self.alpha1, self.beta1), _station(self.alpha2, self.beta2))
 
-def _lose(f: np.ndarray, angles) -> np.ndarray:
-    """Loss of angles[m] on each mode m of the covariance F F^T: one station.
+
+def _station(a0: float, a1: float):
+    """One loss station, angles a0 on mode 0 and a1 on mode 1, as the pair
+    (row scales, noise columns), or None when neither mode loses.
 
     Each mode's two rows scale by cos(angle), exactly 1.0 for a lossless
     mode, and two noise columns of sin(angle) join the factor for each lossy
     mode, mode 0's before mode 1's, so F F^T picks up sin^2(angle) on the
     mode's diagonal block: the `apply_loss` channel without forming the
-    covariance.
+    covariance.  The arrays are read-only, since every phase of the device
+    shares them.
     """
-    a0, a1 = angles
     if a0 == 0.0 and a1 == 0.0:
-        return f
+        return None
     c0, s0, c1, s1 = math.cos(a0), math.sin(a0), math.cos(a1), math.sin(a1)
     # column 0 scales the rows, the rest are the noise columns
     if a1 == 0.0:
@@ -111,17 +128,21 @@ def _lose(f: np.ndarray, angles) -> np.ndarray:
     else:
         w = np.array([[c0, s0, 0.0, 0.0, 0.0], [c0, 0.0, s0, 0.0, 0.0],
                       [c1, 0.0, 0.0, s1, 0.0], [c1, 0.0, 0.0, 0.0, s1]])
-    return np.concatenate((f * w[:, :1], w[:, 1:]), axis=1)
+    w.flags.writeable = False
+    return w[:, :1], w[:, 1:]
 
 
 def output_state(config: InterferometerConfig, phi: float) -> np.ndarray:
     """Covariance at the recombiner outputs for phase phi."""
+    b1, b2, prep, arm = config._stations
     f = two_mode_squeezer(config.G, config.xi)
-    f = _lose(f, (config.alpha1, config.beta1))
-    f = beam_splitter(BsSpec("B1", config.delta1)) @ f
+    if prep is not None:
+        f = np.concatenate((f * prep[0], prep[1]), axis=1)
+    f = beam_splitter(b1) @ f
     f = phase_shifter(phi) @ f
-    f = _lose(f, (config.alpha2, config.beta2))
-    f = beam_splitter(BsSpec("B2", config.delta2)) @ f
+    if arm is not None:
+        f = np.concatenate((f * arm[0], arm[1]), axis=1)
+    f = beam_splitter(b2) @ f
     return f @ f.T
 
 

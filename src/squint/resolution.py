@@ -50,7 +50,13 @@ _EPS = float(np.finfo(float).eps)
 # up to 0.83 of it against a 60-digit reference); the ideal device passes up
 # to G ~ 10.3.
 _PRECISION_LIMIT = 1e-7
+# Safety factor on eps (1 + N) / sigma0 in a result's error_bound.  On the
+# ideal device, for G in [0.5, 10.3], kappa errs against its closed-form root
+# by at most 1.1 times that ratio, beyond the modified root's bracket.
+_ROUNDOFF_SAFETY = 10.0
 _X_RTOL = 1e-14  # relative width that closes the modified root's bracket
+# Engine evaluations before any solve: the working point and the slope's four.
+_PROBE_EVALUATIONS = 5
 
 
 def _slope_floor(mean_photons: float) -> float:
@@ -71,6 +77,17 @@ class ResolutionResult:
     figure of merit that settles to a constant in the high-gain limit.
     mean_N is the mean photon number of the state reaching the detectors
     (phase independent, so quoted once per configuration).
+
+    evaluations counts the engine evaluations the solve used: five at the
+    working point (its statistics and the slope's four), then one per
+    iteration of the modified criterion.  error_bound bounds the relative
+    error of delta_phi and kappa: ten times the engine's roundoff ratio
+    eps (1 + N) / sigma0 at the working point, plus, for the modified
+    criterion, half the 1e-14 relative width that closes its bracket.  The
+    tenfold margin is over the worst ratio measured on the ideal device
+    against the closed-form roots, for G in [0.5, 10.3] under both criteria.
+    The bound is computed for every result but only holds for a converged
+    one.
     """
 
     delta_phi: float
@@ -81,6 +98,8 @@ class ResolutionResult:
     converged: bool
     mean_N: float
     message: str = ""
+    evaluations: int = 0
+    error_bound: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -97,15 +116,16 @@ class OptimizeResult:
     message: str = ""
 
 
-def _result(criterion, phi, d, n, iters, converged, message=""):
+def _result(criterion, phi, d, n, iters, converged, evaluations, bound, message=""):
     return ResolutionResult(
         delta_phi=d, criterion=criterion, working_point=phi,
         kappa=d * n, iterations=iters, converged=converged,
-        mean_N=n, message=message)
+        mean_N=n, message=message, evaluations=evaluations, error_bound=bound)
 
 
 def _working_point(config: InterferometerConfig, phi: float, criterion: str):
-    """(sigma0, |slope|, mean_N, None) at phi, or a non-converged result last.
+    """(sigma0, |slope|, mean_N, roundoff bound, None) at phi, or a
+    non-converged result last.
 
     A vanishing slope (e.g. G = 0, or a working point on a fringe extremum)
     leaves the resolution unbounded; noise below the engine's roundoff
@@ -116,24 +136,27 @@ def _working_point(config: InterferometerConfig, phi: float, criterion: str):
     stats = evaluate(config, phi)
     slope = abs(signal_slope(config, phi))
     n, sigma0 = stats.mean_photons, stats.sigma
+    bound = _ROUNDOFF_SAFETY * _EPS * (1.0 + n) / sigma0 if sigma0 else math.inf
     if not slope > _slope_floor(n):
-        return None, None, n, _result(criterion, phi, math.inf, n, 0, False,
-                                      "signal slope vanishes at the working point")
+        return None, None, n, bound, _result(
+            criterion, phi, math.inf, n, 0, False, _PROBE_EVALUATIONS, bound,
+            "signal slope vanishes at the working point")
     if _EPS * (1.0 + n) > _PRECISION_LIMIT * sigma0:
-        return None, None, n, _result(
-            criterion, phi, math.nan, n, 0, False,
+        return None, None, n, bound, _result(
+            criterion, phi, math.nan, n, 0, False, _PROBE_EVALUATIONS, bound,
             f"noise sigma0 = {sigma0:.3g} at N = {n:.3g} is below the engine's "
             f"roundoff: eps*(1+N)/sigma0 exceeds {_PRECISION_LIMIT:g}")
-    return sigma0, slope, n, None
+    return sigma0, slope, n, bound, None
 
 
 def standard_resolution(config: InterferometerConfig,
                         phi: float = np.pi / 2) -> ResolutionResult:
     """Noise-over-slope resolution sigma(phi) / |slope| at the working point."""
-    sigma0, slope, n, failed = _working_point(config, phi, "standard")
+    sigma0, slope, n, bound, failed = _working_point(config, phi, "standard")
     if failed:
         return failed
-    return _result("standard", phi, sigma0 / slope, n, 1, True)
+    return _result("standard", phi, sigma0 / slope, n, 1, True,
+                   _PROBE_EVALUATIONS, bound)
 
 
 def modified_resolution(config: InterferometerConfig,
@@ -149,9 +172,10 @@ def modified_resolution(config: InterferometerConfig,
     cannot move the root, and the bracket is also closed once no phase lies
     strictly inside it.  `iterations` counts the evaluations of g.
     """
-    sigma0, slope, n, failed = _working_point(config, phi, "modified")
+    sigma0, slope, n, bound, failed = _working_point(config, phi, "modified")
     if failed:
         return failed
+    bound += 0.5 * _X_RTOL
 
     def offset(d):
         return (phi + d) - phi
@@ -169,6 +193,7 @@ def modified_resolution(config: InterferometerConfig,
             break
         if step >= math.pi / 2:
             return _result("modified", phi, math.inf, n, iters, False,
+                           _PROBE_EVALUATIONS + iters, bound,
                            "no root of the modified criterion in (0, pi/2]")
         lo, g_lo, step = hi, g_hi, 2.0 * step
 
@@ -196,7 +221,8 @@ def modified_resolution(config: InterferometerConfig,
             side = -1
         else:
             lo = hi = d
-    return _result("modified", phi, 0.5 * (lo + hi), n, iters, True)
+    return _result("modified", phi, 0.5 * (lo + hi), n, iters, True,
+                   _PROBE_EVALUATIONS + iters, bound)
 
 
 _CRITERIA = {"standard": standard_resolution, "modified": modified_resolution}

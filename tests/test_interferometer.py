@@ -1,6 +1,8 @@
 """Full pipeline against the closed-form reference and its symmetries."""
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,12 +10,14 @@ import pytest
 from squint import (
     BsSpec,
     InterferometerConfig,
+    SignalStats,
     ancilla_cutoff,
     apply_loss,
     apply_symplectic,
     beam_splitter,
     closed_form_reference,
     evaluate,
+    mean_photon_number,
     output_state,
     phase_shifter,
     product_mean,
@@ -138,13 +142,36 @@ def lose_one_mode(f, mode, angle):
     return f
 
 
+def _drawn_devices(count):
+    rng = np.random.default_rng(1616)
+    for i in range(count):
+        # each loss is absent a third of the time, so both station shapes occur
+        losses = {name: float(rng.uniform(0, np.pi / 2)) if rng.uniform() > 1 / 3 else 0.0
+                  for name in ("alpha1", "beta1", "alpha2", "beta2")}
+        yield pytest.param(dict(G=float(rng.uniform(0, 6)), xi=float(rng.uniform(-4, 4)),
+                                delta1=float(rng.uniform(-0.78, 0.78)),
+                                delta2=float(rng.uniform(-0.78, 0.78)), **losses),
+                           id=f"drawn{i}")
+
+
+def _bits(stats):
+    return np.array(dataclasses.astuple(stats)).tobytes()
+
+
+# Each case sets fields over the base device: losses, and at the edges also
+# the gain, the pump phase's signed zero or the imbalances.
 @pytest.mark.parametrize("losses", [
     dict(alpha1=0.13), dict(beta2=0.21), dict(beta1=0.04, alpha2=0.09),
     dict(alpha1=0.05, beta1=0.05, alpha2=0.08, beta2=0.08),
     dict(alpha1=0.02, beta1=0.11, alpha2=np.pi / 2, beta2=0.3),
+    dict(alpha1=np.pi / 2), dict(beta1=np.pi / 2),
+    dict(alpha2=np.pi / 2), dict(beta2=np.pi / 2),
+    dict(G=0.0, xi=0.0, alpha1=0.1, beta2=0.2), dict(G=0.0, xi=-0.0, alpha1=0.1, beta2=0.2),
+    dict(G=0.0, xi=-0.0), dict(delta1=0.78, delta2=-0.78, beta1=0.3),
+    dict(delta1=-0.78, delta2=0.78, alpha2=0.3), *_drawn_devices(6),
 ])
 def test_output_state_matches_per_mode_loss_chain(losses):
-    cfg = InterferometerConfig(G=1.7, xi=0.6, delta1=0.04, delta2=-0.23, **losses)
+    cfg = InterferometerConfig(**{**dict(G=1.7, xi=0.6, delta1=0.04, delta2=-0.23), **losses})
     for phi in (0.0, -0.0, 1.1, np.pi / 2, 4.0):
         f = two_mode_squeezer(cfg.G, cfg.xi)
         f = lose_one_mode(lose_one_mode(f, 0, cfg.alpha1), 1, cfg.beta1)
@@ -152,7 +179,38 @@ def test_output_state_matches_per_mode_loss_chain(losses):
         f = phase_shifter(phi) @ f
         f = lose_one_mode(lose_one_mode(f, 0, cfg.alpha2), 1, cfg.beta2)
         f = beam_splitter(BsSpec("B2", cfg.delta2)) @ f
-        np.testing.assert_array_equal(output_state(cfg, phi), f @ f.T)
+        chain, got = f @ f.T, output_state(cfg, phi)
+        np.testing.assert_array_equal(got, chain)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(chain))
+        m1, m2 = product_mean(chain), product_second_moment(chain)
+        want = SignalStats(mean=m1, second_moment=m2, sigma=product_sigma(chain),
+                           mean_photons=mean_photon_number(chain))
+        assert _bits(evaluate(cfg, phi)) == _bits(want), phi
+
+
+def test_stations_follow_the_device():
+    # each device builds its own stations: a changed device never reuses the
+    # stations its parent filled, and copies evaluate like the original
+    base = InterferometerConfig(G=1.3, xi=0.4, alpha1=0.1, beta2=0.2,
+                                delta1=0.05, delta2=-0.1)
+    twin = InterferometerConfig(**dataclasses.asdict(base))
+    faces = (base == twin, hash(base), repr(base), dataclasses.asdict(base))
+    phis = (0.0, 1.1, np.pi / 2, 4.0)
+    seen = [_bits(evaluate(base, phi)) for phi in phis]
+    assert "_stations" in vars(base) and "_stations" not in vars(twin)
+    assert (base == twin, hash(base), repr(base), dataclasses.asdict(base)) == faces
+    for change in (dict(alpha2=0.3), dict(delta2=0.2), dict(beta1=0.07), dict(xi=-0.9),
+                   dict(delta1=-0.3, alpha1=0.0, beta2=0.0)):
+        moved = dataclasses.replace(base, **change)
+        fresh = InterferometerConfig(**{**dataclasses.asdict(base), **change})
+        for phi, old in zip(phis, seen):
+            got = _bits(evaluate(moved, phi))
+            assert got == _bits(evaluate(fresh, phi)), (change, phi)
+            assert got != old, (change, phi)
+    for other in (copy.copy(base), pickle.loads(pickle.dumps(base)),
+                  copy.copy(twin), pickle.loads(pickle.dumps(twin))):
+        assert other == base
+        assert [_bits(evaluate(other, phi)) for phi in phis] == seen
 
 
 def test_evaluate_reads_the_public_moment_readers_bit_for_bit():

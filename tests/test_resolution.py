@@ -7,6 +7,7 @@ import pytest
 
 from squint import (
     InterferometerConfig,
+    evaluate,
     modified_resolution,
     optimize_delta2,
     refine_working_point,
@@ -124,6 +125,43 @@ def test_high_gain_converged_only_when_correct():
     for G in (14.0, 16.0, 20.0):
         res = modified_resolution(InterferometerConfig(G=G))
         assert not res.converged and res.message, G
+
+
+def test_evaluations_count_every_engine_call(monkeypatch):
+    import squint.interferometer as engine
+    import squint.resolution as solvers
+    calls = []
+
+    def counted(config, phi):
+        calls.append(phi)
+        return evaluate(config, phi)
+
+    # signal_slope reads the interferometer's global, the solvers their own
+    monkeypatch.setattr(engine, "evaluate", counted)
+    monkeypatch.setattr(solvers, "evaluate", counted)
+    cases = [(solver, cfg) for solver in (standard_resolution, modified_resolution)
+             for cfg in (InterferometerConfig(G=2.0),  # converges
+                         InterferometerConfig(G=0.0),  # slope refusal
+                         InterferometerConfig(G=20.0))]  # roundoff refusal
+    cases.append((modified_resolution, InterferometerConfig(G=5.0, delta2=0.5)))  # no root
+    for solver, cfg in cases:
+        calls.clear()
+        res = solver(cfg)
+        assert res.evaluations == len(calls), (solver.__name__, cfg, res)
+    assert res.evaluations == 5 + res.iterations and not res.converged
+
+
+@pytest.mark.parametrize("criterion", ["standard", "modified"])
+def test_error_bound_holds_against_closed_roots(criterion):
+    # standard: sigma0 = 1 over slope sinh(2G) with N = 2 sinh^2 G, so kappa
+    # is tanh G; modified: the cancellation-free bisection above
+    solver = {"standard": standard_resolution, "modified": modified_resolution}[criterion]
+    for G in np.linspace(0.5, 10.3, 50):
+        res = solver(InterferometerConfig(G=float(G)))
+        want = math.tanh(G) if criterion == "standard" else _ideal_modified_kappa(G)
+        assert res.converged, (G, res.message)
+        assert 0 < res.error_bound < 1e-5, (G, res.error_bound)
+        assert abs(res.kappa - want) <= res.error_bound * res.kappa, (G, res.kappa, want)
 
 
 def test_scaled_resolution_asymptote():
