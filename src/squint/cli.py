@@ -35,6 +35,8 @@ from .gaussian import _check_choice, _check_finite, _check_integer
 from .interferometer import InterferometerConfig, evaluate
 from .resolution import (
     _CRITERIA,
+    _REFINE_HALF_WIDTH,
+    _REFINE_TOL,
     SWEEP_PARAMETERS,
     _apply_parameter,
     optimize_delta2,
@@ -230,6 +232,10 @@ def cmd_resolve(cfg: RunConfig, args) -> int:
     phi = cfg.working_point
     if args.refine_phi:
         phi = refine_working_point(cfg.interferometer, phi)
+        if abs(abs(phi - cfg.working_point) - _REFINE_HALF_WIDTH) <= _REFINE_TOL:
+            print(f"squint: note: refined working point {phi!r} is at the edge of "
+                  f"its search bracket, working point +/- {_REFINE_HALF_WIDTH:g}; "
+                  "the noise minimum may lie outside it", file=sys.stderr)
     res = _CRITERIA[cfg.criterion](cfg.interferometer, phi=phi)
     payload = {"config": cfg.to_dict(), "result": _result_dict(res)}
     if args.refine_phi:

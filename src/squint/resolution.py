@@ -57,6 +57,9 @@ _ROUNDOFF_SAFETY = 10.0
 _X_RTOL = 1e-14  # relative width that closes the modified root's bracket
 # Engine evaluations before any solve: the working point and the slope's four.
 _PROBE_EVALUATIONS = 5
+# refine_working_point searches phi +/- _REFINE_HALF_WIDTH to _REFINE_TOL.
+_REFINE_HALF_WIDTH = 0.35
+_REFINE_TOL = 1e-9
 
 
 def _slope_floor(mean_photons: float) -> float:
@@ -262,23 +265,68 @@ def sweep(config: InterferometerConfig, parameter: str, grid,
     return tuple(solver(device, phi=phi) for device in devices)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float):
-    """Golden-section minimum of a unimodal f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+def _brent_min(f, lo: float, hi: float, tol: float):
+    """Minimum of a unimodal f on [lo, hi] by Brent's method, as (x, f(x)).
+
+    Each step fits a parabola through the three best points found so far
+    and moves to its vertex; a golden-section step replaces any parabola
+    that would leave the bracket or shrink it too slowly (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5).  No two
+    evaluations lie closer than tol1 = 2 eps |x| + tol / 3, and the search
+    stops once the best point x is within 2 tol1 of both ends of the
+    bracket.  So tol is the final uncertainty in x, as the final bracket
+    width is for golden section: the bracketed minimum lies within
+    2 tol / 3 + 4 eps |x| of x.  At a flat minimum f's roundoff limits the
+    location further, whatever the tolerance.
+    """
+    c = 0.5 * (3.0 - math.sqrt(5.0))
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+    x = w = v = a + c * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = 2.0 * _EPS * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            # accept the vertex only inside the bracket and only if the step
+            # is under half the step before last, so the bracket must shrink
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                d = p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if x < m else -tol1
+        if not parabolic:
+            e = (b if x < m else a) - x
+            d = c * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def optimize_delta2(config: InterferometerConfig, criterion: str = "modified",
@@ -286,9 +334,14 @@ def optimize_delta2(config: InterferometerConfig, criterion: str = "modified",
     """Recombiner imbalance minimising kappa for the device `config`.
 
     `config.delta2` is the variable being optimised, so its given value is
-    ignored; every other field holds.  A coarse 33-point scan over delta2 in [-0.78, 0.78] locates the basin
-    (and checks that the sampled profile has a single interior minimum);
-    golden-section search then refines delta2 to 1e-6.  A multi-basin profile is reported
+    ignored; every other field holds.  A coarse 33-point scan over delta2 in
+    [-0.78, 0.78] locates the basin (and checks that the sampled profile has
+    a single interior minimum); Brent's method then refines delta2 between
+    the neighbours of the best scan point to a tolerance of 1e-6, the final
+    uncertainty in delta2.  The minimum of kappa is flat, so its location is
+    limited by kappa's roundoff as well: at G = 3 with alpha2 = 0.1,
+    golden-section search to the same tolerance lands 2.2e-7 away, at a
+    kappa equal within 6e-15 relative.  A multi-basin profile is reported
     with unimodal=False and the scan samples attached, refining the deepest
     basin found.
     """
@@ -320,7 +373,7 @@ def optimize_delta2(config: InterferometerConfig, criterion: str = "modified",
     i = int(np.argmin(ks))
     lo = float(xs[max(i - 1, 0)])
     hi = float(xs[min(i + 1, len(xs) - 1)])
-    best_d2, _ = _golden_min(lambda x: kappa_at(x).kappa, lo, hi, 1e-6)
+    best_d2, _ = _brent_min(lambda x: kappa_at(x).kappa, lo, hi, 1e-6)
     res = kappa_at(best_d2)
     message = "" if unimodal else "scanned profile is not unimodal; refined the deepest basin"
     return OptimizeResult(
@@ -334,14 +387,19 @@ def refine_working_point(config: InterferometerConfig,
     """Locate the noise minimum of sigma(phi) near the nominal working point.
 
     The default working point pi/2 sits exactly on the dark-fringe noise
-    minimum for the ideal device; imperfections shift the minimum slightly,
-    and this golden-section refinement over [phi - 0.35, phi + 0.35], to
-    1e-9, finds it.  Returns the refined phase; a non-finite phi raises
-    ValueError.
+    minimum for the ideal device; imperfections shift the minimum (to
+    pi/2 - xi/3 for the ideal device with pump phase xi), and Brent's method
+    over [phi - 0.35, phi + 0.35] finds it to a tolerance of 1e-9, the final
+    uncertainty in phase.  The minimum is flat, so sigma's roundoff limits
+    its location further: on 600 seeded lossy, imbalanced devices, Brent's
+    and golden-section search to the same tolerance placed it up to 2.1e-8
+    apart, with sigma equal within 2e-15 relative.  A minimum outside the
+    bracket comes back as a point within the tolerance of its nearer end.
+    Returns the refined phase; a non-finite phi raises ValueError.
     """
     _check_finite("working point phi", phi)
-    best, _ = _golden_min(lambda p: evaluate(config, p).sigma,
-                          phi - 0.35, phi + 0.35, 1e-9)
+    best, _ = _brent_min(lambda p: evaluate(config, p).sigma,
+                         phi - _REFINE_HALF_WIDTH, phi + _REFINE_HALF_WIDTH, _REFINE_TOL)
     return best
 
 

@@ -5,7 +5,8 @@ invariants, the block embedding rebuilds each element's real 4x4 matrix
 slice by slice, independently of the builders' literals, and the saturation
 test reads the tail of a sweep for the acceptance gates.  Plain bisection
 solves the modified criterion from the public `evaluate` and `signal_slope`
-alone, independent of the library solver's bracket and end handling.  The eager
+alone, independent of the library solver's bracket and end handling, and
+golden-section search is the reference for the library's Brent minimiser.  The eager
 Fock pipeline allocates every loss ancilla before the first element acts,
 the layout the oracle's lazily appended ancillas must reproduce bit for bit.
 """
@@ -93,6 +94,29 @@ def bisection_resolution(config, phi=math.pi / 2):
         else:
             lo = mid
     return 0.5 * (lo + hi), evaluations
+
+
+def golden_min(f, lo, hi, tol):
+    """Golden-section minimum of a unimodal f on [lo, hi], as (x, f(x)).
+
+    Shrinks the bracket by the golden ratio per evaluation until it is at
+    most tol wide and returns the better of its two interior points.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)
 
 
 def eager_lose(state, losses, first_ancilla):

@@ -251,6 +251,24 @@ def test_resolve_refine_phi(capsys):
     assert payload["refined_working_point"] == pytest.approx(math.pi / 2, abs=1e-5)
 
 
+@pytest.mark.parametrize("xi, edge", [(1.2, True), (0.9, False)])
+def test_refine_phi_notes_a_minimum_at_the_bracket_edge(xi, edge, capsys):
+    # the ideal device's noise minimum sits at pi/2 - xi/3, outside the
+    # refinement's pi/2 +/- 0.35 for xi = 1.2
+    assert main(["resolve", "-G", "2", f"--xi={xi}", "--refine-phi"]) == 0
+    captured = capsys.readouterr()
+    phi = json.loads(captured.out)["refined_working_point"]
+    if edge:
+        assert phi == pytest.approx(math.pi / 2 - 0.35, abs=1e-9)
+        assert captured.err.count("\n") == 1
+        assert "edge of its search bracket" in captured.err
+        cfg = InterferometerConfig(G=2.0, xi=xi)
+        assert squint.evaluate(cfg, math.pi / 2 - 0.4).sigma < squint.evaluate(cfg, phi).sigma
+    else:
+        assert phi == pytest.approx(math.pi / 2 - xi / 3, abs=1e-7)
+        assert captured.err == ""
+
+
 def test_degrees_converts_command_line_angles(capsys):
     code, a = run_json(["resolve", "-G", "2", "--phi", "90", "--degrees"], capsys)
     assert code == 0

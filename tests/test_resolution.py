@@ -15,7 +15,7 @@ from squint import (
     standard_resolution,
     sweep,
 )
-from reference import bisection_resolution, detect_saturation
+from reference import bisection_resolution, detect_saturation, golden_min
 
 
 def photons(G):
@@ -367,3 +367,85 @@ def test_refined_point_tracks_noise_minimum_under_imbalance():
     for eps in (1e-3, 1e-2):
         assert evaluate(cfg, phi + eps).sigma >= base - 1e-12
         assert evaluate(cfg, phi - eps).sigma >= base - 1e-12
+
+
+@pytest.mark.parametrize("f, lo, hi, want", [
+    (lambda x: (x - 0.3) ** 2, -1.0, 2.0, 0.3),  # one parabolic step lands on it
+    (lambda x: abs(x - 0.7) ** 1.5, 0.0, 1.0, 0.7),  # parabolas fit badly
+    (lambda x: (x - 1.2) ** 2 * (2.0 + math.sin(3.0 * x)), 0.0, 2.0, 1.2),  # f(min) = 0: no roundoff floor
+    (lambda x: -x, -0.35, 0.35, 0.35),  # monotone: the nearer end of the bracket
+    (lambda x: (x - 0.5) ** 2, -0.35, 0.35, 0.35),  # every parabola's vertex is outside
+])
+def test_brent_min_locates_minima_to_tolerance(f, lo, hi, want):
+    import squint.resolution as solvers
+    for tol in (1e-6, 1e-9):
+        points, reference = [], []
+        x, fx = solvers._brent_min(lambda p: points.append(p) or f(p), lo, hi, tol)
+        golden_min(lambda p: reference.append(p) or f(p), lo, hi, tol)
+        assert fx == f(x) and abs(x - want) <= tol
+        assert lo <= min(points) and max(points) <= hi
+        assert len(points) <= len(reference)
+
+
+def _drawn_devices(count):
+    """Seeded lossy, imbalanced devices: |xi| <= 0.6, G in [0.3, 9]."""
+    rng = np.random.default_rng(1717)
+    for _ in range(count):
+        G, xi = rng.uniform(0.3, 9.0), rng.uniform(-0.6, 0.6)
+        losses = rng.uniform(0.0, 0.3, size=4)
+        delta1, delta2 = rng.uniform(-0.1, 0.1, size=2)
+        yield InterferometerConfig(G=G, xi=xi, alpha1=losses[0], beta1=losses[1],
+                                   alpha2=losses[2], beta2=losses[3],
+                                   delta1=delta1, delta2=delta2)
+
+
+def test_refine_matches_golden_section_reference(monkeypatch):
+    # the library's Brent minimiser against golden section on refine's own
+    # bracket and tolerance, counting engine evaluations, not timing them
+    import squint.resolution as solvers
+    calls = []
+
+    def counted(config, phi):
+        calls.append(phi)
+        return evaluate(config, phi)
+
+    monkeypatch.setattr(solvers, "evaluate", counted)
+    brent_calls = []
+    for cfg in _drawn_devices(100):
+        calls.clear()
+        phi = refine_working_point(cfg)
+        brent_calls.append(len(calls))
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "_brent_min", golden_min)
+            calls.clear()
+            ref = refine_working_point(cfg)
+            assert len(calls) == 45
+        # at the flat minimum both are limited by sigma's roundoff
+        assert evaluate(cfg, phi).sigma <= evaluate(cfg, ref).sigma * (1.0 + 1e-12), cfg
+        assert abs(phi - ref) <= 5e-8, cfg
+    assert np.mean(brent_calls) <= 20.0
+
+
+@pytest.mark.parametrize("cfg", [InterferometerConfig(G=5.0),
+                                 InterferometerConfig(G=3.0, alpha2=0.1)],
+                         ids=["G5", "G3-alpha2"])
+def test_optimize_delta2_matches_golden_section_reference(cfg, monkeypatch):
+    import squint.resolution as solvers
+    solver = solvers._CRITERIA["modified"]
+    calls = []
+
+    def counted(config, phi):
+        calls.append(config.delta2)
+        return solver(config, phi=phi)
+
+    monkeypatch.setitem(solvers._CRITERIA, "modified", counted)
+    opt = optimize_delta2(cfg)
+    brent_calls = len(calls)
+    monkeypatch.setattr(solvers, "_brent_min", golden_min)
+    calls.clear()
+    ref = optimize_delta2(cfg)
+    assert opt.converged and ref.converged
+    assert opt.kappa == pytest.approx(ref.kappa, rel=1e-10)
+    assert opt.delta2 == pytest.approx(ref.delta2, abs=1e-4)
+    assert opt.profile == ref.profile
+    assert brent_calls < len(calls)
