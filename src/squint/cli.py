@@ -38,7 +38,6 @@ from .resolution import (
     _REFINE_HALF_WIDTH,
     _REFINE_TOL,
     SWEEP_PARAMETERS,
-    _apply_parameter,
     optimize_delta2,
     refine_working_point,
     small_angle_root,
@@ -105,11 +104,9 @@ class RunConfig:
             raise ValueError(f"out must be a path or null, got {self.out!r}")
 
     def to_dict(self) -> dict:
-        flat = dataclasses.asdict(self)
-        flat.update(flat.pop("interferometer"))
-
         def nest(layout):
-            return {key: nest(f) if isinstance(f, dict) else flat[f]
+            return {key: nest(f) if isinstance(f, dict) else
+                    getattr(self.interferometer if f in _DEVICE_FIELDS else self, f)
                     for key, f in layout.items()}
         return nest(_LAYOUT)
 
@@ -127,8 +124,7 @@ class RunConfig:
                 f = layout[key]
                 flat.update(flatten(f, value, key) if isinstance(f, dict) else {f: value})
             return flat
-        return _with_fields(cls(InterferometerConfig(G=1.0)),
-                            flatten(_LAYOUT, data, "config"))
+        return _with_fields(_DEFAULT_RUN, flatten(_LAYOUT, data, "config"))
 
     def phi_grid(self) -> np.ndarray:
         """Half-open phase grid [phi_min, phi_max)."""
@@ -141,6 +137,8 @@ class RunConfig:
         return np.linspace(self.param_min, self.param_max, self.param_points)
 
 
+# The defaults every request starts from; immutable, so built once.
+_DEFAULT_RUN = RunConfig(InterferometerConfig(G=1.0))
 # Every field a flag or a config key sets, device fields included.
 _FIELDS = frozenset(_DEVICE_FIELDS).union(
     f.name for f in dataclasses.fields(RunConfig) if f.name != "interferometer")
@@ -249,7 +247,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     results = sweep(cfg.interferometer, cfg.param, grid,
                     criterion=cfg.criterion, phi=cfg.working_point)
     columns = ("param", "G", "mean_N", "delta_phi", "kappa", "converged", "four_over_N")
-    rows = [(value, _apply_parameter(cfg.interferometer, cfg.param, value).G,
+    rows = [(value, value if cfg.param == "G" else cfg.interferometer.G,
              r.mean_N, r.delta_phi, r.kappa, r.converged,
              small_angle_root() / r.mean_N if r.mean_N > 0 else math.inf)
             for value, r in zip(grid, results)]
@@ -377,7 +375,7 @@ def _build_parser() -> _Parser:
 
 
 def _build_runconfig(args) -> RunConfig:
-    cfg = RunConfig.from_dict({})
+    cfg = _DEFAULT_RUN
     if args.config:
         with open(args.config) as fh:
             cfg = RunConfig.from_dict(json.load(fh))

@@ -1,4 +1,5 @@
 """CLI behavior: formatting, config handling, exit codes, determinism."""
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 import squint
 from squint import InterferometerConfig
 from squint.cli import RunConfig, fmt, main
+from squint.resolution import SWEEP_PARAMETERS
 
 
 def run_json(argv, capsys):
@@ -87,16 +89,51 @@ def test_cell_formatting_matches_reference():
         assert fmt(value) == reference_fmt(value), value
 
 
+def reference_to_dict(cfg: RunConfig) -> dict:
+    """RunConfig.to_dict as it was: the layout nested from dataclasses.asdict."""
+    flat = dataclasses.asdict(cfg)
+    flat.update(flat.pop("interferometer"))
+
+    def nest(layout):
+        return {key: nest(f) if isinstance(f, dict) else flat[f]
+                for key, f in layout.items()}
+    return nest(squint.cli._LAYOUT)
+
+
 def test_runconfig_round_trips_through_json():
-    cfg = RunConfig(
+    configs = [RunConfig(
         interferometer=InterferometerConfig(G=2.5, xi=0.3, alpha1=0.04, beta1=0.02,
                                             alpha2=0.11, beta2=0.07, delta1=-0.05,
                                             delta2=0.2),
         criterion="standard", working_point=1.4, phi_min=0.1, phi_max=5.9,
         phi_points=77, param="delta2", param_min=0.01, param_max=0.7,
-        param_points=13, log_grid=False, out="table.csv", format="json")
-    again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-    assert again == cfg
+        param_points=13, log_grid=False, out="table.csv", format="json")]
+    rng = np.random.default_rng(1818)
+    angles = ("xi", "alpha1", "beta1", "alpha2", "beta2", "delta1", "delta2",
+              "working_point", "phi_min", "param_min")
+    for k, param in enumerate(SWEEP_PARAMETERS):
+        device = {"xi": rng.uniform(-3.0, 3.0)}
+        device.update((name, rng.uniform(0.0, math.pi / 2))
+                      for name in ("alpha1", "beta1", "alpha2", "beta2"))
+        device.update((name, rng.uniform(-0.7, 0.7)) for name in ("delta1", "delta2"))
+        run = {"working_point": rng.uniform(0.5, 2.5), "phi_min": rng.uniform(0.0, 1.0),
+               "param_min": rng.uniform(0.01, 0.3), "log_grid": k % 3 == 1}
+        for name in (angles[k], angles[-1 - k]):  # every angle is a signed zero once
+            (device if name in device else run)[name] = -0.0
+        configs.append(RunConfig(
+            InterferometerConfig(G=rng.uniform(0.1, 9.0), **device),
+            criterion=("modified", "standard")[k % 2], phi_max=rng.uniform(3.0, 6.0),
+            phi_points=int(rng.integers(2, 2000)), param=param,
+            param_max=rng.uniform(0.4, 1.5), param_points=int(rng.integers(2, 100)),
+            out=(None, f"runs/{param}.csv")[k % 2], format=("json", "csv")[k % 2], **run))
+    for cfg in configs:
+        echo = cfg.to_dict()
+        assert echo == reference_to_dict(cfg)
+        text = json.dumps(echo, indent=2)
+        assert text == json.dumps(reference_to_dict(cfg), indent=2)
+        again = RunConfig.from_dict(json.loads(text))
+        assert again == cfg
+        assert json.dumps(again.to_dict(), indent=2) == text  # signed zeros kept
 
 
 def test_runconfig_rejects_unknown_keys():
@@ -312,6 +349,37 @@ def test_config_errors_exit_1(tmp_path, capsys):
         assert main(["resolve", "--config", str(huge)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    # the file is checked on its own before the flags override it
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps({"interferometer": {"G": -1}}))
+    assert main(["resolve", "--config", str(negative), "-G", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and "gain G" in captured.err
+
+
+@pytest.mark.parametrize("argv, devices, runs", [
+    (["resolve", "-G", "2"], 1, 1),
+    (["resolve", "--config", "FILE", "-G", "3"], 2, 2),
+    (["sweep", "--points", "3"], 4, 1),
+])
+def test_each_request_builds_its_configs_once(argv, devices, runs, tmp_path, capsys,
+                                              monkeypatch):
+    # the defaults are built at import; a config file is built and checked
+    # once before the flags apply, and a sweep builds one device per row
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"interferometer": {"G": 2.0, "delta1": 0.05}}))
+    argv = [str(cfg_file) if arg == "FILE" else arg for arg in argv]
+    built = {InterferometerConfig: 0, RunConfig: 0}
+    for cls in built:
+        def counted(self, cls=cls, post_init=cls.__post_init__):
+            built[cls] += 1
+            post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert (built[InterferometerConfig], built[RunConfig]) == (devices, runs)
+
 
 @pytest.mark.parametrize("argv", [
     ["signal", "--xi", "nan"],
@@ -374,6 +442,7 @@ def test_sweep_nonconverged_row_exits_2_but_writes(tmp_path):
     assert code == 2
     lines = out.read_text().splitlines()
     assert len(lines) == 5
+    assert {line.split(",")[1] for line in lines[1:]} == {"5.0"}  # the device's gain
     last = lines[-1].split(",")
     assert last[5] == "false"
     assert last[3] == "inf"
