@@ -13,7 +13,10 @@ converts the values typed on the command line (config files stay radians);
 phase grids cover [min, max) half-open so periodic scans have no duplicate
 endpoint, while parameter grids include both ends; data values are printed
 with 12 significant digits and a decimal point; identical inputs give
-byte-identical output.
+byte-identical output.  Each run writes exactly one document, to stdout
+or to --out: CSV text, or JSON that begins with the "config" echo of the
+run.  Diagnostics (the --refine-phi note, the oracle's cutoff lines) go
+to stderr.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
 failure (non-convergence, oracle deviation, cutoff too small).
@@ -86,6 +89,9 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
+        if not isinstance(self.interferometer, InterferometerConfig):
+            raise ValueError("interferometer must be an InterferometerConfig, "
+                             f"got {self.interferometer!r}")
         _check_choice("criterion", self.criterion, _CRITERIA)
         _check_choice("format", self.format, _FORMATS)
         _check_choice("sweep parameter", self.param, SWEEP_PARAMETERS)
@@ -145,11 +151,12 @@ _FIELDS = frozenset(_DEVICE_FIELDS).union(
 
 
 def _with_fields(cfg: RunConfig, fields: dict) -> RunConfig:
-    """Copy of cfg with the given fields, device fields included, set."""
+    """cfg with the given fields, device fields included, set; cfg if none."""
     device = {k: v for k, v in fields.items() if k in _DEVICE_FIELDS}
     rest = {k: v for k, v in fields.items() if k not in _DEVICE_FIELDS}
-    return dataclasses.replace(
-        cfg, interferometer=dataclasses.replace(cfg.interferometer, **device), **rest)
+    if device:
+        rest["interferometer"] = dataclasses.replace(cfg.interferometer, **device)
+    return dataclasses.replace(cfg, **rest) if rest else cfg
 
 
 def fmt(value) -> str:
@@ -173,60 +180,29 @@ def fmt(value) -> str:
 def _json_num(x):
     """JSON data value at 12 significant digits; non-finite becomes null."""
     x = float(x)
-    if not math.isfinite(x):
-        return None
-    return float(f"{x:.12g}")
+    return float(f"{x:.12g}") if math.isfinite(x) else None
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
-    with open(out, "w", newline="\n") as fh:
-        fh.write(text)
-
-
-def _table_text(cfg: RunConfig, columns, rows) -> str:
+def _table(cfg: RunConfig, columns, rows):
     if cfg.format == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(fmt(v) for v in row) for row in rows]
+        lines = [",".join(columns), *(",".join(map(fmt, row)) for row in rows)]
         return "\n".join(lines) + "\n"
-    payload = {
-        "config": cfg.to_dict(),
-        "rows": [
-            {c: (v if isinstance(v, (bool, np.bool_)) else _json_num(v))
-             for c, v in zip(columns, row)}
-            for row in rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return {"rows": [{c: (v if isinstance(v, (bool, np.bool_)) else _json_num(v))
+                      for c, v in zip(columns, row)} for row in rows]}
 
 
-def _result_dict(res) -> dict:
-    return {
-        "criterion": res.criterion,
-        "working_point": _json_num(res.working_point),
-        "delta_phi": _json_num(res.delta_phi),
-        "kappa": _json_num(res.kappa),
-        "mean_N": _json_num(res.mean_N),
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "message": res.message,
-    }
-
-
-def cmd_signal(cfg: RunConfig, args) -> int:
+# Each subcommand returns (CSV text or JSON body, ok); ok false exits 2.
+def cmd_signal(cfg: RunConfig, args):
     columns = ("phi", "mean_P", "sqrt_second_moment", "sigma", "mean_N")
     rows = []
     for phi in cfg.phi_grid().tolist():
         st = evaluate(cfg.interferometer, phi)
         rows.append((phi, st.mean, math.sqrt(st.second_moment),
                      st.sigma, st.mean_photons))
-    _emit(_table_text(cfg, columns, rows), cfg.out)
-    return 0
+    return _table(cfg, columns, rows), True
 
 
-def cmd_resolve(cfg: RunConfig, args) -> int:
+def cmd_resolve(cfg: RunConfig, args):
     phi = cfg.working_point
     if args.refine_phi:
         phi = refine_working_point(cfg.interferometer, phi)
@@ -235,14 +211,22 @@ def cmd_resolve(cfg: RunConfig, args) -> int:
                   f"its search bracket, working point +/- {_REFINE_HALF_WIDTH:g}; "
                   "the noise minimum may lie outside it", file=sys.stderr)
     res = _CRITERIA[cfg.criterion](cfg.interferometer, phi=phi)
-    payload = {"config": cfg.to_dict(), "result": _result_dict(res)}
+    body = {"result": {
+        "criterion": res.criterion,
+        "working_point": _json_num(res.working_point),
+        "delta_phi": _json_num(res.delta_phi),
+        "kappa": _json_num(res.kappa),
+        "mean_N": _json_num(res.mean_N),
+        "iterations": res.iterations,
+        "converged": res.converged,
+        "message": res.message,
+    }}
     if args.refine_phi:
-        payload["refined_working_point"] = _json_num(phi)
-    _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
-    return 0 if res.converged else 2
+        body["refined_working_point"] = _json_num(phi)
+    return body, res.converged
 
 
-def cmd_sweep(cfg: RunConfig, args) -> int:
+def cmd_sweep(cfg: RunConfig, args):
     grid = [float(value) for value in cfg.param_grid()]
     results = sweep(cfg.interferometer, cfg.param, grid,
                     criterion=cfg.criterion, phi=cfg.working_point)
@@ -251,15 +235,13 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
              r.mean_N, r.delta_phi, r.kappa, r.converged,
              small_angle_root() / r.mean_N if r.mean_N > 0 else math.inf)
             for value, r in zip(grid, results)]
-    _emit(_table_text(cfg, columns, rows), cfg.out)
-    return 0 if all(r.converged for r in results) else 2
+    return _table(cfg, columns, rows), all(r.converged for r in results)
 
 
-def cmd_optimize_imbalance(cfg: RunConfig, args) -> int:
+def cmd_optimize_imbalance(cfg: RunConfig, args):
     opt = optimize_delta2(cfg.interferometer, criterion=cfg.criterion,
                           phi=cfg.working_point)
-    payload = {
-        "config": cfg.to_dict(),
+    return {
         "result": {
             "delta2_opt": _json_num(opt.delta2),
             "kappa_opt": _json_num(opt.kappa),
@@ -270,15 +252,14 @@ def cmd_optimize_imbalance(cfg: RunConfig, args) -> int:
             "message": opt.message,
         },
         "profile": [[_json_num(d), _json_num(k)] for d, k in opt.profile],
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
-    return 0 if opt.converged and opt.unimodal else 2
+    }, opt.converged and opt.unimodal
 
 
-def cmd_oracle_check(cfg: RunConfig, args) -> int:
+def cmd_oracle_check(cfg: RunConfig, args):
     report = equivalence_grid(n_max=args.n_max, tolerance=args.tolerance)
-    payload = {
-        "config": cfg.to_dict(),
+    for g, msg in report.cutoff_errors:
+        print(f"oracle-check: G={g:g}: {msg}", file=sys.stderr)
+    return {
         "tolerance": _json_num(report.tolerance),
         "n_cases": report.n_cases,
         "max_deviation": _json_num(report.max_deviation),
@@ -287,11 +268,7 @@ def cmd_oracle_check(cfg: RunConfig, args) -> int:
         "cutoff_errors": [{"G": _json_num(g), "error": msg}
                           for g, msg in report.cutoff_errors],
         "passed": report.passed,
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
-    for g, msg in report.cutoff_errors:
-        print(f"oracle-check: G={g:g}: {msg}", file=sys.stderr)
-    return 0 if report.passed else 2
+    }, report.passed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -379,8 +356,7 @@ def _build_runconfig(args) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             cfg = RunConfig.from_dict(json.load(fh))
-    fields = {k: v for k, v in vars(args).items()
-              if k in _FIELDS and v is not None}
+    fields = {k: v for k, v in vars(args).items() if k in _FIELDS and v is not None}
     if args.degrees:
         gain_grid = fields.get("param", cfg.param) == "G"
         for name in _ANGLE_FIELDS.intersection(fields):
@@ -397,7 +373,15 @@ def main(argv=None) -> int:
         print(f"squint: config error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.run(cfg, args)
+        doc, ok = args.run(cfg, args)
+        if isinstance(doc, dict):
+            doc = json.dumps({"config": cfg.to_dict(), **doc}, indent=2) + "\n"
+        if cfg.out is None:
+            sys.stdout.write(doc)
+        else:
+            with open(cfg.out, "w", newline="\n") as fh:
+                fh.write(doc)
+        return 0 if ok else 2
     except OSError as exc:
         print(f"squint: {exc}", file=sys.stderr)
         return 1

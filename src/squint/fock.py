@@ -177,7 +177,6 @@ def tmsv_fock(G: float, xi: float = 0.0, n_max: int | None = None) -> FockState:
     return FockState(amps, deficit)
 
 
-@functools.lru_cache(maxsize=64)
 def _rotation_factors(u_bytes: bytes):
     """Phases (l0, l1), angle t = atan2(|u10|, |u00|) and phases (1, r1) with
     u = diag(l0, l1) R(t) diag(1, r1), R(t) = [[cos t, -sin t], [sin t, cos t]],

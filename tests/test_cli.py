@@ -187,6 +187,9 @@ def test_runconfig_validation():
     for bad in (3, b"out.csv"):
         with pytest.raises(ValueError, match="out must be"):
             RunConfig(dev, out=bad)
+    for bad in ({"G": 1.0}, None, dataclasses.asdict(dev)):
+        with pytest.raises(ValueError, match="interferometer must be an InterferometerConfig"):
+            RunConfig(bad)
     with pytest.raises(ValueError, match="working_point must be finite"):
         RunConfig.from_dict({"working_point": 10**400})
 
@@ -361,12 +364,16 @@ def test_config_errors_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("argv, devices, runs", [
     (["resolve", "-G", "2"], 1, 1),
     (["resolve", "--config", "FILE", "-G", "3"], 2, 2),
-    (["sweep", "--points", "3"], 4, 1),
+    (["sweep", "--points", "3"], 3, 1),
+    (["signal", "--points", "3"], 0, 1),
+    (["oracle-check", "--n-max", "3"], 3, 0),
 ])
 def test_each_request_builds_its_configs_once(argv, devices, runs, tmp_path, capsys,
                                               monkeypatch):
     # the defaults are built at import; a config file is built and checked
-    # once before the flags apply, and a sweep builds one device per row
+    # once before the flags apply, a request that sets no device field keeps
+    # the default device, and one that sets no field keeps the default run;
+    # a sweep builds one device per row and the oracle grid one per gain
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({"interferometer": {"G": 2.0, "delta1": 0.05}}))
     argv = [str(cfg_file) if arg == "FILE" else arg for arg in argv]
@@ -376,7 +383,8 @@ def test_each_request_builds_its_configs_once(argv, devices, runs, tmp_path, cap
             built[cls] += 1
             post_init(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
-    assert main(argv) == 0
+    # --n-max 3 is below the oracle's pair cutoff: a numerical failure, exit 2
+    assert main(argv) == (2 if argv[0] == "oracle-check" else 0)
     capsys.readouterr()
     assert (built[InterferometerConfig], built[RunConfig]) == (devices, runs)
 
@@ -412,10 +420,47 @@ def test_log_grid_with_negative_min_exits_1(capsys):
 
 
 def test_unwritable_output_exits_1(tmp_path, capsys):
-    target = tmp_path / "no-such-dir" / "x.csv"
-    code = main(["signal", "--points", "8", "--out", str(target)])
-    assert code == 1
-    assert "squint:" in capsys.readouterr().err
+    target = tmp_path / "no-such-dir" / "x.out"
+    for argv in (["signal", "--points", "8"],
+                 ["signal", "--points", "3", "--format", "json"],
+                 ["resolve", "-G", "2"],
+                 ["sweep", "--points", "3", "--format", "json"],
+                 ["optimize-imbalance", "-G", "3"]):
+        assert main(argv + ["--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "squint:" in captured.err and "no-such-dir" in captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["signal", "--points", "4"], 0),
+    (["signal", "--points", "4", "--format", "json"], 0),
+    (["resolve", "-G", "2"], 0),
+    (["resolve", "-G", "2", "--xi=1.2", "--refine-phi"], 0),  # a note on stderr
+    (["sweep", "--points", "3"], 0),
+    (["sweep", "--points", "3", "--format", "json"], 0),
+    (["sweep", "-G", "5", "--param", "delta2", "--min", "-0.3", "--max", "0.78",
+      "--points", "4", "--linear", "--format", "json"], 2),
+    (["optimize-imbalance", "-G", "5"], 0),
+    (["oracle-check", "--n-max", "3"], 2),
+])
+def test_out_file_holds_the_stdout_bytes(argv, code, tmp_path, capsys):
+    # one document per request: --out gets the bytes stdout would, bar the
+    # JSON config echo naming the file, and the diagnostics on stderr and the
+    # exit code do not depend on where it goes
+    assert main(argv) == code
+    printed = capsys.readouterr()
+    target = tmp_path / "doc.out"
+    assert main(argv + ["--out", str(target)]) == code
+    written = capsys.readouterr()
+    assert written.out == ""
+    assert written.err == printed.err
+    want = printed.out
+    if want.startswith("{"):  # a JSON document
+        null, named = '\n    "out": null,\n', f'\n    "out": {json.dumps(str(target))},\n'
+        assert want.count(null) == 1
+        want = want.replace(null, named)
+    assert target.read_bytes() == want.encode()
 
 
 def test_sweep_csv_grid_and_param_column(tmp_path):
