@@ -284,7 +284,7 @@ def _add_subcommand(sub, name: str, run, summary: str, device: bool = True) -> _
     false) the device flags.  Each flag's dest names the field it sets; an
     unset flag is None and keeps the config file's value or the default."""
     p = sub.add_parser(name, help=summary)
-    p.set_defaults(run=run)
+    p.set_defaults(run=run, device=device)
     if device:
         p.add_argument("-G", "--gain", dest="G", type=float, help="squeezer gain")
         p.add_argument("--xi", type=float, help="pump phase (angle)")
@@ -355,7 +355,11 @@ def _build_runconfig(args) -> RunConfig:
     cfg = _DEFAULT_RUN
     if args.config:
         with open(args.config) as fh:
-            cfg = RunConfig.from_dict(json.load(fh))
+            data = json.load(fh)
+        cfg = RunConfig.from_dict(data)
+        if not args.device and data.get("interferometer"):
+            raise ValueError(f"{args.command} reads no device fields, but the config "
+                             f"file sets {sorted(data['interferometer'])}")
     fields = {k: v for k, v in vars(args).items() if k in _FIELDS and v is not None}
     if args.degrees:
         gain_grid = fields.get("param", cfg.param) == "G"

@@ -9,13 +9,17 @@ alone, independent of the library solver's bracket and end handling, and
 golden-section search is the reference for the library's Brent minimiser.  The eager
 Fock pipeline allocates every loss ancilla before the first element acts,
 the layout the oracle's lazily appended ancillas must reproduce bit for bit.
+The per-mode loss chain rebuilds the engine's output covariance with `@`
+products and one loss step per mode, the path the engine's own `.dot`
+products and per-device loss stations must reproduce bit for bit.
 """
 import math
 
 import numpy as np
 
-from squint import (BsSpec, FockState, ancilla_cutoff, apply_unitary_fock, evaluate,
-                    loss_unitary, signal_slope, tail_cutoff, tmsv_fock)
+from squint import (BsSpec, FockState, ancilla_cutoff, apply_unitary_fock, beam_splitter,
+                    evaluate, loss_unitary, phase_shifter, signal_slope, tail_cutoff,
+                    tmsv_fock, two_mode_squeezer)
 
 
 def symplectic_form() -> np.ndarray:
@@ -50,6 +54,30 @@ def reference_passive(u, modes=(0, 1)):
     [[Re z, -Im z], [Im z, Re z]]."""
     return embed_blocks([[[[z.real, -z.imag], [z.imag, z.real]] for z in row] for row in u],
                         modes)
+
+
+def lose_one_mode(f, mode, angle):
+    """Reference loss step: one mode at a time, two noise columns per call."""
+    if angle == 0.0:
+        return f
+    rows = slice(2 * mode, 2 * mode + 2)
+    noise = np.zeros((4, 2))
+    noise[rows] = math.sin(angle) * np.eye(2)
+    f = np.hstack([f, noise])
+    f[rows, :-2] *= math.cos(angle)
+    return f
+
+
+def reference_output_state(config, phi):
+    """Output covariance of the device at phase phi from the element chain:
+    each builder's matrix applied with `@`, each loss one mode at a time."""
+    f = two_mode_squeezer(config.G, config.xi)
+    f = lose_one_mode(lose_one_mode(f, 0, config.alpha1), 1, config.beta1)
+    f = beam_splitter(BsSpec("B1", config.delta1)) @ f
+    f = phase_shifter(phi) @ f
+    f = lose_one_mode(lose_one_mode(f, 0, config.alpha2), 1, config.beta2)
+    f = beam_splitter(BsSpec("B2", config.delta2)) @ f
+    return f @ f.T
 
 
 def detect_saturation(values):

@@ -539,6 +539,24 @@ def test_oracle_check_rejects_bad_n_max(capsys):
     assert "n_max must be a non-negative integer, got -5" in captured.err
 
 
+def test_oracle_check_refuses_device_fields_in_config(tmp_path, capsys):
+    # oracle-check takes no device flags and its grid reads no device, so a
+    # config file may not set one either; other fields still apply
+    device = tmp_path / "device.json"
+    for block in ({"G": 2.0, "alpha2": 0.1}, {"xi": -0.0}):
+        device.write_text(json.dumps({"interferometer": block, "criterion": "standard"}))
+        assert main(["oracle-check", "--config", str(device), "--n-max", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("squint: config error: ")
+        assert str(sorted(block)) in captured.err
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"criterion": "standard"}))
+    code, payload = run_json(["oracle-check", "--config", str(plain), "--n-max", "3"], capsys)
+    assert code == 2
+    assert payload["config"]["criterion"] == "standard"
+
+
 def test_oracle_check_cutoff_failure_exits_2(capsys):
     code, payload = run_json(["oracle-check", "--n-max", "3"], capsys)
     assert code == 2

@@ -29,6 +29,7 @@ from squint import (
     vacuum_state,
 )
 from squint.gaussian import _G_MAX
+from reference import reference_output_state
 
 GAINS = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
@@ -130,18 +131,6 @@ def test_loss_degrades_noise_floor_monotonically():
     assert all(b > a for a, b in zip(sigmas, sigmas[1:]))
 
 
-def lose_one_mode(f, mode, angle):
-    """Reference loss step: one mode at a time, two noise columns per call."""
-    if angle == 0.0:
-        return f
-    rows = slice(2 * mode, 2 * mode + 2)
-    noise = np.zeros((4, 2))
-    noise[rows] = math.sin(angle) * np.eye(2)
-    f = np.hstack([f, noise])
-    f[rows, :-2] *= math.cos(angle)
-    return f
-
-
 def _drawn_devices(count):
     rng = np.random.default_rng(1616)
     for i in range(count):
@@ -173,19 +162,38 @@ def _bits(stats):
 def test_output_state_matches_per_mode_loss_chain(losses):
     cfg = InterferometerConfig(**{**dict(G=1.7, xi=0.6, delta1=0.04, delta2=-0.23), **losses})
     for phi in (0.0, -0.0, 1.1, np.pi / 2, 4.0):
-        f = two_mode_squeezer(cfg.G, cfg.xi)
-        f = lose_one_mode(lose_one_mode(f, 0, cfg.alpha1), 1, cfg.beta1)
-        f = beam_splitter(BsSpec("B1", cfg.delta1)) @ f
-        f = phase_shifter(phi) @ f
-        f = lose_one_mode(lose_one_mode(f, 0, cfg.alpha2), 1, cfg.beta2)
-        f = beam_splitter(BsSpec("B2", cfg.delta2)) @ f
-        chain, got = f @ f.T, output_state(cfg, phi)
+        chain, got = reference_output_state(cfg, phi), output_state(cfg, phi)
         np.testing.assert_array_equal(got, chain)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(chain))
         m1, m2 = product_mean(chain), product_second_moment(chain)
         want = SignalStats(mean=m1, second_moment=m2, sigma=product_sigma(chain),
                            mean_photons=mean_photon_number(chain))
         assert _bits(evaluate(cfg, phi)) == _bits(want), phi
+
+
+@pytest.mark.parametrize("losses", [
+    {}, dict(alpha1=0.13), dict(beta1=0.21), dict(alpha2=0.3), dict(beta2=np.pi / 2),
+    dict(alpha1=0.1, beta1=0.2), dict(alpha2=0.05, beta2=np.pi / 2),
+    dict(alpha1=0.1, beta1=0.2, alpha2=0.05, beta2=0.3), dict(alpha1=0.1, beta2=0.3),
+    dict(beta1=0.2, alpha2=0.05, beta2=0.3), dict(alpha1=-0.0, beta1=-0.0, alpha2=-0.0),
+    dict(alpha1=-0.0, beta1=0.2, alpha2=0.05, beta2=-0.0),
+])
+def test_station_shapes_follow_the_lossy_modes(losses):
+    # each station's row scales match the factor they multiply, the noise has
+    # two columns per lossy mode, and a lossless station is None
+    cfg = InterferometerConfig(G=1.3, **losses)
+    prep, arm = cfg._stations[2:]
+    n_prep = (cfg.alpha1 != 0.0) + (cfg.beta1 != 0.0)
+    n_arm = (cfg.alpha2 != 0.0) + (cfg.beta2 != 0.0)
+    for station, lossy, width in ((prep, n_prep, 4), (arm, n_arm, 4 + 2 * n_prep)):
+        if not lossy:
+            assert station is None
+            continue
+        scale, noise = station
+        assert scale.shape == (4, width) and noise.shape == (4, 2 * lossy)
+        for array in (scale, noise):
+            with pytest.raises(ValueError):
+                array[0, 0] = 2.0
 
 
 def test_stations_follow_the_device():
