@@ -4,14 +4,11 @@ Everything in the main engine reduces to 2x2 covariance algebra, so this
 module recomputes the same observables by brute force in a truncated
 number basis: amplitudes on a product of per-mode ladders, passive
 unitaries applied sector by sector (a beam splitter conserves the total
-excitation of its mode pair, so it block-diagonalises over pair totals; a
-sector below both ladder ceilings holds the spin-n/2 representation of the
-2x2 map, from one real eigenbasis per pair total n that every map shares,
-and a sector cut by a ceiling, met only at loss ancillas, exponentiates its
-truncated generator, the cut sectors of one size in one stacked eigh; only
-the sectors a state occupies are built and multiplied), and loss realised as
-a beam splitter onto a vacuum ancilla that is never traced out explicitly.
-An ancilla joins the tensor as its last mode when its loss acts, so the
+excitation of its mode pair, so it block-diagonalises over pair totals, each
+one the spin-n/2 representation of the 2x2 map, from one real eigenbasis per
+pair total n that every map shares), and loss realised as the binomial split
+of each level onto a vacuum ancilla that is never traced out explicitly.  An
+ancilla joins the tensor as its last mode when its loss acts, so the
 elements before it act on a smaller tensor and the ancillas keep pipeline
 order.  None of the covariance shortcuts are reused, which makes the
 comparison meaningful.
@@ -22,7 +19,9 @@ of 1e-14 are refused.  Each loss ancilla gets the levels `ancilla_cutoff`
 derives from a tail bound: no mode ever holds more than the pair's 2n
 photons, and a loss of angle a passes each to its ancilla with probability
 sin^2 a, so K or more are lost with probability at most
-(1 + t)(sin^2 a t/(1 - t))^K, t = tanh G.  The measurement checks that no
+(1 + t)(sin^2 a t/(1 - t))^K, t = tanh G.  These are the only truncations:
+a pair map on a total that a ladder ceiling cuts raises CutoffError, where
+it could only be approximated.  The measurement checks that no
 appreciable amplitude sits within two levels of any mode's ceiling (the
 product observable reaches one level past twice the pair cutoff, hence
 signal modes of 2 n_sup + 3 levels).
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (BsSpec, _check_finite, _check_gain, _check_integer,
-                       _check_loss_angle, _check_non_negative, loss_unitary)
+                       _check_loss_angle, _check_non_negative)
 from .interferometer import InterferometerConfig, evaluate
 from .moments import SignalStats, _sigma
 
@@ -218,41 +217,6 @@ def _sector_block(u_bytes: bytes, n: int) -> np.ndarray:
     return left[:, None] * (vec @ right.view(float)).view(complex)
 
 
-def _cut_blocks(u_bytes: bytes, totals, di: int, dj: int) -> dict:
-    """Blocks of the 2x2 map u with bytes `u_bytes` on pair totals cut by a
-    ladder ceiling (each n >= min(di, dj)), as {n: block} over |k, n - k>, k
-    ascending.
-
-    A cut sector holds exp(-i H) of the truncated generator, H built from
-    the h with u = exp(-i h) that eig(u) gives, which is not a representation
-    of u.  The totals of one block size share one stacked eigh and one
-    stacked product; nothing is cached, since a ceiling is met only at a loss
-    ancilla, whose map and dims a state meets once.
-    """
-    lam, w = np.linalg.eig(np.frombuffer(u_bytes, dtype=complex).reshape(2, 2))
-    h = w @ np.diag(1j * np.log(lam)) @ np.conj(w.T)
-    h = 0.5 * (h + np.conj(h.T))
-    totals = np.asarray(totals)
-    lows = np.maximum(0, totals - (dj - 1))
-    sizes = np.minimum(totals, di - 1) - lows + 1
-    blocks = {}
-    for size in np.unique(sizes).tolist():
-        pick = sizes == size
-        n = totals[pick, None]
-        ks = lows[pick, None] + np.arange(size)
-        ham = np.zeros((len(n), size, size), dtype=complex)
-        ham[:, range(size), range(size)] = h[0, 0].real * ks + h[1, 1].real * (n - ks)
-        if size > 1:
-            kk = ks[:, :-1]  # hopping k -> k+1 via a_i^dag a_j
-            off = h[0, 1] * np.sqrt((kk + 1.0) * (n - kk))
-            ham[:, range(1, size), range(size - 1)] = off
-            ham[:, range(size - 1), range(1, size)] = np.conj(off)
-        lam, vec = np.linalg.eigh(ham)
-        stack = (vec * np.exp(-1j * lam)[:, None, :]) @ np.conj(vec.transpose(0, 2, 1))
-        blocks.update(zip(totals[pick].tolist(), stack))
-    return blocks
-
-
 def _apply_pair(amps: np.ndarray, mode_i: int, mode_j: int, u: np.ndarray) -> np.ndarray:
     """Pair unitary on two modes of the amplitude tensor, sector by sector.
 
@@ -260,29 +224,27 @@ def _apply_pair(amps: np.ndarray, mode_i: int, mode_j: int, u: np.ndarray) -> np
     the rows k dj + (n - k) of pair total n form a slice of stride dj - 1, so
     each sector block multiplies a strided view, restricted to the columns
     that hold amplitude, and writes the same slice of the output.  A block
-    maps a zero slice to zero, so the skipped output is exactly 0.  The live
-    totals are found first, so the ones cut by a ceiling are built together.
+    maps a zero slice to zero, so the skipped output is exactly 0.  A ladder
+    ceiling cuts every total from min(di, dj) on, where no block represents
+    u, so amplitude there raises CutoffError before anything is multiplied.
     """
     dims = amps.shape
     di, dj = dims[mode_i], dims[mode_j]
     perm = [mode_i, mode_j] + [k for k in range(len(dims)) if k not in (mode_i, mode_j)]
     st = np.transpose(amps, perm).reshape(di * dj, -1)
     nonzero = st != 0
+    totals = np.add.outer(np.arange(di), np.arange(dj)).ravel()
+    cut = totals[(totals >= min(di, dj)) & nonzero.any(axis=1)]
+    if len(cut):
+        raise CutoffError(f"pair total {cut.min()} holds amplitude on ladders of {di} and "
+                          f"{dj} levels, where a ceiling cuts its sector; enlarge the cutoff")
     key = u.tobytes()
-    live = []
-    for n in range(di + dj - 1):
-        first = n + max(0, n - (dj - 1)) * (dj - 1)
-        rows = slice(first, n + min(n, di - 1) * (dj - 1) + 1, max(dj - 1, 1))
+    out = np.zeros_like(st)
+    for n in range(min(di, dj)):
+        rows = slice(n, n * dj + 1, max(dj - 1, 1))
         cols = nonzero[rows].any(axis=0).nonzero()[0]
         if len(cols):
-            live.append((n, rows, cols))
-    full = min(di, dj)
-    cut = [n for n, _, _ in live if n >= full]
-    blocks = _cut_blocks(key, cut, di, dj) if cut else {}
-    out = np.zeros_like(st)
-    for n, rows, cols in live:
-        block = blocks[n] if n >= full else _sector_block(key, n)
-        out[rows, cols] = block @ st[rows][:, cols]
+            out[rows, cols] = _sector_block(key, n) @ st[rows][:, cols]
     return np.transpose(out.reshape([dims[k] for k in perm]), np.argsort(perm))
 
 
@@ -310,6 +272,8 @@ def apply_unitary_fock(state: FockState, op, modes) -> FockState:
             active Bogoliubov maps have no 2x2 unitary form and are rejected.
         modes: the target mode indices, one for a phase, two (distinct) for
             a pair map.
+
+    A pair map on a pair total that a ladder ceiling cuts raises CutoffError.
     """
     modes = _check_modes(state, modes)
     if isinstance(op, BsSpec):
@@ -397,14 +361,25 @@ def fock_moments(state: FockState, mode_a: int, mode_b: int):
 
 def _lose(state: FockState, losses) -> FockState:
     """Each (mode, angle, levels) loss as `loss_unitary` onto a vacuum ancilla
-    of `levels` levels, appended as the last mode (its level 0 holding the
-    state) when the loss acts."""
+    of `levels` levels, appended as the last mode when the loss acts.
+
+    The map splits level k of the mode binomially, to |k - j>|j> with
+    amplitude sqrt(C(k, j)) cos^(k - j) a (-sin a)^j (Campos, Saleh & Teich,
+    PRA 40, 1371 (1989)), each weight from the one of level j - 1, so none
+    overflows.  It drops the levels j >= `levels` that `ancilla_cutoff` bounds.
+    """
+    amps = state.amplitudes
     for mode, angle, levels in losses:
-        amps = np.zeros(state.dims + (levels,), dtype=complex)
-        amps[..., 0] = state.amplitudes
-        state = apply_unitary_fock(FockState(amps, state.norm_deficit), loss_unitary(angle),
-                                   (mode, state.n_modes))
-    return state
+        dim = amps.shape[mode]
+        shape = (-1,) + (1,) * (amps.ndim - mode - 1)
+        out = np.zeros(amps.shape + (levels,), dtype=complex)
+        weight = math.cos(angle) ** np.arange(dim)  # j = 0: cos^k a
+        for j in range(min(levels, dim)):
+            out[_axis(mode, slice(dim - j)) + (..., j)] = (
+                amps[_axis(mode, slice(j, None))] * weight.reshape(shape))
+            weight = weight[:-1] * (-math.sin(angle) * np.sqrt(np.arange(j + 1, dim) / (j + 1)))
+        amps = out
+    return FockState(amps, state.norm_deficit)
 
 
 def _prepare(config: InterferometerConfig, n_max: int | None):

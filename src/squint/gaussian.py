@@ -193,7 +193,7 @@ def beam_splitter(spec: BsSpec) -> np.ndarray:
 def loss_unitary(alpha: float) -> np.ndarray:
     """Two-mode dilation of the loss channel: a -> cos(a)a + sin(a)u.
 
-    Real orthogonal map on (system, ancilla); used by the Fock oracle.  The
+    Real orthogonal map on (system, ancilla), the Fock oracle's loss.  The
     covariance-level channel in `apply_loss` is this unitary with the vacuum
     ancilla traced out.  ValueError unless alpha is a number in [0, pi/2].
     """

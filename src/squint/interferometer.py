@@ -116,23 +116,18 @@ def _station(a0: float, a1: float, width: int):
     (row scales, noise columns), or None when neither mode loses.
 
     Each mode's two rows scale by cos(angle), exactly 1.0 for a lossless
-    mode, and two noise columns of sin(angle) join the factor for each lossy
-    mode, mode 0's before mode 1's, so F F^T picks up sin^2(angle) on the
-    mode's diagonal block: the `apply_loss` channel without forming the
-    covariance.  The row scales are built once, shaped (4, width) like the
-    factor they multiply, so no phase broadcasts a column; every phase of
-    the device shares both arrays, so they are read-only.
+    mode, and the factor gains the lossy modes' columns of diag(sin a0,
+    sin a0, sin a1, sin a1), so F F^T picks up sin^2(angle) on the mode's
+    diagonal block: the `apply_loss` channel without forming the covariance.
+    The row scales are built once, shaped (4, width) like the factor they
+    multiply, so no phase broadcasts a column; every phase of the device
+    shares both arrays, so they are read-only.
     """
     if a0 == 0.0 and a1 == 0.0:
         return None
     c0, s0, c1, s1 = math.cos(a0), math.sin(a0), math.cos(a1), math.sin(a1)
-    if a1 == 0.0:
-        noise = np.array([[s0, 0.0], [0.0, s0], [0.0, 0.0], [0.0, 0.0]])
-    elif a0 == 0.0:
-        noise = np.array([[0.0, 0.0], [0.0, 0.0], [s1, 0.0], [0.0, s1]])
-    else:
-        noise = np.array([[s0, 0.0, 0.0, 0.0], [0.0, s0, 0.0, 0.0],
-                          [0.0, 0.0, s1, 0.0], [0.0, 0.0, 0.0, s1]])
+    lossy = [k for k, a in enumerate((a0, a0, a1, a1)) if a != 0.0]
+    noise = np.ascontiguousarray(np.diag([s0, s0, s1, s1])[:, lossy])
     scale = np.repeat([[c0], [c0], [c1], [c1]], width, axis=1)
     scale.flags.writeable = noise.flags.writeable = False
     return scale, noise

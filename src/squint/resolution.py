@@ -174,6 +174,11 @@ def modified_resolution(config: InterferometerConfig,
     offset the engine receives, (phi + d) - phi, so rounding the phase
     cannot move the root, and the bracket is also closed once no phase lies
     strictly inside it.  `iterations` counts the evaluations of g.
+
+    The working point is the noise minimum and the step goes to one side of
+    it, as the paper's 4/<N> and 2.76/<N> assume; no solver moves phi.  Off
+    the minimum kappa falls with no better device: the ideal fringe at the
+    interval's centre gives 2N/sqrt(N^2 + 2N), about 2.
     """
     sigma0, slope, n, bound, failed = _working_point(config, phi, "modified")
     if failed:

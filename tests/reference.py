@@ -6,9 +6,10 @@ slice by slice, independently of the builders' literals, and the saturation
 test reads the tail of a sweep for the acceptance gates.  Plain bisection
 solves the modified criterion from the public `evaluate` and `signal_slope`
 alone, independent of the library solver's bracket and end handling, and
-golden-section search is the reference for the library's Brent minimiser.  The eager
-Fock pipeline allocates every loss ancilla before the first element acts,
-the layout the oracle's lazily appended ancillas must reproduce bit for bit.
+golden-section search is the reference for the library's Brent minimiser.  The
+reference loss applies the generic pair map of `loss_unitary` onto an
+ancilla deep enough that no sector is cut, and then truncates it: the
+oracle's binomial split must match it amplitude by amplitude.
 The per-mode loss chain rebuilds the engine's output covariance with `@`
 products and one loss step per mode, the path the engine's own `.dot`
 products and per-device loss stations must reproduce bit for bit.
@@ -147,38 +148,36 @@ def golden_min(f, lo, hi, tol):
     return (c, fc) if fc < fd else (d, fd)
 
 
-def eager_lose(state, losses, first_ancilla):
-    """Each (mode, angle) loss as `loss_unitary` onto the next vacuum ancilla,
-    already present in the tensor from `first_ancilla` on."""
-    for k, (mode, angle) in enumerate(losses):
-        state = apply_unitary_fock(state, loss_unitary(angle), (mode, first_ancilla + k))
-    return state
+def reference_lose(state, losses):
+    """Each (mode, angle, levels) loss as `apply_unitary_fock` of `loss_unitary`
+    onto a vacuum ancilla with as many levels as its mode, appended as the last
+    mode, so that no sector of the pair is cut; the ancilla then keeps its
+    first `levels` levels.  Returns the state and the probability dropped."""
+    dropped = 0.0
+    for mode, angle, levels in losses:
+        amps = np.zeros(state.dims + (state.dims[mode],), dtype=complex)
+        amps[..., 0] = state.amplitudes
+        full = apply_unitary_fock(FockState(amps, state.norm_deficit), loss_unitary(angle),
+                                  (mode, state.n_modes)).amplitudes
+        dropped += float(np.sum(np.abs(full[..., levels:]) ** 2))
+        state = FockState(full[..., :levels], state.norm_deficit)
+    return state, dropped
 
 
-def eager_prepare(config, n_max=None):
-    """Squeezed pair cut off at n_max (default `tail_cutoff(G)`) after the
-    preparation losses, with one vacuum ancilla of `ancilla_cutoff` levels
-    per nonzero loss allocated up front, in pipeline order after the two
-    signal modes; returns the state and the arm losses still to apply."""
-    losses = [(mode, angle) for mode, angle in ((0, config.alpha1), (1, config.beta1),
-                                                (0, config.alpha2), (1, config.beta2))
-              if angle != 0.0]
-    n_prep = (config.alpha1 != 0.0) + (config.beta1 != 0.0)
-    n_sup = tail_cutoff(config.G) if n_max is None else n_max
-    dim = 2 * n_sup + 3
-    dims = [dim, dim] + [ancilla_cutoff(config.G, angle, n_sup) for _, angle in losses]
-    seed = tmsv_fock(config.G, config.xi, n_max=n_sup)
-    amps = np.zeros(dims, dtype=complex)
-    idx = np.arange(n_sup + 1)
-    amps[(idx, idx) + (0,) * len(losses)] = seed.amplitudes[idx, idx]
-    return (eager_lose(FockState(amps, seed.norm_deficit), losses[:n_prep], 2),
-            losses[n_prep:])
+def reference_losses(config):
+    """The device's nonzero losses in pipeline order, (mode, angle, levels) each,
+    with `ancilla_cutoff` levels for a pair cut off at `tail_cutoff(G)`."""
+    n_sup = tail_cutoff(config.G)
+    return [(mode, angle, ancilla_cutoff(config.G, angle, n_sup))
+            for mode, angle in ((0, config.alpha1), (1, config.beta1),
+                                (0, config.alpha2), (1, config.beta2))
+            if angle != 0.0]
 
 
-def eager_pipeline_state(config, phi):
-    """The oracle pipeline's state before measurement, ancillas allocated up front."""
-    state, arm = eager_prepare(config)
-    state = apply_unitary_fock(state, BsSpec("B1", config.delta1), (0, 1))
-    state = apply_unitary_fock(state, phi, 0)
-    state = eager_lose(state, arm, state.n_modes - len(arm))
-    return apply_unitary_fock(state, BsSpec("B2", config.delta2), (0, 1))
+def reference_seed(config):
+    """Squeezed pair cut off at `tail_cutoff(G)` on signal modes of 2 n + 3 levels."""
+    seed = tmsv_fock(config.G, config.xi)
+    n_sup = seed.dims[0] - 1
+    amps = np.zeros((2 * n_sup + 3,) * 2, dtype=complex)
+    amps[:n_sup + 1, :n_sup + 1] = seed.amplitudes
+    return FockState(amps, seed.norm_deficit)

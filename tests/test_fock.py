@@ -21,7 +21,7 @@ from squint import (
     tail_cutoff,
     tmsv_fock,
 )
-from reference import eager_pipeline_state, eager_prepare
+from reference import reference_lose, reference_losses, reference_seed
 
 
 def test_tail_cutoff_reference_points():
@@ -188,13 +188,25 @@ def test_single_photon_balanced_split():
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_unitaries_preserve_norm_and_photon_total():
-    state = tmsv_fock(0.8, xi=0.4, n_max=40)
-    n0 = photon_number_expectation(state)
+def _chain(state):
     for op, modes in ((BsSpec("B1", 0.1), (0, 1)),
                       (BsSpec("B2", -0.1), (0, 1)),
                       (1.3, 0)):
         state = apply_unitary_fock(state, op, modes)
+    return state
+
+
+def test_unitaries_preserve_norm_and_photon_total():
+    seed = tmsv_fock(0.8, xi=0.4, n_max=40)
+    # on the pair's own 41 levels the splitters meet the even totals up to 80,
+    # and a ceiling cuts those from 42 on: refused rather than approximated
+    with pytest.raises(CutoffError, match="pair total 42"):
+        _chain(seed)
+    # padded to the pipeline's 2 * 40 + 3 levels every total is whole
+    amps = np.zeros((83, 83), dtype=complex)
+    amps[:41, :41] = seed.amplitudes
+    state = _chain(FockState(amps, seed.norm_deficit))
+    n0 = photon_number_expectation(seed)
     assert state.norm() == pytest.approx(np.sqrt(1 - state.norm_deficit), abs=1e-12)
     assert photon_number_expectation(state) == pytest.approx(n0, abs=1e-10)
 
@@ -271,38 +283,75 @@ def _random_state(rng, dims):
     return amps / np.linalg.norm(amps)
 
 
-def test_pair_maps_match_dense_reference():
-    # exp(-i H) with H = sum_ab h_ab a_a^dag a_b on the truncated two-mode
-    # space, from Kronecker ladder matrices; u comes from the same h, so the
-    # module's logarithm of u is checked rather than reused
-    rng = np.random.default_rng(5)
-    dims = (5, 4, 3)
-    full = _random_state(rng, dims)  # every sector occupied, truncated ones too
+def _dense_pair_map(h, pair):
+    """exp(-i H) with H = sum_ab h_ab a_a^dag a_b on the truncated two-mode
+    space of `pair` levels, from Kronecker ladder matrices; exact on the pair
+    totals below both ceilings, which H never leaves."""
+    a = [_mode_op(_ladder(d), k, pair) for k, d in enumerate(pair)]
+    ham = sum(h[p, q] * a[p].conj().T @ a[q] for p in range(2) for q in range(2))
+    w, v = np.linalg.eigh(ham)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def _random_map(rng):
+    """A random 2x2 unitary u = exp(-i h) with its Hermitian generator h, so the
+    dense reference is built from h rather than from a decomposition of u."""
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     h = 0.6 * (g + g.conj().T)
     lam, vec = np.linalg.eigh(h)
-    u = (vec * np.exp(-1j * lam)) @ vec.conj().T
+    return (vec * np.exp(-1j * lam)) @ vec.conj().T, h
+
+
+def _below_ceilings(amps, i, j):
+    """Copy of `amps` without the pair totals of modes (i, j) that reach
+    min(di, dj), the ones a ladder ceiling cuts."""
+    out = np.moveaxis(amps.copy(), (i, j), (0, 1))
+    out[np.add.outer(*map(np.arange, out.shape[:2])) >= min(out.shape[:2])] = 0.0
+    return np.moveaxis(out, (0, 1), (i, j))
+
+
+def _check_pair_maps(dims, seed, zeroed_total=None):
+    """Every ordered pair of a random state on `dims`: the full state, which
+    occupies cut totals, raises CutoffError; restricted to whole totals it
+    matches the dense reference within 1e-12, and so does a sparser copy
+    without `zeroed_total` and without level 1 of the third mode, whose
+    zeroed slices must stay exactly zero."""
+    rng = np.random.default_rng(seed)
+    full = _random_state(rng, dims)
+    u, h = _random_map(rng)
     for i, j in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)):
         other = 3 - i - j
         pair = (dims[i], dims[j])
-        a = [_mode_op(_ladder(d), k, pair) for k, d in enumerate(pair)]
-        ham = sum(h[p, q] * a[p].conj().T @ a[q] for p in range(2) for q in range(2))
-        w, v = np.linalg.eigh(ham)
-        dense = (v * np.exp(-1j * w)) @ v.conj().T
-        totals = np.add.outer(np.arange(dims[i]), np.arange(dims[j]))
-        sparse = np.moveaxis(full.copy(), (i, j), (0, 1))
-        sparse[totals == 3] = 0.0
-        sparse[:, :, 1] = 0.0
+        # the lowest cut total is min(di, dj), and it is refused
+        with pytest.raises(CutoffError, match=f"pair total {min(pair)} holds .* ceiling"):
+            apply_unitary_fock(FockState(full), u, (i, j))
+        dense = _dense_pair_map(h, pair)
+        whole = _below_ceilings(full, i, j)
+        totals = np.add.outer(np.arange(pair[0]), np.arange(pair[1]))
+        sparse = np.moveaxis(whole.copy(), (i, j), (0, 1))
+        if zeroed_total is not None:
+            sparse[totals == zeroed_total] = 0.0
+        if dims[other] > 1:
+            sparse[:, :, 1] = 0.0
         sparse = np.moveaxis(sparse, (0, 1), (i, j))
-        for amps in (full, sparse):
+        for amps in (whole, sparse):
             got = apply_unitary_fock(FockState(amps), u, (i, j)).amplitudes
             flat = np.moveaxis(amps, (i, j), (0, 1)).reshape(pair[0] * pair[1], -1)
             want = np.moveaxis((dense @ flat).reshape(pair + (dims[other],)), (0, 1), (i, j))
             assert np.max(np.abs(got - want)) <= 1e-12, (i, j)
         out = np.moveaxis(apply_unitary_fock(FockState(sparse), u, (i, j)).amplitudes,
                           (i, j), (0, 1))
-        assert np.all(out[totals == 3] == 0.0)
-        assert np.all(out[:, :, 1] == 0.0)
+        assert np.all(out[totals >= min(pair)] == 0.0)
+        if zeroed_total is not None:
+            assert np.all(out[totals == zeroed_total] == 0.0)
+        if dims[other] > 1:
+            assert np.all(out[:, :, 1] == 0.0)
+
+
+def test_pair_maps_match_dense_reference():
+    # total 1 lies below every pair's ceilings, so zeroing it leaves a gap
+    # between live totals in each pair
+    _check_pair_maps((5, 4, 3), seed=5, zeroed_total=1)
 
 
 def test_moments_match_dense_operators():
@@ -330,16 +379,10 @@ def test_moments_guard_against_ceiling_occupation():
 
 def test_moments_guard_covers_loss_ancillas():
     # G = 0.8 pair behind a 0.1 loss on each mode, each onto a 4-level
-    # ancilla: lost photons reach the ancillas' ceilings, which shifts the
-    # second moment by 8e-8 while the signal modes' own levels look fine
-    n_sup = tail_cutoff(0.8)
-    dim = 2 * n_sup + 3
-    seed = tmsv_fock(0.8, n_max=n_sup)
-    amps = np.zeros((dim, dim, 4, 4), dtype=complex)
-    amps[:n_sup + 1, :n_sup + 1, 0, 0] = seed.amplitudes
-    state = FockState(amps, seed.norm_deficit)
-    for mode, ancilla in ((0, 2), (1, 3)):
-        state = apply_unitary_fock(state, loss_unitary(0.1), (mode, ancilla))
+    # ancilla: lost photons reach the ancillas' ceilings while the signal
+    # modes' own levels look fine
+    state = fock._lose(reference_seed(InterferometerConfig(G=0.8)), ((0, 0.1, 4), (1, 0.1, 4)))
+    assert state.dims[2:] == (4, 4)
     with pytest.raises(CutoffError, match="mode 2 holds .* top two levels"):
         fock_moments(state, 0, 1)
 
@@ -377,25 +420,9 @@ def test_pipeline_arm_loss_matches_engine():
 
 
 def test_pair_maps_with_a_one_level_mode_match_dense_reference():
-    # a one-level mode makes every pair total a single row of the pair matrix
-    rng = np.random.default_rng(8)
-    dims = (4, 1, 3)
-    amps = _random_state(rng, dims)
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    h = 0.6 * (g + g.conj().T)
-    lam, vec = np.linalg.eigh(h)
-    u = (vec * np.exp(-1j * lam)) @ vec.conj().T
-    for i, j in ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)):
-        other = 3 - i - j
-        pair = (dims[i], dims[j])
-        a = [_mode_op(_ladder(d), k, pair) for k, d in enumerate(pair)]
-        ham = sum(h[p, q] * a[p].conj().T @ a[q] for p in range(2) for q in range(2))
-        w, v = np.linalg.eigh(ham)
-        dense = (v * np.exp(-1j * w)) @ v.conj().T
-        got = apply_unitary_fock(FockState(amps), u, (i, j)).amplitudes
-        flat = np.moveaxis(amps, (i, j), (0, 1)).reshape(pair[0] * pair[1], -1)
-        want = np.moveaxis((dense @ flat).reshape(pair + (dims[other],)), (0, 1), (i, j))
-        assert np.max(np.abs(got - want)) <= 1e-12, (i, j)
+    # a one-level mode makes every pair total a single row of the pair matrix,
+    # and leaves it only total 0 below its ceiling
+    _check_pair_maps((4, 1, 3), seed=8)
 
 
 def _pair_maps():
@@ -412,14 +439,14 @@ def _pair_maps():
     return [np.ascontiguousarray(u, dtype=complex) for u in maps]
 
 
-def _generator_block(u, n, di, dj):
-    """Sector block as exp(-i H) of the generator h = i log u restricted to
-    the sector, the construction truncated sectors keep."""
+def _generator_block(u, n):
+    """Sector block of pair total n as exp(-i H) of the generator h = i log u
+    restricted to the sector, a construction independent of the spin basis."""
     lam, w = np.linalg.eig(u)
     h = w @ np.diag(1j * np.log(lam)) @ np.conj(w.T)
     h = 0.5 * (h + np.conj(h.T))
-    ks = np.arange(max(0, n - (dj - 1)), min(n, di - 1) + 1)
-    size = len(ks)
+    ks = np.arange(n + 1)
+    size = n + 1
     ham = np.diag((h[0, 0].real * ks + h[1, 1].real * (n - ks)).astype(complex))
     if size > 1:
         kk = ks[:-1]
@@ -458,21 +485,7 @@ def test_full_sector_blocks_match_the_generator_construction():
     for u in _pair_maps():
         for n in (0, 1, 2, 5, 31, 104):
             got = fock._sector_block.__wrapped__(u.tobytes(), n)
-            assert np.max(np.abs(got - _generator_block(u, n, n + 1, n + 3))) <= 1e-12, n
-
-
-def test_truncated_sector_blocks_keep_the_generator_construction():
-    # every cut total of each ladder pair at once ((19, 6) mixes block sizes 6
-    # down to 1), and one non-contiguous set of totals
-    cases = [(di, dj, range(min(di, dj), di + dj - 1))
-             for di, dj in ((5, 3), (3, 5), (4, 1), (1, 4), (19, 6))]
-    cases.append((19, 6, (7, 12, 19, 21, 23)))
-    for u in _pair_maps():
-        for di, dj, totals in cases:
-            got = fock._cut_blocks(u.tobytes(), list(totals), di, dj)
-            assert sorted(got) == sorted(totals), (di, dj)
-            for n in totals:
-                assert np.array_equal(got[n], _generator_block(u, n, di, dj)), (n, di, dj)
+            assert np.max(np.abs(got - _generator_block(u, n))) <= 1e-12, n
 
 
 def test_pipeline_is_identical_with_cold_and_warm_caches():
@@ -484,9 +497,9 @@ def test_pipeline_is_identical_with_cold_and_warm_caches():
     assert oracle_pipeline(cfg, 0.7) == cold
 
 
-def test_pipeline_is_bit_identical_to_eager_ancillas():
-    # ancillas appended as their losses act give the same bits as ancillas
-    # allocated up front, at the prepared state and at the outputs
+def test_losses_match_the_generic_map_on_full_depth_ancillas():
+    # each binomial split against `loss_unitary` applied by the sector blocks
+    # onto an ancilla as deep as its mode, cut to the same levels afterwards
     rng = np.random.default_rng(13)
     layouts = (("alpha1", "beta1"), ("alpha2",), ("beta1", "alpha2"), ("alpha2", "beta2"))
     configs = [InterferometerConfig(
@@ -498,8 +511,46 @@ def test_pipeline_is_bit_identical_to_eager_ancillas():
                                         delta1=-0.12, delta2=0.08))
     for cfg in configs:
         phi = rng.uniform(0, 2 * np.pi)
-        (state, arm), (want, want_arm) = fock._prepare(cfg, None), eager_prepare(cfg)
-        assert [loss[:2] for loss in arm] == want_arm
-        assert np.array_equal(state.amplitudes,
-                              want.amplitudes[(Ellipsis,) + (0,) * len(arm)]), cfg
-        assert oracle_pipeline(cfg, phi) == fock._measure(eager_pipeline_state(cfg, phi)), cfg
+        losses = reference_losses(cfg)
+        n_prep = (cfg.alpha1 != 0.0) + (cfg.beta1 != 0.0)
+        state, arm = fock._prepare(cfg, None)
+        assert arm == losses[n_prep:], cfg
+        seed = reference_seed(cfg)
+        want, dropped = reference_lose(seed, losses[:n_prep])
+        assert state.dims == want.dims == seed.dims + tuple(k for _, _, k in losses[:n_prep])
+        assert np.max(np.abs(state.amplitudes - want.amplitudes)) <= 1e-14, cfg
+        state = apply_unitary_fock(want, BsSpec("B1", cfg.delta1), (0, 1))
+        state = apply_unitary_fock(state, phi, 0)
+        got = fock._lose(state, arm)
+        want, dropped_arm = reference_lose(state, arm)
+        assert got.dims == want.dims == state.dims + tuple(k for _, _, k in arm)
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-14, cfg
+        assert dropped + dropped_arm <= 1e-14, cfg
+        stats = oracle_pipeline(cfg, phi)
+        ref = fock._measure(apply_unitary_fock(want, BsSpec("B2", cfg.delta2), (0, 1)))
+        for name in ("mean", "second_moment", "sigma", "mean_photons"):
+            assert getattr(stats, name) == pytest.approx(getattr(ref, name), rel=1e-13), name
+
+
+def test_pipeline_pair_maps_act_on_the_leading_axes(monkeypatch):
+    # losses split onto their ancillas without a pair map, so every splitter
+    # of the grid and of the benchmark's five loss layouts (gain 0.6, losses
+    # up to 0.3) acts on the two signal modes, the tensor's leading axes
+    calls = []
+    apply_pair = fock._apply_pair
+
+    def recording(amps, mode_i, mode_j, u):
+        calls.append((mode_i, mode_j))
+        return apply_pair(amps, mode_i, mode_j, u)
+
+    monkeypatch.setattr(fock, "_apply_pair", recording)
+    for cache in (fock._spin_basis, fock._sector_block):
+        cache.cache_clear()
+    assert fock.equivalence_grid().passed
+    grid_calls = len(calls)
+    for names in (("alpha1", "alpha2"), ("beta1", "beta2"), ("alpha2", "beta2"),
+                  ("alpha1", "beta2"), ("beta1", "alpha2")):
+        oracle_pipeline(InterferometerConfig(G=0.6, xi=0.4, delta1=0.1, delta2=-0.1,
+                                             **dict.fromkeys(names, 0.3)), 1.2)
+    assert grid_calls > 0 and len(calls) == grid_calls + 10
+    assert set(calls) == {(0, 1)}

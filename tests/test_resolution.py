@@ -369,6 +369,34 @@ def test_refined_point_tracks_noise_minimum_under_imbalance():
         assert evaluate(cfg, phi - eps).sigma >= base - 1e-12
 
 
+def test_modified_criterion_keeps_the_working_point_on_the_noise_minimum():
+    # ideal device, G = 4: a test-side search over phi finds the modified
+    # kappa at the centred-interval value 2N/sqrt(N^2 + 2N), about half the
+    # 4 of the noise minimum; refine stays on the minimum, so no solver
+    # reports the lower figure
+    cfg = InterferometerConfig(G=4.0)
+    n = photons(4.0)
+    phi, kappa = golden_min(lambda p: modified_resolution(cfg, p).kappa,
+                            np.pi / 2 - 2e-3, np.pi / 2 + 2e-3, 1e-8)
+    assert kappa == pytest.approx(2 * n / np.sqrt(n * n + 2 * n), abs=1e-5)
+    assert kappa == pytest.approx(1.99866, abs=1e-5)
+    assert phi - np.pi / 2 == pytest.approx(-6.7e-4, abs=2e-5)
+    assert modified_resolution(cfg).kappa == pytest.approx(3.99723, abs=1e-5)
+    assert refine_working_point(cfg) == pytest.approx(np.pi / 2, abs=1e-6)
+
+
+def test_refined_point_minimises_sigma_not_kappa():
+    cfg = InterferometerConfig(G=3.0, xi=0.05, alpha1=0.05, beta1=0.02, alpha2=0.1,
+                               beta2=0.05, delta1=0.01, delta2=-0.2375)
+    phi = refine_working_point(cfg)
+    assert phi == pytest.approx(1.56928, abs=1e-5)
+    assert evaluate(cfg, phi).sigma == pytest.approx(7.0848, abs=1e-4)
+    assert modified_resolution(cfg, phi).kappa == pytest.approx(19.09, abs=5e-3)
+    # off the minimum the noise is higher and the modified kappa lower
+    assert evaluate(cfg, 1.5384).sigma == pytest.approx(11.02, abs=5e-3)
+    assert modified_resolution(cfg, 1.5384).kappa == pytest.approx(12.46, abs=5e-3)
+
+
 @pytest.mark.parametrize("f, lo, hi, want", [
     (lambda x: (x - 0.3) ** 2, -1.0, 2.0, 0.3),  # one parabolic step lands on it
     (lambda x: abs(x - 0.7) ** 1.5, 0.0, 1.0, 0.7),  # parabolas fit badly
