@@ -15,8 +15,9 @@ endpoint, while parameter grids include both ends; data values are printed
 with 12 significant digits and a decimal point; identical inputs give
 byte-identical output.  Each run writes exactly one document, to stdout
 or to --out: CSV text, or JSON that begins with the "config" echo of the
-run.  Diagnostics (the --refine-phi note, the oracle's cutoff lines) go
-to stderr.
+run.  The document does not depend on its destination, so an echo fed
+back through --config reproduces it.  Diagnostics (the --refine-phi note,
+the oracle's cutoff lines) go to stderr.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
 failure (non-convergence, oracle deviation, cutoff too small).
@@ -65,7 +66,6 @@ _LAYOUT = {
     "phi_grid": {"min": "phi_min", "max": "phi_max", "points": "phi_points"},
     "param_grid": {"name": "param", "min": "param_min", "max": "param_max",
                    "points": "param_points", "log": "log_grid"},
-    "out": "out",
     "format": "format",
 }
 
@@ -85,7 +85,6 @@ class RunConfig:
     param_max: float = 8.0
     param_points: int = 60
     log_grid: bool = True
-    out: str | None = None
     format: str = "csv"
 
     def __post_init__(self):
@@ -106,8 +105,6 @@ class RunConfig:
             raise ValueError(f"log_grid must be true or false, got {self.log_grid!r}")
         if self.log_grid and self.param_min <= 0:
             raise ValueError("log-spaced grids need a positive minimum")
-        if not (self.out is None or isinstance(self.out, str)):
-            raise ValueError(f"out must be a path or null, got {self.out!r}")
 
     def to_dict(self) -> dict:
         def nest(layout):
@@ -380,10 +377,10 @@ def main(argv=None) -> int:
         doc, ok = args.run(cfg, args)
         if isinstance(doc, dict):
             doc = json.dumps({"config": cfg.to_dict(), **doc}, indent=2) + "\n"
-        if cfg.out is None:
+        if args.out is None:
             sys.stdout.write(doc)
         else:
-            with open(cfg.out, "w", newline="\n") as fh:
+            with open(args.out, "w", newline="\n") as fh:
                 fh.write(doc)
         return 0 if ok else 2
     except OSError as exc:

@@ -339,7 +339,7 @@ def optimize_delta2(config: InterferometerConfig, criterion: str = "modified",
     """Recombiner imbalance minimising kappa for the device `config`.
 
     `config.delta2` is the variable being optimised, so its given value is
-    ignored; every other field holds.  A coarse 33-point scan over delta2 in
+    ignored; every other field holds.  A coarse 33-point sweep of delta2 over
     [-0.78, 0.78] locates the basin (and checks that the sampled profile has
     a single interior minimum); Brent's method then refines delta2 between
     the neighbours of the best scan point to a tolerance of 1e-6, the final
@@ -350,7 +350,8 @@ def optimize_delta2(config: InterferometerConfig, criterion: str = "modified",
     with unimodal=False and the scan samples attached, refining the deepest
     basin found.
     """
-    _check_choice("criterion", criterion, _CRITERIA)
+    xs = np.linspace(-0.78, 0.78, 33)
+    raw = sweep(config, "delta2", xs, criterion=criterion, phi=phi)
     solver = _CRITERIA[criterion]
     cache = {}
 
@@ -359,8 +360,6 @@ def optimize_delta2(config: InterferometerConfig, criterion: str = "modified",
             cache[d2] = solver(dataclasses.replace(config, delta2=d2), phi=phi)
         return cache[d2]
 
-    xs = np.linspace(-0.78, 0.78, 33)
-    raw = [kappa_at(float(x)) for x in xs]
     profile = tuple((float(x), r.kappa) for x, r in zip(xs, raw))
     # Non-converged scan points (the splitter degenerates toward |delta2| =
     # pi/4) rank as infinitely bad but do not abort the scan.

@@ -107,7 +107,7 @@ def test_runconfig_round_trips_through_json():
                                             delta2=0.2),
         criterion="standard", working_point=1.4, phi_min=0.1, phi_max=5.9,
         phi_points=77, param="delta2", param_min=0.01, param_max=0.7,
-        param_points=13, log_grid=False, out="table.csv", format="json")]
+        param_points=13, log_grid=False, format="json")]
     rng = np.random.default_rng(1818)
     angles = ("xi", "alpha1", "beta1", "alpha2", "beta2", "delta1", "delta2",
               "working_point", "phi_min", "param_min")
@@ -125,7 +125,7 @@ def test_runconfig_round_trips_through_json():
             criterion=("modified", "standard")[k % 2], phi_max=rng.uniform(3.0, 6.0),
             phi_points=int(rng.integers(2, 2000)), param=param,
             param_max=rng.uniform(0.4, 1.5), param_points=int(rng.integers(2, 100)),
-            out=(None, f"runs/{param}.csv")[k % 2], format=("json", "csv")[k % 2], **run))
+            format=("json", "csv")[k % 2], **run))
     for cfg in configs:
         echo = cfg.to_dict()
         assert echo == reference_to_dict(cfg)
@@ -155,7 +155,7 @@ def test_runconfig_rejects_non_object_sections():
         RunConfig.from_dict([])
 
 
-def test_runconfig_validation():
+def test_runconfig_validation(tmp_path, capsys):
     dev = InterferometerConfig(G=1.0)
     for bad in ("tight", ["modified"]):
         with pytest.raises(ValueError, match="unknown criterion"):
@@ -184,14 +184,21 @@ def test_runconfig_validation():
     for bad in ("false", 0, None):
         with pytest.raises(ValueError, match="log_grid"):
             RunConfig(dev, log_grid=bad)
-    for bad in (3, b"out.csv"):
-        with pytest.raises(ValueError, match="out must be"):
-            RunConfig(dev, out=bad)
     for bad in ({"G": 1.0}, None, dataclasses.asdict(dev)):
         with pytest.raises(ValueError, match="interferometer must be an InterferometerConfig"):
             RunConfig(bad)
     with pytest.raises(ValueError, match="working_point must be finite"):
         RunConfig.from_dict({"working_point": 10**400})
+    # the output path is not part of a run: a config file may not set it
+    with pytest.raises(ValueError, match=re.escape("unknown config keys: ['out']")):
+        RunConfig.from_dict({"out": "x.json"})
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"out": str(tmp_path / "x.json")}))
+    assert main(["resolve", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown config keys: ['out']" in captured.err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_signal_csv_values(tmp_path):
@@ -445,9 +452,9 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     (["oracle-check", "--n-max", "3"], 2),
 ])
 def test_out_file_holds_the_stdout_bytes(argv, code, tmp_path, capsys):
-    # one document per request: --out gets the bytes stdout would, bar the
-    # JSON config echo naming the file, and the diagnostics on stderr and the
-    # exit code do not depend on where it goes
+    # one document per request: --out gets exactly the bytes stdout would,
+    # and the diagnostics on stderr and the exit code do not depend on where
+    # it goes
     assert main(argv) == code
     printed = capsys.readouterr()
     target = tmp_path / "doc.out"
@@ -455,12 +462,22 @@ def test_out_file_holds_the_stdout_bytes(argv, code, tmp_path, capsys):
     written = capsys.readouterr()
     assert written.out == ""
     assert written.err == printed.err
-    want = printed.out
-    if want.startswith("{"):  # a JSON document
-        null, named = '\n    "out": null,\n', f'\n    "out": {json.dumps(str(target))},\n'
-        assert want.count(null) == 1
-        want = want.replace(null, named)
-    assert target.read_bytes() == want.encode()
+    assert target.read_bytes() == printed.out.encode()
+
+
+def test_echo_fed_back_as_config_reproduces_the_document(tmp_path, capsys):
+    # the echo holds only what the run computes: fed back through --config,
+    # it gives the same document on stdout and leaves the first file alone
+    for argv in (["resolve", "-G", "2", "--alpha2=0.05", "--beta1=0.02"],
+                 ["sweep", "--points", "3", "--format", "json"]):
+        first = tmp_path / "first.json"
+        assert main(argv + ["--out", str(first)]) == 0
+        written = first.read_bytes()
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(json.loads(written)["config"]))
+        assert main([argv[0], "--config", str(echo)]) == 0
+        assert capsys.readouterr().out.encode() == written
+        assert first.read_bytes() == written
 
 
 def test_sweep_csv_grid_and_param_column(tmp_path):

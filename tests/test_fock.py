@@ -1,6 +1,7 @@
 """Truncated number-basis machinery: construction, unitaries, guards."""
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,25 @@ def test_tmsv_rejects_undersized_cutoff():
         tmsv_fock(1.0, n_max=40)
     with pytest.raises(CutoffError):
         tmsv_fock(0.8, n_max=3)
+
+
+def test_tmsv_refuses_a_default_cutoff_that_discards_too_much():
+    # at G = 3 the tail cutoff (2785) still drops more than 1e-12 of the
+    # probability; the refusal comes before the 2786^2 amplitudes exist
+    tracemalloc.start()
+    try:
+        with pytest.raises(CutoffError, match=r"n_max=2785 discards 1\.008e-12 probability"):
+            tmsv_fock(3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_fock_state_holds_complex_amplitudes():
+    state = FockState(np.eye(2))
+    assert state.amplitudes.dtype == np.complex128
+    assert np.array_equal(state.amplitudes, np.eye(2))
 
 
 def test_fock_state_validates_deficit():

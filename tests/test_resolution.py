@@ -296,6 +296,13 @@ def test_sweep_validation():
         sweep(cfg, "G", [1.0, 200.0])
 
 
+def test_sweep_rejects_grids_that_are_not_one_dimensional():
+    cfg = InterferometerConfig(G=1.0)
+    for bad in ([], 3.0, [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="grid must be a one-dimensional sequence"):
+            sweep(cfg, "G", bad)
+
+
 def test_detect_saturation():
     assert detect_saturation([5.0, 3.0, 1.0, 0.999, 1.001])[0]
     sat, tail = detect_saturation([5.0, 3.0, 2.0, 1.5, 1.0])
