@@ -249,11 +249,14 @@ def _apply_pair(amps: np.ndarray, mode_i: int, mode_j: int, u: np.ndarray) -> np
 
 
 def _check_modes(state: FockState, modes) -> tuple:
-    """Mode indices as a tuple of ints in [0, n_modes); ValueError otherwise."""
+    """Mode indices as a tuple of distinct ints in [0, n_modes); ValueError otherwise."""
     modes = tuple(modes) if np.iterable(modes) else (modes,)
     for m in modes:
         _check_integer(f"each of modes {modes}", m, bound=state.n_modes)
-    return tuple(int(m) for m in modes)
+    modes = tuple(int(m) for m in modes)
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"modes {modes} repeat a mode; each must be distinct")
+    return modes
 
 
 def _apply_phase(amps: np.ndarray, mode: int, phi: float) -> np.ndarray:
@@ -291,7 +294,7 @@ def apply_unitary_fock(state: FockState, op, modes) -> FockState:
         raise ValueError("mode map entries must be finite")
     if np.linalg.norm(np.conj(u.T) @ u - np.eye(2)) > 1e-12:
         raise ValueError("mode map is not unitary; only passive operations are supported")
-    if len(modes) != 2 or modes[0] == modes[1]:
+    if len(modes) != 2:
         raise ValueError("a pair map acts on two distinct modes")
     return FockState(_apply_pair(state.amplitudes, modes[0], modes[1], u),
                      state.norm_deficit)
@@ -303,7 +306,8 @@ def _axis(mode: int, index) -> tuple:
 
 
 def _x_apply(amps: np.ndarray, mode: int) -> np.ndarray:
-    """(a + a^dag) along one axis; the result reaches one level further up."""
+    """(a + a^dag) along one axis, on the same ladder: the component a^dag
+    would raise above the ceiling is dropped (the measurement guard bounds it)."""
     lower, upper = _axis(mode, slice(None, -1)), _axis(mode, slice(1, None))
     root = np.sqrt(np.arange(1, amps.shape[mode])).reshape(
         (-1,) + (1,) * (amps.ndim - mode - 1))
@@ -311,6 +315,33 @@ def _x_apply(amps: np.ndarray, mode: int) -> np.ndarray:
     np.multiply(amps[upper], root, out=out[lower])
     out[_axis(mode, -1)] = 0.0
     out[upper] += amps[lower] * root
+    return out
+
+
+def _xx_apply(amps: np.ndarray, mode_a: int, mode_b: int) -> np.ndarray:
+    """X_a X_b on two distinct axes, one mode-a level at a time.
+
+    Row k of the result is sqrt(k + 1) y[k + 1] + sqrt(k) y[k - 1] with
+    y = X_b psi, each y[k] formed from its own slice and dropped two rows
+    later, so the only full-size array is the result.  The operations and
+    their order per element are those of `_x_apply` applied twice, so the
+    result is the same to the bit.
+    """
+    out = np.empty_like(amps)
+    src = np.moveaxis(amps, (mode_a, mode_b), (0, 1))
+    dst = np.moveaxis(out, (mode_a, mode_b), (0, 1))
+    d = src.shape[0]
+    root = np.sqrt(np.arange(1, d))
+    below, here = None, _x_apply(src[0], 0)
+    for k in range(d):
+        above = _x_apply(src[k + 1], 0) if k + 1 < d else None
+        if above is None:
+            dst[k] = 0.0
+        else:
+            np.multiply(above, root[k], out=dst[k])
+        if below is not None:
+            dst[k] += below * root[k - 1]
+        below, here = here, above
     return out
 
 
@@ -333,7 +364,8 @@ def photon_number_expectation(state: FockState, modes=None) -> float:
 
 
 def fock_moments(state: FockState, mode_a: int, mode_b: int):
-    """First and second moments of X_a X_b, with truncation guards.
+    """First and second moments of X_a X_b on two distinct modes, with
+    truncation guards.
 
     Requires the top two ladder levels of every mode, loss ancillas included,
     to carry less than 1e-9 probability, so that neither a truncated ladder
@@ -350,7 +382,7 @@ def fock_moments(state: FockState, mode_a: int, mode_b: int):
             raise CutoffError(
                 f"mode {m} holds {top:.3e} probability in its top two levels; "
                 "enlarge the cutoff")
-    xx = _x_apply(_x_apply(amps, mode_b), mode_a)
+    xx = _xx_apply(amps, mode_a, mode_b)
     m1c = np.vdot(amps, xx)
     m2 = float(np.real(np.vdot(xx, xx)))
     if abs(m1c.imag) > 1e-12 * max(1.0, np.sqrt(m2)):

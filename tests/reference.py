@@ -10,7 +10,9 @@ golden-section search is the reference for the library's Brent minimiser.  The
 reference loss applies the generic pair map of `loss_unitary` onto an
 ancilla deep enough that no sector is cut, and then truncates it: the
 oracle's binomial split must match it amplitude by amplitude.
-The per-mode loss chain rebuilds the engine's output covariance with `@`
+The two-pass product applies one quadrature after the other over the whole
+tensor, the composition the oracle's slice-wise X_a X_b must equal bit for
+bit.  The per-mode loss chain rebuilds the engine's output covariance with `@`
 products and one loss step per mode, the path the engine's own `.dot`
 products and per-device loss stations must reproduce bit for bit.
 """
@@ -18,6 +20,7 @@ import math
 
 import numpy as np
 
+from squint import fock
 from squint import (BsSpec, FockState, ancilla_cutoff, apply_unitary_fock, beam_splitter,
                     evaluate, loss_unitary, phase_shifter, signal_slope, tail_cutoff,
                     tmsv_fock, two_mode_squeezer)
@@ -181,3 +184,8 @@ def reference_seed(config):
     amps = np.zeros((2 * n_sup + 3,) * 2, dtype=complex)
     amps[:n_sup + 1, :n_sup + 1] = seed.amplitudes
     return FockState(amps, seed.norm_deficit)
+
+
+def reference_xx(amps, a, b):
+    """X_a X_b psi as two whole-tensor passes: X_b first, then X_a on its result."""
+    return fock._x_apply(fock._x_apply(amps, b), a)

@@ -22,7 +22,7 @@ from squint import (
     tail_cutoff,
     tmsv_fock,
 )
-from reference import reference_lose, reference_losses, reference_seed
+from reference import reference_lose, reference_losses, reference_seed, reference_xx
 
 
 def test_tail_cutoff_reference_points():
@@ -280,6 +280,16 @@ def test_modes_are_checked_alike_everywhere():
             apply_unitary_fock(state, 0.3, bad)
         with pytest.raises(ValueError, match="modes"):
             apply_unitary_fock(state, BsSpec("B1"), (0, bad))
+    # a repeated mode is refused alike: no entry point counts a mode twice
+    for m in (0, 1, np.int64(1)):
+        with pytest.raises(ValueError, match="distinct"):
+            fock_moments(state, m, m)
+        with pytest.raises(ValueError, match="distinct"):
+            photon_number_expectation(state, (m, m))
+        with pytest.raises(ValueError, match="distinct"):
+            apply_unitary_fock(state, BsSpec("B1"), (m, m))
+    with pytest.raises(ValueError, match="distinct"):
+        photon_number_expectation(state, (0, 1, 0))
     # numpy integers are valid indices
     assert (photon_number_expectation(state, (np.int64(1),))
             == photon_number_expectation(state, (1,)))
@@ -388,6 +398,53 @@ def test_moments_match_dense_operators():
         m1, m2 = fock_moments(FockState(amps), ma, mb)
         assert m1 == pytest.approx(np.vdot(psi, xx).real, abs=1e-12)
         assert m2 == pytest.approx(np.vdot(xx, xx).real, abs=1e-12)
+
+
+def _grid_state(G):
+    """State of the grid's lossy preparation (0.1 on both modes) at gain G,
+    behind an imbalanced B1 and a phase."""
+    state, _ = fock._prepare(InterferometerConfig(G=G, alpha1=0.1, beta1=0.1), None)
+    state = apply_unitary_fock(state, BsSpec("B1", 0.1), (0, 1))
+    return apply_unitary_fock(state, 0.7, 0)
+
+
+def test_slice_wise_product_is_the_two_pass_composition_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for dims in ((6, 5), (5, 1, 4), (4, 3, 5, 2)):
+        amps = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+        for a in range(len(dims)):
+            for b in range(len(dims)):
+                if a != b:
+                    assert np.array_equal(fock._xx_apply(amps, a, b),
+                                          reference_xx(amps, a, b)), (dims, a, b)
+    # a transposed, non-contiguous input
+    amps = (rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))).transpose(2, 0, 1)
+    assert not amps.flags.c_contiguous
+    for a, b in ((0, 1), (2, 0), (1, 2)):
+        assert np.array_equal(fock._xx_apply(amps, a, b), reference_xx(amps, a, b))
+    # the grid's largest state, and its moments through the public entry point
+    state = _grid_state(0.8)
+    assert state.dims == (79, 79, 9, 9)
+    amps = state.amplitudes
+    for a, b in ((0, 1), (1, 0), (2, 0)):
+        assert np.array_equal(fock._xx_apply(amps, a, b), reference_xx(amps, a, b))
+    xx = reference_xx(amps, 0, 1)
+    assert fock_moments(state, 0, 1) == (float(np.vdot(amps, xx).real),
+                                         float(np.real(np.vdot(xx, xx))))
+
+
+def test_moments_hold_one_full_size_array():
+    # the slice-wise X_a X_b keeps the result and a few slices; the two-pass
+    # composition peaked at about 3 times the state
+    state = _grid_state(0.5)
+    assert state.dims == (43, 43, 7, 7)
+    tracemalloc.start()
+    try:
+        fock_moments(state, 0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * state.amplitudes.nbytes
 
 
 def test_moments_guard_against_ceiling_occupation():
