@@ -50,22 +50,17 @@ def _check_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _check_non_negative(name: str, value) -> None:
-    """ValueError unless value passes `_check_finite` and is >= 0."""
-    _check_finite(name, value)
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
-
-
 # Largest gain whose statistics fit in a float: each covariance entry is at
 # most 2 (1 + N) ~ e^{2G}, so the product's second moment is at most 3 e^{4G}.
 _G_MAX = (math.log(sys.float_info.max) - math.log(3.0)) / 4.0  # ~ 177.17
 
 
 def _check_gain(value) -> None:
-    """ValueError unless value passes `_check_non_negative` and is at most
+    """ValueError unless value passes `_check_finite`, is >= 0 and is at most
     `_G_MAX`, above which the statistics overflow."""
-    _check_non_negative("gain G", value)
+    _check_finite("gain G", value)
+    if value < 0:
+        raise ValueError(f"gain G must be non-negative, got {value!r}")
     if value > _G_MAX:
         raise ValueError(f"gain G must be at most {_G_MAX:.6g}, got {value!r}")
 

@@ -22,6 +22,16 @@ def run_json(argv, capsys):
     return code, json.loads(capsys.readouterr().out)
 
 
+def stub_oracle_grid(monkeypatch, deviation):
+    """Replace the CLI's oracle grid with a one-case report of the given
+    deviation, for tests of the request around it rather than the grid."""
+    case = squint.GridCase(G=0.2, prep_loss=0.0, delta1=0.0, phi=0.0, delta2=0.0,
+                           deviation=deviation)
+    report = squint.GridReport(tolerance=1e-8, n_cases=1, max_deviation=deviation,
+                               worst=case, failures=(case,) if deviation > 1e-8 else ())
+    monkeypatch.setattr("squint.cli.equivalence_grid", lambda: report)
+
+
 def test_parser_reuse_carries_no_state(capsys, monkeypatch):
     runs = [["resolve", "-G", "2", "--refine-phi"], ["resolve", "-G", "2"],
             ["signal", "--degrees", "--phi-max", "90", "--points", "3"],
@@ -373,14 +383,16 @@ def test_config_errors_exit_1(tmp_path, capsys):
     (["resolve", "--config", "FILE", "-G", "3"], 2, 2),
     (["sweep", "--points", "3"], 3, 1),
     (["signal", "--points", "3"], 0, 1),
-    (["oracle-check", "--n-max", "3"], 3, 0),
+    (["oracle-check"], 0, 0),
 ])
 def test_each_request_builds_its_configs_once(argv, devices, runs, tmp_path, capsys,
                                               monkeypatch):
     # the defaults are built at import; a config file is built and checked
     # once before the flags apply, a request that sets no device field keeps
     # the default device, and one that sets no field keeps the default run;
-    # a sweep builds one device per row and the oracle grid one per gain
+    # a sweep builds one device per row, and oracle-check, whose grid is
+    # stubbed here, builds none around it
+    stub_oracle_grid(monkeypatch, 0.0)
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({"interferometer": {"G": 2.0, "delta1": 0.05}}))
     argv = [str(cfg_file) if arg == "FILE" else arg for arg in argv]
@@ -390,8 +402,7 @@ def test_each_request_builds_its_configs_once(argv, devices, runs, tmp_path, cap
             built[cls] += 1
             post_init(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
-    # --n-max 3 is below the oracle's pair cutoff: a numerical failure, exit 2
-    assert main(argv) == (2 if argv[0] == "oracle-check" else 0)
+    assert main(argv) == 0
     capsys.readouterr()
     assert (built[InterferometerConfig], built[RunConfig]) == (devices, runs)
 
@@ -449,12 +460,13 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     (["sweep", "-G", "5", "--param", "delta2", "--min", "-0.3", "--max", "0.78",
       "--points", "4", "--linear", "--format", "json"], 2),
     (["optimize-imbalance", "-G", "5"], 0),
-    (["oracle-check", "--n-max", "3"], 2),
+    (["oracle-check"], 2),  # a stubbed grid with one failing case
 ])
-def test_out_file_holds_the_stdout_bytes(argv, code, tmp_path, capsys):
+def test_out_file_holds_the_stdout_bytes(argv, code, tmp_path, capsys, monkeypatch):
     # one document per request: --out gets exactly the bytes stdout would,
     # and the diagnostics on stderr and the exit code do not depend on where
     # it goes
+    stub_oracle_grid(monkeypatch, 1e-3)
     assert main(argv) == code
     printed = capsys.readouterr()
     target = tmp_path / "doc.out"
@@ -531,53 +543,41 @@ def test_optimize_imbalance_uses_every_device_flag(capsys):
     assert payload["result"]["kappa_opt"] == pytest.approx(3.821, abs=1e-3)
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
-def test_oracle_check_rejects_bad_tolerance(tolerance, capsys):
-    # refused before the grid runs: exit 1, nothing on stdout
-    with pytest.raises(ValueError, match="tolerance"):
-        squint.equivalence_grid(tolerance=float(tolerance))
-    for bad in ("1e-8", True):  # a real number, not a str or a bool
-        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
-            squint.equivalence_grid(tolerance=bad)
-    assert main(["oracle-check", f"--tolerance={tolerance}"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "tolerance must be finite and non-negative" in captured.err
+def test_oracle_check_runs_one_fixed_grid(capsys):
+    # the grid has no options: its document is the echo and one fixed report,
+    # bound 1e-8, and a flag that would set a cutoff or a bound is refused
+    # before the grid runs
+    code, payload = run_json(["oracle-check"], capsys)
+    assert code == 0
+    assert list(payload) == ["config", "tolerance", "n_cases", "max_deviation",
+                             "worst_case", "n_failures", "passed"]
+    assert payload["tolerance"] == 1e-8
+    assert (payload["n_cases"], payload["n_failures"], payload["passed"]) == (270, 0, True)
+    assert list(payload["worst_case"]) == [f.name for f in dataclasses.fields(squint.GridCase)]
+    for flag in (["--n-max", "40"], ["--tolerance", "1e-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-check", *flag])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
 
-def test_oracle_check_rejects_bad_n_max(capsys):
-    # refused before the grid runs: exit 1, nothing on stdout
-    for bad in (-1, True, 2.5, "3"):
-        with pytest.raises(ValueError, match="n_max must be a non-negative integer"):
-            squint.equivalence_grid(n_max=bad)
-    assert main(["oracle-check", "--n-max=-5"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "n_max must be a non-negative integer, got -5" in captured.err
-
-
-def test_oracle_check_refuses_device_fields_in_config(tmp_path, capsys):
+def test_oracle_check_refuses_device_fields_in_config(tmp_path, capsys, monkeypatch):
     # oracle-check takes no device flags and its grid reads no device, so a
     # config file may not set one either; other fields still apply
+    stub_oracle_grid(monkeypatch, 0.0)
     device = tmp_path / "device.json"
     for block in ({"G": 2.0, "alpha2": 0.1}, {"xi": -0.0}):
         device.write_text(json.dumps({"interferometer": block, "criterion": "standard"}))
-        assert main(["oracle-check", "--config", str(device), "--n-max", "3"]) == 1
+        assert main(["oracle-check", "--config", str(device)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("squint: config error: ")
         assert str(sorted(block)) in captured.err
     plain = tmp_path / "plain.json"
     plain.write_text(json.dumps({"criterion": "standard"}))
-    code, payload = run_json(["oracle-check", "--config", str(plain), "--n-max", "3"], capsys)
-    assert code == 2
+    code, payload = run_json(["oracle-check", "--config", str(plain)], capsys)
+    assert code == 0
     assert payload["config"]["criterion"] == "standard"
 
-
-def test_oracle_check_cutoff_failure_exits_2(capsys):
-    code, payload = run_json(["oracle-check", "--n-max", "3"], capsys)
-    assert code == 2
-    assert payload["passed"] is False
-    assert len(payload["cutoff_errors"]) == 3
-    for entry in payload["cutoff_errors"]:
-        assert "n_max" in entry["error"]

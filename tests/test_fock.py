@@ -403,7 +403,7 @@ def test_moments_match_dense_operators():
 def _grid_state(G):
     """State of the grid's lossy preparation (0.1 on both modes) at gain G,
     behind an imbalanced B1 and a phase."""
-    state, _ = fock._prepare(InterferometerConfig(G=G, alpha1=0.1, beta1=0.1), None)
+    state, _ = fock._prepare(InterferometerConfig(G=G, alpha1=0.1, beta1=0.1))
     state = apply_unitary_fock(state, BsSpec("B1", 0.1), (0, 1))
     return apply_unitary_fock(state, 0.7, 0)
 
@@ -590,7 +590,7 @@ def test_losses_match_the_generic_map_on_full_depth_ancillas():
         phi = rng.uniform(0, 2 * np.pi)
         losses = reference_losses(cfg)
         n_prep = (cfg.alpha1 != 0.0) + (cfg.beta1 != 0.0)
-        state, arm = fock._prepare(cfg, None)
+        state, arm = fock._prepare(cfg)
         assert arm == losses[n_prep:], cfg
         seed = reference_seed(cfg)
         want, dropped = reference_lose(seed, losses[:n_prep])
