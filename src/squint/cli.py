@@ -258,7 +258,7 @@ def cmd_oracle_check(cfg: RunConfig, args):
         "tolerance": _json_num(report.tolerance),
         "n_cases": report.n_cases,
         "max_deviation": _json_num(report.max_deviation),
-        "worst_case": dataclasses.asdict(report.worst),
+        "worst_case": {k: _json_num(v) for k, v in dataclasses.asdict(report.worst).items()},
         "n_failures": len(report.failures),
         "passed": report.passed,
     }, report.passed

@@ -13,18 +13,19 @@ elements before it act on a smaller tensor and the ancillas keep pipeline
 order.  None of the covariance shortcuts are reused, which makes the
 comparison meaningful.
 
-Truncation is bounded and guarded.  A squeezed pair keeps its exact
-geometric tail mass as `norm_deficit`, and cutoffs below the per-term bound
-of 1e-14 are refused.  Each loss ancilla gets the levels `ancilla_cutoff`
-derives from a tail bound: no mode ever holds more than the pair's 2n
-photons, and a loss of angle a passes each to its ancilla with probability
-sin^2 a, so K or more are lost with probability at most
-(1 + t)(sin^2 a t/(1 - t))^K, t = tanh G.  These are the only truncations:
-a pair map on a total that a ladder ceiling cuts raises CutoffError, where
-it could only be approximated.  The measurement checks that no
-appreciable amplitude sits within two levels of any mode's ceiling (the
-product observable reaches one level past twice the pair cutoff, hence
-signal modes of 2 n_sup + 3 levels).
+Truncation is bounded and guarded, and every cutoff is derived from the
+gain.  A squeezed pair is cut off at n = `tail_cutoff(G)`, the first level
+whose omitted term is within 1e-14, and keeps its exact geometric tail mass
+as `norm_deficit`; a pair that discards more than 1e-12 is refused.  Each
+loss ancilla gets the levels `ancilla_cutoff` derives from a tail bound: no
+mode ever holds more than the pair's 2n photons, and a loss of angle a
+passes each to its ancilla with probability sin^2 a, so K or more are lost
+with probability at most (1 + t)(sin^2 a t/(1 - t))^K, t = tanh G.  These
+are the only truncations: a pair map on a total that a ladder ceiling cuts
+raises CutoffError, where it could only be approximated.  The measurement
+checks that no appreciable amplitude sits within two levels of any mode's
+ceiling (the product observable reaches one level past the 2n photons,
+hence signal modes of 2n + 3 levels).
 """
 from __future__ import annotations
 
@@ -79,9 +80,8 @@ class FockState:
     norm_deficit: float = 0.0
 
     def __post_init__(self):
-        if not np.iscomplexobj(self.amplitudes):
-            object.__setattr__(self, "amplitudes",
-                               np.asarray(self.amplitudes, dtype=complex))
+        # a complex128 array passes through uncopied; lists and reals convert
+        object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))
         if not 0.0 <= self.norm_deficit <= _DEFICIT_CAP:
             raise ValueError(
                 f"norm deficit {self.norm_deficit} outside [0, {_DEFICIT_CAP}]")
@@ -118,19 +118,25 @@ def tail_cutoff(G: float) -> int:
     return n
 
 
-def ancilla_cutoff(G: float, angle: float, n_sup: int) -> int:
+def _pair_ladder(G: float) -> tuple:
+    """Pair cutoff n = tail_cutoff(G) and the 2n + 3 levels of a signal mode:
+    the 2n + 1 photon numbers one mode can hold, plus the measurement guard's
+    two-level pad."""
+    n = tail_cutoff(G)
+    return n, 2 * n + 3
+
+
+def ancilla_cutoff(G: float, angle: float) -> int:
     """Levels for the ancilla of a loss of `angle` on a pair of gain G.
 
     The least K whose tail bound (module docstring) is within 1e-14 while the
     top two levels stay under the measurement guard's 1e-9, capped at the
-    2 n_sup + 3 levels of a signal mode: every photon of a pair cut off at
-    n_sup, plus the guard's two-level pad.  ValueError unless G is a number
-    in [0, 177.17], angle a number in [0, pi/2] and n_sup an int >= 0.
+    2n + 3 levels of a signal mode for the pair cutoff n = tail_cutoff(G).
+    ValueError unless G is a number in [0, 177.17] and angle a number in
+    [0, pi/2].
     """
-    _check_gain(G)
+    cap = _pair_ladder(G)[1]
     _check_loss_angle("loss angle", angle)
-    _check_integer("n_sup", n_sup)
-    cap = 2 * n_sup + 3
     r = np.sin(angle) ** 2 * np.expm1(2 * G) / 2  # t / (1 - t) = (e^{2G} - 1) / 2
     if r >= 1.0:
         return cap
@@ -141,37 +147,25 @@ def ancilla_cutoff(G: float, angle: float, n_sup: int) -> int:
     return k
 
 
-def tmsv_fock(G: float, xi: float = 0.0, n_max: int | None = None) -> FockState:
-    """Squeezed pair state sum_n c_n |n, n> with c_n = (-i e^{i xi} tanh G)^n / cosh G.
+def tmsv_fock(G: float, xi: float = 0.0) -> FockState:
+    """Squeezed pair state sum_n c_n |n, n> with c_n = (-i e^{i xi} tanh G)^n / cosh G,
+    cut off at n = tail_cutoff(G), on signal ladders of 2n + 3 levels each.
 
-    Args:
-        G: squeezer gain.
-        xi: pump phase.
-        n_max: pair cutoff, by default tail_cutoff(G).  An explicit cutoff
-            that is not an int >= 0 (or is a bool) raises ValueError; one
-            below tail_cutoff(G) raises CutoffError, and one whose
-            (n_max + 1)^2 amplitudes exceed the 40M cap raises ValueError.
-
-    The exact discarded mass tanh^{2(n_max+1)} G is stored as norm_deficit.
+    The exact discarded mass tanh^{2(n+1)} G is stored as norm_deficit; above
+    1e-12 it raises CutoffError before anything is allocated.  That cap also
+    bounds the size: the deficit is at least 1e-14 sinh^2 G, so no G above
+    asinh(10) ~ 2.998 passes, and the largest pair it admits (n = 2775) holds
+    30.8M amplitudes, under the 40M cap of a state tensor.
     """
     _check_finite("pump phase xi", xi)
-    needed = tail_cutoff(G)
-    if n_max is None:
-        n_max = needed
-    _check_integer("n_max", n_max)
-    _check_size((n_max + 1) ** 2)
-    if n_max < needed:
-        raise CutoffError(
-            f"cutoff too small: n_max={n_max} leaves a tail term above {_TAIL_TOL:g} "
-            f"at G={G:g} (need n_max >= {needed})")
+    n_max, dim = _pair_ladder(G)
     deficit = float(np.tanh(G) ** (2 * (n_max + 1)))
     if deficit > _DEFICIT_CAP:
         raise CutoffError(
             f"cutoff too small: n_max={n_max} discards {deficit:.3e} probability at G={G:g}")
     n = np.arange(n_max + 1)
-    coeff = (-1j * np.exp(1j * xi) * np.tanh(G)) ** n / np.cosh(G)
-    amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    amps[n, n] = coeff
+    amps = np.zeros((dim, dim), dtype=complex)
+    amps[n, n] = (-1j * np.exp(1j * xi) * np.tanh(G)) ** n / np.cosh(G)
     return FockState(amps, deficit)
 
 
@@ -414,8 +408,8 @@ def _lose(state: FockState, losses) -> FockState:
 
 
 def _prepare(config: InterferometerConfig):
-    """Squeezed pair cut off at `tail_cutoff(G)` after the preparation losses,
-    and the arm losses still to apply, as `_lose` takes them.
+    """`tmsv_fock` after the preparation losses, and the arm losses still to
+    apply, as `_lose` takes them.
 
     Each nonzero loss gets a vacuum ancilla of `ancilla_cutoff` levels,
     appended when its loss acts, so the ancillas follow the two signal modes
@@ -423,19 +417,14 @@ def _prepare(config: InterferometerConfig):
     the last loss leaves is checked against the cap before anything is
     allocated.
     """
-    n_sup = tail_cutoff(config.G)
-    dim = 2 * n_sup + 3
-    losses = [(mode, angle, ancilla_cutoff(config.G, angle, n_sup))
+    dim = _pair_ladder(config.G)[1]
+    losses = [(mode, angle, ancilla_cutoff(config.G, angle))
               for mode, angle in ((0, config.alpha1), (1, config.beta1),
                                   (0, config.alpha2), (1, config.beta2))
               if angle != 0.0]
     _check_size(math.prod([dim, dim] + [levels for _, _, levels in losses]))
     n_prep = (config.alpha1 != 0.0) + (config.beta1 != 0.0)
-    seed = tmsv_fock(config.G, config.xi, n_max=n_sup)
-    amps = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(n_sup + 1)
-    amps[idx, idx] = seed.amplitudes[idx, idx]
-    return _lose(FockState(amps, seed.norm_deficit), losses[:n_prep]), losses[n_prep:]
+    return _lose(tmsv_fock(config.G, config.xi), losses[:n_prep]), losses[n_prep:]
 
 
 def _measure(state: FockState) -> SignalStats:

@@ -9,7 +9,9 @@ alone, independent of the library solver's bracket and end handling, and
 golden-section search is the reference for the library's Brent minimiser.  The
 reference loss applies the generic pair map of `loss_unitary` onto an
 ancilla deep enough that no sector is cut, and then truncates it: the
-oracle's binomial split must match it amplitude by amplitude.
+oracle's binomial split must match it amplitude by amplitude, and the
+reference seed builds the squeezed pair from its amplitude formula, which
+`tmsv_fock` and a lossless preparation must equal bit for bit.
 The two-pass product applies one quadrature after the other over the whole
 tensor, the composition the oracle's slice-wise X_a X_b must equal bit for
 bit.  The per-mode loss chain rebuilds the engine's output covariance with `@`
@@ -23,7 +25,7 @@ import numpy as np
 from squint import fock
 from squint import (BsSpec, FockState, ancilla_cutoff, apply_unitary_fock, beam_splitter,
                     evaluate, loss_unitary, phase_shifter, signal_slope, tail_cutoff,
-                    tmsv_fock, two_mode_squeezer)
+                    two_mode_squeezer)
 
 
 def symplectic_form() -> np.ndarray:
@@ -169,21 +171,21 @@ def reference_lose(state, losses):
 
 def reference_losses(config):
     """The device's nonzero losses in pipeline order, (mode, angle, levels) each,
-    with `ancilla_cutoff` levels for a pair cut off at `tail_cutoff(G)`."""
-    n_sup = tail_cutoff(config.G)
-    return [(mode, angle, ancilla_cutoff(config.G, angle, n_sup))
+    with `ancilla_cutoff` levels."""
+    return [(mode, angle, ancilla_cutoff(config.G, angle))
             for mode, angle in ((0, config.alpha1), (1, config.beta1),
                                 (0, config.alpha2), (1, config.beta2))
             if angle != 0.0]
 
 
 def reference_seed(config):
-    """Squeezed pair cut off at `tail_cutoff(G)` on signal modes of 2 n + 3 levels."""
-    seed = tmsv_fock(config.G, config.xi)
-    n_sup = seed.dims[0] - 1
-    amps = np.zeros((2 * n_sup + 3,) * 2, dtype=complex)
-    amps[:n_sup + 1, :n_sup + 1] = seed.amplitudes
-    return FockState(amps, seed.norm_deficit)
+    """Squeezed pair c_n = (-i e^{i xi} tanh G)^n / cosh G, n = 0..tail_cutoff(G),
+    on signal modes of 2 n + 3 levels, with its omitted mass tanh^{2(n+1)} G."""
+    G, cut = config.G, tail_cutoff(config.G)
+    n = np.arange(cut + 1)
+    amps = np.zeros((2 * cut + 3,) * 2, dtype=complex)
+    amps[n, n] = (-1j * np.exp(1j * config.xi) * np.tanh(G)) ** n / np.cosh(G)
+    return FockState(amps, float(np.tanh(G) ** (2 * (cut + 1))))
 
 
 def reference_xx(amps, a, b):

@@ -22,10 +22,10 @@ def run_json(argv, capsys):
     return code, json.loads(capsys.readouterr().out)
 
 
-def stub_oracle_grid(monkeypatch, deviation):
+def stub_oracle_grid(monkeypatch, deviation, phi=0.0):
     """Replace the CLI's oracle grid with a one-case report of the given
-    deviation, for tests of the request around it rather than the grid."""
-    case = squint.GridCase(G=0.2, prep_loss=0.0, delta1=0.0, phi=0.0, delta2=0.0,
+    deviation and phase, for tests of the request around it rather than the grid."""
+    case = squint.GridCase(G=0.2, prep_loss=0.0, delta1=0.0, phi=phi, delta2=0.0,
                            deviation=deviation)
     report = squint.GridReport(tolerance=1e-8, n_cases=1, max_deviation=deviation,
                                worst=case, failures=(case,) if deviation > 1e-8 else ())
@@ -561,6 +561,37 @@ def test_oracle_check_runs_one_fixed_grid(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
+
+
+def _floats(node):
+    """Every float in a parsed JSON document, at any depth."""
+    if isinstance(node, dict):
+        return [x for v in node.values() for x in _floats(v)]
+    if isinstance(node, list):
+        return [x for v in node for x in _floats(v)]
+    return [node] if isinstance(node, float) else []
+
+
+def test_json_documents_hold_12_significant_digits(capsys, monkeypatch):
+    # every data value is rounded alike; the echoed config keeps the input's
+    # digits.  The stubbed grid's worst case carries full-precision values
+    phi, deviation = math.pi / 4, 8.411760177295946e-11
+    assert phi != float(f"{phi:.12g}") and deviation != float(f"{deviation:.12g}")
+    stub_oracle_grid(monkeypatch, deviation, phi=phi)
+    for argv in (["signal", "-G", "0.7", "--alpha1=0.1", "--points", "5", "--format", "json"],
+                 ["resolve", "-G", "2", "--alpha2=0.05", "--refine-phi"],
+                 ["sweep", "--points", "3", "--format", "json"],
+                 ["optimize-imbalance", "-G", "3"],
+                 ["oracle-check"]):
+        _, payload = run_json(argv, capsys)
+        del payload["config"]
+        values = _floats(payload)
+        assert values, argv
+        for x in values:
+            assert x == float(f"{x:.12g}"), (argv, x)
+        if argv == ["oracle-check"]:
+            assert payload["worst_case"]["phi"] == float(f"{phi:.12g}")
+            assert payload["worst_case"]["deviation"] == payload["max_deviation"]
 
 
 def test_oracle_check_refuses_device_fields_in_config(tmp_path, capsys, monkeypatch):

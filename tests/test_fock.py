@@ -59,24 +59,32 @@ def test_high_gain_pipeline_is_refused_quickly():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_tmsv_refuses_an_oversized_cutoff_before_allocating():
-    # (n_max + 1)^2 = 1e10 amplitudes, 160 GB: refused by the size cap, not numpy
-    t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="amplitudes"):
-        tmsv_fock(0.1, n_max=100_000)
-    assert time.perf_counter() - t0 < 1.0
+def test_the_deficit_cap_keeps_the_pair_within_the_size_cap():
+    # why tmsv_fock has no size check: wherever the deficit cap admits a pair,
+    # its two signal ladders of 2n + 3 levels fit under the tensor cap.  The
+    # deficit is at least 1e-14 sinh^2 G, so nothing above asinh(10) ~ 2.998
+    # is admitted; the dense window covers the last pairs it admits
+    gains = np.concatenate([np.linspace(0.0, 3.0, 3001), np.linspace(2.99, 3.0, 10001),
+                            [2.996]])
+    largest = 0
+    for G in gains:
+        n = tail_cutoff(G)
+        if np.tanh(G) ** (2 * (n + 1)) <= fock._DEFICIT_CAP:
+            assert (2 * n + 3) ** 2 <= fock._MAX_ELEMENTS, G
+            largest = max(largest, n)
+    assert largest == 2775
 
 
 def test_ancilla_cutoff_reference_points():
-    n_sup = tail_cutoff(0.8)
-    assert [ancilla_cutoff(0.8, a, n_sup) for a in (0.02, 0.1, 0.2, 0.3)] == [5, 9, 13, 19]
-    assert ancilla_cutoff(0.2, 0.1, tail_cutoff(0.2)) == 6
+    assert [ancilla_cutoff(0.8, a) for a in (0.02, 0.1, 0.2, 0.3)] == [5, 9, 13, 19]
+    assert ancilla_cutoff(0.2, 0.1) == 6
     # a tiny loss still keeps the two levels the guard inspects above the tail
-    assert ancilla_cutoff(0.8, 1e-3, n_sup) == 4
-    # near full loss the bound is void: every photon of the truncated pair
-    # (2 n_sup + 1 levels) plus the guard's two-level pad
-    assert ancilla_cutoff(0.8, np.pi / 2 - 1e-3, n_sup) == 2 * n_sup + 3
-    assert ancilla_cutoff(0.0, 0.1, tail_cutoff(0.0)) == 3
+    assert ancilla_cutoff(0.8, 1e-3) == 4
+    # near full loss the bound is void: every photon of the pair cut off at
+    # n = tail_cutoff(G) (2n + 1 levels) plus the guard's two-level pad
+    n = tail_cutoff(0.8)
+    assert ancilla_cutoff(0.8, np.pi / 2 - 1e-3) == 2 * n + 3 == tmsv_fock(0.8).dims[0]
+    assert ancilla_cutoff(0.0, 0.1) == 3
 
 
 def test_cutoffs_reject_bad_input():
@@ -84,31 +92,20 @@ def test_cutoffs_reject_bad_input():
         with pytest.raises(ValueError, match="gain"):
             tail_cutoff(bad)
         with pytest.raises(ValueError, match="gain"):
-            ancilla_cutoff(bad, 0.1, 10)
+            ancilla_cutoff(bad, 0.1)
     for bad in (-0.1, np.pi / 2 + 0.1, np.nan):
         with pytest.raises(ValueError, match="loss angle"):
-            ancilla_cutoff(0.5, bad, 10)
+            ancilla_cutoff(0.5, bad)
 
 
 def test_cutoffs_refuse_non_numbers_and_bad_level_counts():
     with pytest.raises(ValueError, match="loss angle must be a number"):
-        ancilla_cutoff(0.5, "0.1", 10)
+        ancilla_cutoff(0.5, "0.1")
     for bad in ("1", None, True):
         with pytest.raises(ValueError, match="gain G must be a number"):
-            ancilla_cutoff(bad, 0.1, 10)
+            ancilla_cutoff(bad, 0.1)
         with pytest.raises(ValueError, match="gain G must be a number"):
             tail_cutoff(bad)
-    for bad in (-3, 2.5, True, "4", None):
-        with pytest.raises(ValueError, match="n_sup must be a non-negative integer"):
-            ancilla_cutoff(0.5, 0.1, bad)
-    assert ancilla_cutoff(0.8, 0.1, np.int64(tail_cutoff(0.8))) == 9
-
-
-def test_tmsv_rejects_a_cutoff_that_is_not_a_count():
-    for bad in (2.5, True, False, -1, "5", np.float64(5.0)):
-        with pytest.raises(ValueError, match="n_max must be a non-negative integer"):
-            tmsv_fock(0.0, n_max=bad)
-    assert tmsv_fock(0.0, n_max=np.int64(3)).dims == (4, 4)
 
 
 def test_fock_angles_refuse_non_numbers_and_non_finite_values():
@@ -117,35 +114,35 @@ def test_fock_angles_refuse_non_numbers_and_non_finite_values():
             tmsv_fock(0.5, xi=bad)
     # a bool is not a phase angle, as everywhere else a number is checked
     with pytest.raises(ValueError, match="phase angle must be a number"):
-        apply_unitary_fock(tmsv_fock(0.3, n_max=16), True, 0)
+        apply_unitary_fock(tmsv_fock(0.3), True, 0)
 
 
 def test_tmsv_zero_gain_is_vacuum():
-    state = tmsv_fock(0.0, n_max=5)
-    expected = np.zeros((6, 6))
+    state = tmsv_fock(0.0)
+    expected = np.zeros((3, 3))
     expected[0, 0] = 1.0
     np.testing.assert_array_equal(state.amplitudes, expected)
     assert state.norm_deficit == 0.0
 
 
 def test_tmsv_pairwise_support():
-    state = tmsv_fock(0.5, xi=0.7, n_max=20)
+    state = tmsv_fock(0.5, xi=0.7)
     off = state.amplitudes.copy()
     np.fill_diagonal(off, 0.0)
     assert np.max(np.abs(off)) <= 1e-15
 
 
 def test_tmsv_photon_numbers():
-    state = tmsv_fock(0.5, n_max=20)
+    state = tmsv_fock(0.5)
     per_mode = np.sinh(0.5) ** 2
     assert photon_number_expectation(state, (0,)) == pytest.approx(per_mode, abs=1e-12)
     assert photon_number_expectation(state, (1,)) == pytest.approx(per_mode, abs=1e-12)
 
-    # the automatic cutoff is tail_cutoff(G), and resolves the tail well
-    # enough for 1e-10 totals
-    assert tmsv_fock(0.2).dims == (tail_cutoff(0.2) + 1,) * 2
+    # the pair is cut off at tail_cutoff(G), on signal ladders of 2n + 3
+    # levels, and resolves the tail well enough for 1e-10 totals
+    assert tmsv_fock(0.2).dims == (2 * tail_cutoff(0.2) + 3,) * 2
     state = tmsv_fock(1.0)
-    assert state.dims == (58, 58)
+    assert state.dims == (117, 117)
     assert photon_number_expectation(state) == pytest.approx(
         2 * np.sinh(1.0) ** 2, abs=1e-10)
 
@@ -155,14 +152,6 @@ def test_tmsv_norm_deficit_bounded():
         state = tmsv_fock(G)
         assert 0.0 <= state.norm_deficit <= 1e-12
         assert state.norm() ** 2 + state.norm_deficit == pytest.approx(1.0, abs=1e-12)
-
-
-def test_tmsv_rejects_undersized_cutoff():
-    # G = 1 genuinely needs 57 terms for the 1e-14 tail bound; 40 is not enough
-    with pytest.raises(CutoffError):
-        tmsv_fock(1.0, n_max=40)
-    with pytest.raises(CutoffError):
-        tmsv_fock(0.8, n_max=3)
 
 
 def test_tmsv_refuses_a_default_cutoff_that_discards_too_much():
@@ -182,6 +171,14 @@ def test_fock_state_holds_complex_amplitudes():
     state = FockState(np.eye(2))
     assert state.amplitudes.dtype == np.complex128
     assert np.array_equal(state.amplitudes, np.eye(2))
+    # a list converts whether its entries are real or complex
+    for entries in ([[1.0, 0.0], [0.0, 0.0]], [[1 + 0j, 0], [0, 0]]):
+        state = FockState(entries)
+        assert state.amplitudes.dtype == np.complex128
+        assert photon_number_expectation(state) == 0.0
+    # a complex128 array is kept as it is, with no copy
+    amps = np.zeros((2, 2), dtype=complex)
+    assert FockState(amps).amplitudes is amps
 
 
 def test_fock_state_validates_deficit():
@@ -194,7 +191,7 @@ def test_fock_state_validates_deficit():
 
 
 def test_phase_full_turn_is_identity():
-    state = tmsv_fock(0.5, n_max=20)
+    state = tmsv_fock(0.5)
     turned = apply_unitary_fock(state, 2 * np.pi, 0)
     assert np.max(np.abs(turned.amplitudes - state.amplitudes)) <= 1e-12
 
@@ -217,22 +214,21 @@ def _chain(state):
 
 
 def test_unitaries_preserve_norm_and_photon_total():
-    seed = tmsv_fock(0.8, xi=0.4, n_max=40)
-    # on the pair's own 41 levels the splitters meet the even totals up to 80,
-    # and a ceiling cuts those from 42 on: refused rather than approximated
-    with pytest.raises(CutoffError, match="pair total 42"):
-        _chain(seed)
-    # padded to the pipeline's 2 * 40 + 3 levels every total is whole
-    amps = np.zeros((83, 83), dtype=complex)
-    amps[:41, :41] = seed.amplitudes
-    state = _chain(FockState(amps, seed.norm_deficit))
+    seed = tmsv_fock(0.8, xi=0.4)
+    n = tail_cutoff(0.8)
+    # on the pair's own n + 1 = 39 levels the splitters meet the even totals up
+    # to 76, and a ceiling cuts those from 40 on: refused rather than approximated
+    with pytest.raises(CutoffError, match="pair total 40"):
+        _chain(FockState(seed.amplitudes[:n + 1, :n + 1], seed.norm_deficit))
+    # on the signal ladders of 2n + 3 levels every total is whole
+    state = _chain(seed)
     n0 = photon_number_expectation(seed)
     assert state.norm() == pytest.approx(np.sqrt(1 - state.norm_deficit), abs=1e-12)
     assert photon_number_expectation(state) == pytest.approx(n0, abs=1e-10)
 
 
 def test_rejects_non_passive_map():
-    state = tmsv_fock(0.3, n_max=16)
+    state = tmsv_fock(0.3)
     boost = np.array([[np.cosh(0.5), np.sinh(0.5)],
                       [np.sinh(0.5), np.cosh(0.5)]], dtype=complex)
     with pytest.raises(ValueError, match="passive|unitary"):
@@ -240,7 +236,7 @@ def test_rejects_non_passive_map():
 
 
 def test_apply_unitary_input_validation():
-    state = tmsv_fock(0.3, n_max=16)
+    state = tmsv_fock(0.3)
     with pytest.raises(ValueError):
         apply_unitary_fock(state, BsSpec("B1"), (0, 0))
     with pytest.raises(ValueError):
@@ -268,7 +264,7 @@ def test_apply_unitary_input_validation():
 
 
 def test_modes_are_checked_alike_everywhere():
-    state = tmsv_fock(0.3, n_max=16)
+    state = tmsv_fock(0.3)
     for bad in (-1, 2, 0.5, None, True):
         with pytest.raises(ValueError, match="modes"):
             fock_moments(state, bad, 0)
@@ -445,6 +441,21 @@ def test_moments_hold_one_full_size_array():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * state.amplitudes.nbytes
+
+
+def test_reference_seed_is_the_pair_bit_for_bit():
+    # the pair from its amplitude formula on test-side ladders, against
+    # tmsv_fock and against the prepared state of a lossless device
+    for G in (0.0, 0.2, 0.8):
+        for xi in (-0.0, 1.1):
+            cfg = InterferometerConfig(G=G, xi=xi)
+            want = reference_seed(cfg)
+            state, arm = fock._prepare(cfg)
+            assert arm == []
+            for got in (tmsv_fock(G, xi), state):
+                assert got.dims == want.dims == (2 * tail_cutoff(G) + 3,) * 2
+                assert got.amplitudes.tobytes() == want.amplitudes.tobytes(), (G, xi)
+                assert got.norm_deficit == want.norm_deficit
 
 
 def test_moments_guard_against_ceiling_occupation():

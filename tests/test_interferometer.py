@@ -370,6 +370,6 @@ def test_gain_entry_points_refuse_gains_above_the_bound():
                  lambda: two_mode_squeezer(above, 0.0),
                  lambda: closed_form_reference(above, 0.3),
                  lambda: tail_cutoff(above),
-                 lambda: ancilla_cutoff(above, 0.1, 10)):
+                 lambda: ancilla_cutoff(above, 0.1)):
         with pytest.raises(ValueError, match="gain G must be at most 177.171"):
             call()
