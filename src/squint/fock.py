@@ -62,7 +62,7 @@ def _check_size(total: int) -> None:
 
 
 class CutoffError(ValueError):
-    """A Fock cutoff too small for the requested accuracy."""
+    """A truncation the oracle cannot bound: a state beyond its reach."""
 
 
 @dataclass(frozen=True)
@@ -152,17 +152,19 @@ def tmsv_fock(G: float, xi: float = 0.0) -> FockState:
     cut off at n = tail_cutoff(G), on signal ladders of 2n + 3 levels each.
 
     The exact discarded mass tanh^{2(n+1)} G is stored as norm_deficit; above
-    1e-12 it raises CutoffError before anything is allocated.  That cap also
-    bounds the size: the deficit is at least 1e-14 sinh^2 G, so no G above
-    asinh(10) ~ 2.998 passes, and the largest pair it admits (n = 2775) holds
-    30.8M amplitudes, under the 40M cap of a state tensor.
+    1e-12 it raises CutoffError before anything is allocated.  The deficit lies
+    in [1e-14 sinh^2 G, 1e-14 cosh^2 G], so the oracle reaches every G up to
+    acosh(10) ~ 2.993 and none above asinh(10) ~ 2.998; the largest pair it
+    admits (n = 2775) holds 30.8M amplitudes, under a state tensor's 40M cap.
     """
     _check_finite("pump phase xi", xi)
     n_max, dim = _pair_ladder(G)
     deficit = float(np.tanh(G) ** (2 * (n_max + 1)))
     if deficit > _DEFICIT_CAP:
         raise CutoffError(
-            f"cutoff too small: n_max={n_max} discards {deficit:.3e} probability at G={G:g}")
+            f"G={G:g} is beyond the oracle's reach: its pair cutoff n_max={n_max} discards "
+            f"{deficit:.3e} probability, above the 1e-12 cap; every gain up to about "
+            "2.993 passes, and none above about 2.998")
     n = np.arange(n_max + 1)
     amps = np.zeros((dim, dim), dtype=complex)
     amps[n, n] = (-1j * np.exp(1j * xi) * np.tanh(G)) ** n / np.cosh(G)
@@ -229,8 +231,8 @@ def _apply_pair(amps: np.ndarray, mode_i: int, mode_j: int, u: np.ndarray) -> np
     totals = np.add.outer(np.arange(di), np.arange(dj)).ravel()
     cut = totals[(totals >= min(di, dj)) & nonzero.any(axis=1)]
     if len(cut):
-        raise CutoffError(f"pair total {cut.min()} holds amplitude on ladders of {di} and "
-                          f"{dj} levels, where a ceiling cuts its sector; enlarge the cutoff")
+        raise CutoffError(f"pair total {cut.min()} holds amplitude on ladders of {di} and {dj} "
+                          "levels, where a ceiling cuts its sector: beyond the oracle's reach")
     key = u.tobytes()
     out = np.zeros_like(st)
     for n in range(min(di, dj)):
@@ -373,8 +375,8 @@ def fock_moments(state: FockState, mode_a: int, mode_b: int):
         top = float(_probabilities(amps[_axis(m, slice(-2, None))]).sum())
         if top >= _CEILING_TOL:
             raise CutoffError(
-                f"mode {m} holds {top:.3e} probability in its top two levels; "
-                "enlarge the cutoff")
+                f"mode {m} holds {top:.3e} probability in its top two levels: beyond "
+                "the oracle's reach, whose own ladders keep that under 1e-9")
     xx = _xx_apply(amps, mode_a, mode_b)
     m1c = np.vdot(amps, xx)
     m2 = float(np.real(np.vdot(xx, xx)))

@@ -12,21 +12,20 @@ Element order, fixed by the physical layout:
 
 The engine carries a factor F of the covariance, C = F F^T, starting from
 the squeezer's matrix (the vacuum is the identity).  Each symplectic element
-multiplies F from the left.  Each loss station (preparation, arm) is one
-step: it scales the rows of every mode by cos(angle) and appends each lossy
-mode's two noise columns of sin(angle), in one concatenation.  C is formed only
-at the outputs, as a sum of products of rows, so no step subtracts the large
-entries of an earlier covariance: the dark-fringe noise keeps a relative
-roundoff of about eps (1 + N) / sigma, and the ideal device is the single
-product M M^T.
+multiplies F from the left, by `ndarray.dot`, which skips the dispatch cost
+that `@` pays at these sizes.  Each loss station (preparation, arm) scales the
+rows of every mode by cos(angle) and appends each lossy mode's two noise
+columns of sin(angle).  C is read only at the outputs, as products of rows, so
+no step subtracts the large entries of an earlier covariance: the dark-fringe
+noise keeps a relative roundoff of about eps (1 + N) / sigma.
 
-Built once per device, on its first evaluation, and kept by the config: the
-two splitters' specs and both loss stations' noise columns and row scales,
-the scales already shaped to the factor they multiply.  Built per phase: the
-squeezer, the two splitter matrices and the phase shifter, each from its
-builder, then the products and the output moments.  The products are
-`ndarray.dot` calls: they reach the same BLAS routines as `@`, whose ufunc
-dispatch costs about as much as the arithmetic at 4xk.
+Only output rows 0 and 2, the x quadratures, are detected.  The phase turns
+mode 0 alone, P(phi) = P0 + cos(phi) Pc + sin(phi) Ps, and commutes with the
+arm loss, which scales mode 0's two rows alike.  So the detected rows of the
+output factor are R(phi) = A + cos(phi) U + sin(phi) V, with A, U and V each
+2 x k, and trace(C) does not depend on phi.  A device builds them once, on its
+first evaluation; per phase, `evaluate` forms R with one dot over
+(1, cos phi, sin phi) and reads C00, C02 and C22 from R R^T.
 """
 from __future__ import annotations
 
@@ -43,21 +42,13 @@ from .gaussian import (
     _check_imbalance,
     _check_loss_angle,
     beam_splitter,
-    phase_shifter,
     two_mode_squeezer,
 )
-from .moments import (
-    SignalStats,
-    _sigma,
-    mean_photon_number,
-    product_mean,
-    product_second_moment,
-)
+from .moments import SignalStats, _second_moment, _sigma, mean_photon_number
 
 __all__ = [
     "InterferometerConfig",
     "evaluate",
-    "output_state",
     "signal_slope",
     "closed_form_reference",
 ]
@@ -100,15 +91,27 @@ class InterferometerConfig:
 
     @functools.cached_property
     def _stations(self) -> tuple:
-        """The phase-independent pieces of the device, built on first use and
-        kept by this instance: the B1 and B2 specs, then the preparation and
-        arm loss stations as `_station` gives them, the arm's scales as wide
-        as the factor after the preparation station.  The cache is per
+        """The device's phase model, built on first use: A, U and V as the rows
+        of one read-only (3, 2k) array, the photon number read at phi = 0,
+        then the preparation and arm stations (`_station`).  The cache is per
         instance, so a device built by `dataclasses.replace` builds its own,
-        and it is not a field: equality, hashing and repr ignore it."""
+        and not a field: equality, hashing and repr ignore it."""
         prep = _station(self.alpha1, self.beta1, 4)
         arm = _station(self.alpha2, self.beta2, 4 if prep is None else 4 + prep[1].shape[1])
-        return BsSpec("B1", self.delta1), BsSpec("B2", self.delta2), prep, arm
+        f = two_mode_squeezer(self.G, self.xi)
+        if prep is not None:
+            f = np.concatenate((f * prep[0], prep[1]), axis=1)
+        f = beam_splitter(BsSpec("B1", self.delta1)).dot(f)
+        if arm is not None:
+            f = np.concatenate((f * arm[0], arm[1]), axis=1)
+        b2 = beam_splitter(BsSpec("B2", self.delta2))
+        d, w = b2[::2], np.zeros((3, 2, 4))  # B2's detected rows times P0, Pc and Ps
+        w[0, :, 2:], w[1, :, :2] = d[:, 2:], d[:, :2]
+        w[2, :, 0], w[2, :, 1] = d[:, 1], -d[:, 0]
+        rows = w.reshape(6, 4).dot(f).reshape(3, -1)  # A, U and V, one row each
+        rows.flags.writeable = False
+        out = b2.dot(f)
+        return rows, mean_photon_number(out.dot(out.T)), prep, arm
 
 
 def _station(a0: float, a1: float, width: int):
@@ -119,9 +122,8 @@ def _station(a0: float, a1: float, width: int):
     mode, and the factor gains the lossy modes' columns of diag(sin a0,
     sin a0, sin a1, sin a1), so F F^T picks up sin^2(angle) on the mode's
     diagonal block: the `apply_loss` channel without forming the covariance.
-    The row scales are built once, shaped (4, width) like the factor they
-    multiply, so no phase broadcasts a column; every phase of the device
-    shares both arrays, so they are read-only.
+    The row scales are shaped (4, width) like the factor they multiply; the
+    device keeps both arrays, so they are read-only.
     """
     if a0 == 0.0 and a1 == 0.0:
         return None
@@ -133,26 +135,16 @@ def _station(a0: float, a1: float, width: int):
     return scale, noise
 
 
-def output_state(config: InterferometerConfig, phi: float) -> np.ndarray:
-    """Covariance at the recombiner outputs for phase phi."""
-    b1, b2, prep, arm = config._stations
-    f = two_mode_squeezer(config.G, config.xi)
-    if prep is not None:
-        f = np.concatenate((f * prep[0], prep[1]), axis=1)
-    f = beam_splitter(b1).dot(f)
-    f = phase_shifter(phi).dot(f)
-    if arm is not None:
-        f = np.concatenate((f * arm[0], arm[1]), axis=1)
-    f = beam_splitter(b2).dot(f)
-    return f.dot(f.T)
-
-
 def evaluate(config: InterferometerConfig, phi: float) -> SignalStats:
-    """Product-signal statistics at phase phi."""
-    out = output_state(config, phi)
-    m1, m2 = product_mean(out), product_second_moment(out)
+    """Product-signal statistics at phase phi, from the device's phase model."""
+    _check_finite("phase phi", phi)
+    rows, photons = config._stations[:2]
+    r = np.dot((1.0, math.cos(phi), math.sin(phi)), rows).reshape(2, -1)
+    c = r.dot(r.T)
+    m1 = c.item(0, 1)
+    m2 = _second_moment(c.item(0, 0), m1, c.item(1, 1))
     return SignalStats(mean=m1, second_moment=m2, sigma=_sigma(m1, m2),
-                       mean_photons=mean_photon_number(out))
+                       mean_photons=photons)
 
 
 def signal_slope(config: InterferometerConfig, phi: float) -> float:

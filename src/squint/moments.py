@@ -42,8 +42,12 @@ def product_mean(cov: np.ndarray) -> float:
 
 def product_second_moment(cov: np.ndarray) -> float:
     """Second moment <(X_a X_b)^2> by Isserlis factoring of the quartic."""
-    vab = cov.item(0, 2)
-    return cov.item(0, 0) * cov.item(2, 2) + 2.0 * vab * vab
+    return _second_moment(cov.item(0, 0), cov.item(0, 2), cov.item(2, 2))
+
+
+def _second_moment(vaa: float, vab: float, vbb: float) -> float:
+    """`product_second_moment` from the variances vaa, vbb and covariance vab."""
+    return vaa * vbb + 2.0 * vab * vab
 
 
 def product_sigma(cov: np.ndarray) -> float:

@@ -167,6 +167,23 @@ def test_tmsv_refuses_a_default_cutoff_that_discards_too_much():
     assert peak < 64 * 1024
 
 
+def test_oracle_refusal_names_its_reach():
+    # no caller sets a cutoff, so the refusal states the gains the oracle takes
+    with pytest.raises(CutoffError) as refused:
+        oracle_pipeline(InterferometerConfig(G=3.0), 0.3)
+    assert str(refused.value) == (
+        "G=3 is beyond the oracle's reach: its pair cutoff n_max=2785 discards "
+        "1.008e-12 probability, above the 1e-12 cap; every gain up to about 2.993 "
+        "passes, and none above about 2.998")
+    # a state with shorter ladders than the oracle derives is refused the same way
+    ceiling = np.zeros((5, 5), dtype=complex)
+    ceiling[4, 4] = 1.0
+    for call in (lambda: fock_moments(FockState(ceiling), 0, 1),
+                 lambda: apply_unitary_fock(FockState(ceiling), BsSpec("B1"), (0, 1))):
+        with pytest.raises(CutoffError, match="beyond the oracle's reach"):
+            call()
+
+
 def test_fock_state_holds_complex_amplitudes():
     state = FockState(np.eye(2))
     assert state.amplitudes.dtype == np.complex128

@@ -18,18 +18,20 @@ from squint import (
     closed_form_reference,
     evaluate,
     mean_photon_number,
-    output_state,
+    modified_resolution,
     phase_shifter,
     product_mean,
     product_second_moment,
     product_sigma,
+    refine_working_point,
     signal_slope,
+    standard_resolution,
     tail_cutoff,
     two_mode_squeezer,
     vacuum_state,
 )
 from squint.gaussian import _G_MAX
-from reference import reference_output_state
+from reference import output_state, reference_output_state
 
 GAINS = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
@@ -165,10 +167,7 @@ def test_output_state_matches_per_mode_loss_chain(losses):
         chain, got = reference_output_state(cfg, phi), output_state(cfg, phi)
         np.testing.assert_array_equal(got, chain)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(chain))
-        m1, m2 = product_mean(chain), product_second_moment(chain)
-        want = SignalStats(mean=m1, second_moment=m2, sigma=product_sigma(chain),
-                           mean_photons=mean_photon_number(chain))
-        assert _bits(evaluate(cfg, phi)) == _bits(want), phi
+        _assert_reads_within_roundoff(evaluate(cfg, phi), chain)
 
 
 @pytest.mark.parametrize("losses", [
@@ -221,19 +220,62 @@ def test_stations_follow_the_device():
         assert [_bits(evaluate(other, phi)) for phi in phis] == seen
 
 
-def test_evaluate_reads_the_public_moment_readers_bit_for_bit():
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        cfg = InterferometerConfig(
-            G=rng.uniform(0.0, 6.0), xi=rng.uniform(-np.pi, np.pi),
-            delta1=rng.uniform(-0.7, 0.7), delta2=rng.uniform(-0.7, 0.7),
-            alpha1=rng.uniform(0, 0.3), beta1=rng.uniform(0, 0.3),
-            alpha2=rng.uniform(0, 0.3), beta2=rng.uniform(0, 0.3))
-        for phi in (rng.uniform(0, 2 * np.pi), np.pi / 2):
-            got, out = evaluate(cfg, phi), output_state(cfg, phi)
-            assert got.mean == product_mean(out)
-            assert got.second_moment == product_second_moment(out)
-            assert got.sigma == product_sigma(out)
+def _assert_reads_within_roundoff(got, cov):
+    """The phase model's statistics against the public moment readers of a
+    reference covariance, each within 1e-12 (1 + N)."""
+    n = mean_photon_number(cov)
+    want = SignalStats(mean=product_mean(cov), second_moment=product_second_moment(cov),
+                       sigma=product_sigma(cov), mean_photons=n)
+    for field in ("mean", "sigma", "mean_photons"):
+        assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12 * (1 + n), field
+    assert abs(got.second_moment - want.second_moment) <= 1e-12 * (1 + n) ** 2
+
+
+def _model_devices(count, max_loss=np.pi / 2):
+    """Seeded devices, lossy, imbalanced and pumped, plus the edges: no gain,
+    full losses, imbalances near pi/4 and both signed zeros of the pump phase."""
+    rng = np.random.default_rng(2626)
+    edges = [dict(G=0.0), dict(G=0.0, xi=-0.0, alpha1=0.2, beta2=0.4),
+             dict(G=1.1, xi=-0.0), dict(G=1.1, xi=0.0), dict(G=2.3, xi=2.9, beta1=np.pi / 2),
+             dict(G=1.7, alpha1=np.pi / 2, alpha2=np.pi / 2),
+             dict(G=0.8, xi=-1.3, delta1=0.785, delta2=-0.785, beta2=np.pi / 2),
+             dict(G=3.5, delta1=-0.785, delta2=0.785, alpha2=0.3, beta1=0.1)]
+    drawn = [dict(G=rng.uniform(0, 6), xi=rng.uniform(-4, 4),
+                  delta1=rng.uniform(-0.785, 0.785), delta2=rng.uniform(-0.785, 0.785),
+                  **{name: rng.uniform(0, max_loss) if rng.uniform() > 1 / 3 else 0.0
+                     for name in ("alpha1", "beta1", "alpha2", "beta2")})
+             for _ in range(count)]
+    return [InterferometerConfig(**{k: float(v) for k, v in d.items()}) for d in edges + drawn]
+
+
+def test_evaluate_matches_the_reference_chain_within_roundoff():
+    phis = [*np.linspace(-np.pi, 3 * np.pi, 17), 0.0, -0.0, np.pi / 2, 1e-9]
+    for cfg in _model_devices(100):
+        for phi in phis:
+            _assert_reads_within_roundoff(evaluate(cfg, float(phi)),
+                                          reference_output_state(cfg, float(phi)))
+
+
+def test_modified_never_below_standard_at_the_quietest_point():
+    # at the lowest noise on the circle sigma(phi + d) >= sigma(phi), so the
+    # modified root 2 |s| d = sigma(phi) + sigma(phi + d) is at least sigma / |s|
+    grid = np.linspace(0, 2 * np.pi, 360, endpoint=False)
+    solved = 0
+    for cfg in _model_devices(40, max_loss=0.3):
+        start = min(grid, key=lambda p: evaluate(cfg, float(p)).sigma)
+        phi = refine_working_point(cfg, float(start))
+        mod, std = modified_resolution(cfg, phi), standard_resolution(cfg, phi)
+        if mod.converged and std.converged:
+            solved += 1
+            assert mod.delta_phi >= std.delta_phi * (1 - 1e-12), cfg
+    assert solved >= 20
+
+
+def test_ideal_dark_fringe_noise_holds_the_vacuum_level_to_roundoff():
+    eps = np.finfo(float).eps
+    for G in np.linspace(0.5, 10.3, 50):
+        stats = evaluate(InterferometerConfig(G=float(G)), np.pi / 2)
+        assert abs(stats.sigma - 1.0) <= eps * (1 + stats.mean_photons), G
 
 
 def test_arm_loss_commutes_with_phase():
@@ -305,10 +347,15 @@ def test_slope_matches_analytic_derivative():
 
 
 def test_mean_photons_independent_of_phase():
-    cfg = InterferometerConfig(G=1.5, alpha1=0.1, beta1=0.05, alpha2=0.2,
-                               beta2=0.15, delta1=0.1, delta2=-0.2)
-    values = [evaluate(cfg, phi).mean_photons for phi in (0.0, 0.7, 2.2)]
-    assert max(values) - min(values) <= 1e-12 * max(1, values[0])
+    # the device reads its photon number once, so every phase returns its bits
+    for cfg in (InterferometerConfig(G=1.5, alpha1=0.1, beta1=0.05, alpha2=0.2,
+                                     beta2=0.15, delta1=0.1, delta2=-0.2),
+                *_model_devices(40)):
+        values = {evaluate(cfg, float(phi)).mean_photons.hex()
+                  for phi in (*np.linspace(0, 2 * np.pi, 25), 0.7, 2.2)}
+        assert len(values) == 1, cfg
+        # and phi = -0.0 evaluates as phi = 0.0, signed zeros included
+        assert _bits(evaluate(cfg, -0.0)) == _bits(evaluate(cfg, 0.0)), cfg
 
 
 def test_lossless_pipeline_conserves_photons():

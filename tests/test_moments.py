@@ -6,7 +6,6 @@ from squint import (
     InterferometerConfig,
     apply_symplectic,
     mean_photon_number,
-    output_state,
     product_mean,
     product_second_moment,
     product_sigma,
@@ -14,6 +13,7 @@ from squint import (
     vacuum_state,
 )
 from conftest import quadrature_product_moments, random_two_mode_state
+from reference import output_state
 
 
 def test_moments_match_direct_integration(rng):
