@@ -13,9 +13,10 @@ Element order, fixed by the physical layout:
 The engine carries a factor F of the covariance, C = F F^T, starting from
 the squeezer's matrix (the vacuum is the identity).  Each symplectic element
 multiplies F from the left, by `ndarray.dot`, which skips the dispatch cost
-that `@` pays at these sizes.  Each loss station (preparation, arm) scales the
-rows of every mode by cos(angle) and appends each lossy mode's two noise
-columns of sin(angle).  C is read only at the outputs, as products of rows, so
+that `@` pays at these sizes.  Each loss station (preparation, arm) is one
+step, `_lose`: it scales the rows of every mode by cos(angle) and appends each
+lossy mode's two noise columns of sin(angle), and a lossless station leaves F
+as it is.  C is read only at the outputs, as products of rows, so
 no step subtracts the large entries of an earlier covariance: the dark-fringe
 noise keeps a relative roundoff of about eps (1 + N) / sigma.
 
@@ -23,9 +24,10 @@ Only output rows 0 and 2, the x quadratures, are detected.  The phase turns
 mode 0 alone, P(phi) = P0 + cos(phi) Pc + sin(phi) Ps, and commutes with the
 arm loss, which scales mode 0's two rows alike.  So the detected rows of the
 output factor are R(phi) = A + cos(phi) U + sin(phi) V, with A, U and V each
-2 x k, and trace(C) does not depend on phi.  A device builds them once, on its
-first evaluation; per phase, `evaluate` forms R with one dot over
-(1, cos phi, sin phi) and reads C00, C02 and C22 from R R^T.
+2 x k, and trace(C) does not depend on phi.  A device builds its model, A, U,
+V and the photon number, once, on its first evaluation; per phase, `evaluate`
+forms R with one dot over (1, cos phi, sin phi) and reads C00, C02 and C22
+from R R^T.
 """
 from __future__ import annotations
 
@@ -90,20 +92,14 @@ class InterferometerConfig:
         return cls(G=G, alpha1=prep, beta1=prep, alpha2=arm, beta2=arm, **kwargs)
 
     @functools.cached_property
-    def _stations(self) -> tuple:
-        """The device's phase model, built on first use: A, U and V as the rows
-        of one read-only (3, 2k) array, the photon number read at phi = 0,
-        then the preparation and arm stations (`_station`).  The cache is per
-        instance, so a device built by `dataclasses.replace` builds its own,
-        and not a field: equality, hashing and repr ignore it."""
-        prep = _station(self.alpha1, self.beta1, 4)
-        arm = _station(self.alpha2, self.beta2, 4 if prep is None else 4 + prep[1].shape[1])
-        f = two_mode_squeezer(self.G, self.xi)
-        if prep is not None:
-            f = np.concatenate((f * prep[0], prep[1]), axis=1)
-        f = beam_splitter(BsSpec("B1", self.delta1)).dot(f)
-        if arm is not None:
-            f = np.concatenate((f * arm[0], arm[1]), axis=1)
+    def _model(self) -> tuple:
+        """The device's phase model, built on first use, as (rows, photons):
+        A, U and V as the rows of one read-only (3, 2k) array, k the factor's
+        columns after both loss steps, and the photon number read at phi = 0.
+        The cache is per instance, so a device built by `dataclasses.replace`
+        builds its own, and not a field: equality, hashing and repr ignore it."""
+        f = _lose(two_mode_squeezer(self.G, self.xi), self.alpha1, self.beta1)
+        f = _lose(beam_splitter(BsSpec("B1", self.delta1)).dot(f), self.alpha2, self.beta2)
         b2 = beam_splitter(BsSpec("B2", self.delta2))
         d, w = b2[::2], np.zeros((3, 2, 4))  # B2's detected rows times P0, Pc and Ps
         w[0, :, 2:], w[1, :, :2] = d[:, 2:], d[:, :2]
@@ -111,34 +107,30 @@ class InterferometerConfig:
         rows = w.reshape(6, 4).dot(f).reshape(3, -1)  # A, U and V, one row each
         rows.flags.writeable = False
         out = b2.dot(f)
-        return rows, mean_photon_number(out.dot(out.T)), prep, arm
+        return rows, mean_photon_number(out.dot(out.T))
 
 
-def _station(a0: float, a1: float, width: int):
-    """One loss station, angles a0 on mode 0 and a1 on mode 1, as the pair
-    (row scales, noise columns), or None when neither mode loses.
+def _lose(f: np.ndarray, a0: float, a1: float) -> np.ndarray:
+    """The factor f after one loss station, angles a0 on mode 0 and a1 on
+    mode 1; f itself when neither mode loses.
 
     Each mode's two rows scale by cos(angle), exactly 1.0 for a lossless
-    mode, and the factor gains the lossy modes' columns of diag(sin a0,
-    sin a0, sin a1, sin a1), so F F^T picks up sin^2(angle) on the mode's
-    diagonal block: the `apply_loss` channel without forming the covariance.
-    The row scales are shaped (4, width) like the factor they multiply; the
-    device keeps both arrays, so they are read-only.
+    mode, and each lossy mode appends its two columns of diag(sin a0, sin a0,
+    sin a1, sin a1), so F F^T picks up sin^2(angle) on the mode's diagonal
+    block: the `apply_loss` channel without forming the covariance.
     """
     if a0 == 0.0 and a1 == 0.0:
-        return None
-    c0, s0, c1, s1 = math.cos(a0), math.sin(a0), math.cos(a1), math.sin(a1)
+        return f
+    c0, c1 = math.cos(a0), math.cos(a1)
+    noise = np.diag((math.sin(a0),) * 2 + (math.sin(a1),) * 2)
     lossy = [k for k, a in enumerate((a0, a0, a1, a1)) if a != 0.0]
-    noise = np.ascontiguousarray(np.diag([s0, s0, s1, s1])[:, lossy])
-    scale = np.repeat([[c0], [c0], [c1], [c1]], width, axis=1)
-    scale.flags.writeable = noise.flags.writeable = False
-    return scale, noise
+    return np.concatenate((f * [[c0], [c0], [c1], [c1]], noise[:, lossy]), axis=1)
 
 
 def evaluate(config: InterferometerConfig, phi: float) -> SignalStats:
     """Product-signal statistics at phase phi, from the device's phase model."""
     _check_finite("phase phi", phi)
-    rows, photons = config._stations[:2]
+    rows, photons = config._model
     r = np.dot((1.0, math.cos(phi), math.sin(phi)), rows).reshape(2, -1)
     c = r.dot(r.T)
     m1 = c.item(0, 1)

@@ -15,10 +15,8 @@ reference seed builds the squeezed pair from its amplitude formula, which
 The two-pass product applies one quadrature after the other over the whole
 tensor, the composition the oracle's slice-wise X_a X_b must equal bit for
 bit.  The per-mode loss chain rebuilds the device's output covariance with `@`
-products and one loss step per mode.  `output_state` is the engine before the
-phase model: the whole factor carried element by element with `.dot` products
-and the device's own loss stations, which must reproduce that chain bit for
-bit, and which the phase model must match to roundoff.
+products and one loss step per mode: each of the engine's loss steps must
+equal it bit for bit, and the phase model must match its output to roundoff.
 """
 import math
 
@@ -74,21 +72,6 @@ def lose_one_mode(f, mode, angle):
     f = np.hstack([f, noise])
     f[rows, :-2] *= math.cos(angle)
     return f
-
-
-def output_state(config, phi):
-    """Output covariance at phase phi from the device's cached loss stations,
-    each element's builder applied with `.dot`."""
-    prep, arm = config._stations[2:]
-    f = two_mode_squeezer(config.G, config.xi)
-    if prep is not None:
-        f = np.concatenate((f * prep[0], prep[1]), axis=1)
-    f = beam_splitter(BsSpec("B1", config.delta1)).dot(f)
-    f = phase_shifter(phi).dot(f)
-    if arm is not None:
-        f = np.concatenate((f * arm[0], arm[1]), axis=1)
-    f = beam_splitter(BsSpec("B2", config.delta2)).dot(f)
-    return f.dot(f.T)
 
 
 def reference_output_state(config, phi):

@@ -1,4 +1,5 @@
 """Truncated number-basis machinery: construction, unitaries, guards."""
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -6,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from squint import fock
+from squint import fock, interferometer
 from squint import (
     BsSpec,
     CutoffError,
@@ -14,6 +15,7 @@ from squint import (
     InterferometerConfig,
     ancilla_cutoff,
     apply_unitary_fock,
+    beam_splitter,
     evaluate,
     fock_moments,
     loss_unitary,
@@ -21,7 +23,9 @@ from squint import (
     photon_number_expectation,
     tail_cutoff,
     tmsv_fock,
+    two_mode_squeezer,
 )
+from squint.interferometer import _lose
 from reference import reference_lose, reference_losses, reference_seed, reference_xx
 
 
@@ -505,23 +509,73 @@ def test_pipeline_refuses_oversized_tensors():
         oracle_pipeline(cfg, 0.3)
 
 
-def test_pipeline_arm_loss_matches_engine():
-    configs = (
-        InterferometerConfig(G=0.5, xi=0.7, alpha2=0.1, beta2=0.08,
-                             delta1=0.05, delta2=-0.1),
-        # the largest losses the benchmark's oracle states use, one-sided at
-        # preparation, so the ancillas are at their deepest
-        InterferometerConfig(G=0.6, xi=-1.1, alpha1=0.3, alpha2=0.3,
-                             delta1=-0.12, delta2=0.08),
-    )
-    for cfg in configs:
-        for phi in (0.3, np.pi / 2):
-            got = oracle_pipeline(cfg, phi)
-            ref = evaluate(cfg, phi)
-            assert got.mean == pytest.approx(ref.mean, abs=1e-8)
-            assert got.second_moment == pytest.approx(ref.second_moment, abs=1e-8)
-            assert got.sigma == pytest.approx(ref.sigma, abs=1e-8)
-            assert got.mean_photons == pytest.approx(ref.mean_photons, abs=1e-8)
+# Engine devices checked against the oracle: arm loss on both modes; the
+# largest losses the benchmark's oracle states use, one-sided at preparation,
+# so the ancillas are at their deepest; and loss on mode 1 alone.
+ENGINE_DEVICES = (
+    dict(G=0.5, xi=0.7, alpha2=0.1, beta2=0.08, delta1=0.05, delta2=-0.1),
+    dict(G=0.6, xi=-1.1, alpha1=0.3, alpha2=0.3, delta1=-0.12, delta2=0.08),
+    dict(G=0.55, xi=0.4, beta1=0.2, beta2=0.15, delta1=0.07, delta2=-0.06),
+)
+ENGINE_PHASES = (0.3, np.pi / 2)
+
+
+@pytest.fixture(scope="module")
+def oracle_values():
+    """The oracle's statistics on each engine device at each phase."""
+    return [[dataclasses.astuple(oracle_pipeline(InterferometerConfig(**fields), phi))
+             for phi in ENGINE_PHASES] for fields in ENGINE_DEVICES]
+
+
+def engine_deviation(oracle_values):
+    """The engine's largest deviation from the oracle values, each device built
+    fresh, since the phase model is cached per device."""
+    worst = 0.0
+    for fields, wants in zip(ENGINE_DEVICES, oracle_values):
+        cfg = InterferometerConfig(**fields)
+        for phi, want in zip(ENGINE_PHASES, wants):
+            got = dataclasses.astuple(evaluate(cfg, phi))
+            worst = max(worst, *(abs(a - b) for a, b in zip(got, want)))
+    return worst
+
+
+def test_pipeline_arm_loss_matches_engine(oracle_values):
+    assert engine_deviation(oracle_values) <= 1e-8
+
+
+def faulty_lose(scale, noise):
+    """A loss step that scales each mode's rows by scale(angle) and gives each
+    lossy mode two noise columns of noise(angle)."""
+    def lose(f, a0, a1):
+        if a0 == 0.0 and a1 == 0.0:
+            return f
+        cols = [noise(a) * np.eye(4)[:, 2 * m:2 * m + 2]
+                for m, a in enumerate((a0, a1)) if a != 0.0]
+        return np.hstack([f * np.repeat([scale(a0), scale(a1)], 2)[:, None], *cols])
+    return lose
+
+
+def flipped_imbalance(variant):
+    """`beam_splitter` with the sign of one splitter's imbalance flipped."""
+    return lambda spec: beam_splitter(
+        BsSpec(variant, -spec.imbalance) if spec.variant == variant else spec)
+
+
+# Each fault replaces one name that the phase model's build looks up.
+ENGINE_FAULTS = {
+    "pump_phase_sign": ("two_mode_squeezer", lambda G, xi: two_mode_squeezer(G, -xi)),
+    "loss_modes_swapped": ("_lose", lambda f, a0, a1: _lose(f, a1, a0)),
+    "noise_cos_for_sin": ("_lose", faulty_lose(math.cos, math.cos)),
+    "rows_cos_squared": ("_lose", faulty_lose(lambda a: math.cos(a) ** 2, math.sin)),
+    "b1_imbalance_sign": ("beam_splitter", flipped_imbalance("B1")),
+    "b2_imbalance_sign": ("beam_splitter", flipped_imbalance("B2")),
+}
+
+
+@pytest.mark.parametrize("name, fault", ENGINE_FAULTS.values(), ids=ENGINE_FAULTS.keys())
+def test_engine_faults_fail_the_oracle_comparison(monkeypatch, oracle_values, name, fault):
+    monkeypatch.setattr(interferometer, name, fault)
+    assert engine_deviation(oracle_values) > 1e-8
 
 
 def test_pair_maps_with_a_one_level_mode_match_dense_reference():

@@ -31,7 +31,8 @@ from squint import (
     vacuum_state,
 )
 from squint.gaussian import _G_MAX
-from reference import output_state, reference_output_state
+from squint.interferometer import _lose
+from reference import lose_one_mode, reference_output_state
 
 GAINS = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
@@ -162,12 +163,17 @@ def _bits(stats):
     dict(delta1=-0.78, delta2=0.78, alpha2=0.3), *_drawn_devices(6),
 ])
 def test_output_state_matches_per_mode_loss_chain(losses):
+    # each loss step equals the per-mode chain bit for bit, signed zeros
+    # included, and the phase model reads the chain's output to roundoff
     cfg = InterferometerConfig(**{**dict(G=1.7, xi=0.6, delta1=0.04, delta2=-0.23), **losses})
-    for phi in (0.0, -0.0, 1.1, np.pi / 2, 4.0):
-        chain, got = reference_output_state(cfg, phi), output_state(cfg, phi)
+    f = two_mode_squeezer(cfg.G, cfg.xi)
+    for a0, a1 in ((cfg.alpha1, cfg.beta1), (cfg.alpha2, cfg.beta2)):
+        got, chain = _lose(f, a0, a1), lose_one_mode(lose_one_mode(f, 0, a0), 1, a1)
         np.testing.assert_array_equal(got, chain)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(chain))
-        _assert_reads_within_roundoff(evaluate(cfg, phi), chain)
+        f = beam_splitter(BsSpec("B1", cfg.delta1)).dot(got)
+    for phi in (0.0, -0.0, 1.1, np.pi / 2, 4.0):
+        _assert_reads_within_roundoff(evaluate(cfg, phi), reference_output_state(cfg, phi))
 
 
 @pytest.mark.parametrize("losses", [
@@ -178,33 +184,33 @@ def test_output_state_matches_per_mode_loss_chain(losses):
     dict(alpha1=-0.0, beta1=0.2, alpha2=0.05, beta2=-0.0),
 ])
 def test_station_shapes_follow_the_lossy_modes(losses):
-    # each station's row scales match the factor they multiply, the noise has
-    # two columns per lossy mode, and a lossless station is None
+    # each lossy mode appends two noise columns, and a lossless station,
+    # signed zeros included, returns the factor itself
     cfg = InterferometerConfig(G=1.3, **losses)
-    prep, arm = cfg._stations[2:]
-    n_prep = (cfg.alpha1 != 0.0) + (cfg.beta1 != 0.0)
-    n_arm = (cfg.alpha2 != 0.0) + (cfg.beta2 != 0.0)
-    for station, lossy, width in ((prep, n_prep, 4), (arm, n_arm, 4 + 2 * n_prep)):
+    f = two_mode_squeezer(cfg.G, cfg.xi)
+    for a0, a1 in ((cfg.alpha1, cfg.beta1), (cfg.alpha2, cfg.beta2)):
+        got = _lose(f, a0, a1)
+        lossy = (a0 != 0.0) + (a1 != 0.0)
         if not lossy:
-            assert station is None
-            continue
-        scale, noise = station
-        assert scale.shape == (4, width) and noise.shape == (4, 2 * lossy)
-        for array in (scale, noise):
-            with pytest.raises(ValueError):
-                array[0, 0] = 2.0
+            assert got is f
+        assert got.shape == (4, f.shape[1] + 2 * lossy)
+        f = got
 
 
 def test_stations_follow_the_device():
-    # each device builds its own stations: a changed device never reuses the
-    # stations its parent filled, and copies evaluate like the original
+    # each device builds its own phase model: a changed device never reuses
+    # the model its parent filled, and copies evaluate like the original
     base = InterferometerConfig(G=1.3, xi=0.4, alpha1=0.1, beta2=0.2,
                                 delta1=0.05, delta2=-0.1)
     twin = InterferometerConfig(**dataclasses.asdict(base))
     faces = (base == twin, hash(base), repr(base), dataclasses.asdict(base))
     phis = (0.0, 1.1, np.pi / 2, 4.0)
     seen = [_bits(evaluate(base, phi)) for phi in phis]
-    assert "_stations" in vars(base) and "_stations" not in vars(twin)
+    assert "_model" in vars(base) and "_model" not in vars(twin)
+    rows, photons = base._model
+    assert rows.shape == (3, 16) and photons == evaluate(base, 0.3).mean_photons
+    with pytest.raises(ValueError):
+        rows[0, 0] = 2.0
     assert (base == twin, hash(base), repr(base), dataclasses.asdict(base)) == faces
     for change in (dict(alpha2=0.3), dict(delta2=0.2), dict(beta1=0.07), dict(xi=-0.9),
                    dict(delta1=-0.3, alpha1=0.0, beta2=0.0)):
@@ -291,7 +297,7 @@ def test_arm_loss_commutes_with_phase():
     b = apply_symplectic(b, phase_shifter(phi))
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
     a = apply_symplectic(a, beam_splitter(BsSpec("B2", 0.0)))
-    pipeline = output_state(cfg, phi)
+    pipeline = reference_output_state(cfg, phi)
     np.testing.assert_allclose(pipeline, a, rtol=0, atol=1e-12)
 
 

@@ -13,7 +13,7 @@ from squint import (
     vacuum_state,
 )
 from conftest import quadrature_product_moments, random_two_mode_state
-from reference import output_state
+from reference import reference_output_state
 
 
 def test_moments_match_direct_integration(rng):
@@ -110,7 +110,7 @@ def test_readers_match_numpy_reference_bit_for_bit(rng):
     states = [random_two_mode_state(rng) for _ in range(60)]
     lossy = InterferometerConfig(G=2.1, xi=0.4, alpha1=0.03, beta2=0.2, delta1=0.1,
                                  delta2=-0.2)
-    states += [output_state(cfg, phi)
+    states += [reference_output_state(cfg, phi)
                for cfg in (lossy, InterferometerConfig.with_symmetric_loss(1.3, 0.05, 0.1))
                for phi in (0.0, -0.0, 0.3, np.pi / 2, 2.9)]
     for cov in states:
