@@ -36,7 +36,7 @@ import numpy as np
 
 from .fock import equivalence_grid
 from .gaussian import _check_choice, _check_finite, _check_integer
-from .interferometer import InterferometerConfig, evaluate
+from .interferometer import InterferometerConfig, _evaluate_grid
 from .resolution import (
     _CRITERIA,
     _REFINE_HALF_WIDTH,
@@ -181,8 +181,17 @@ def _json_num(x):
 
 
 def _table(cfg: RunConfig, columns, rows):
+    """The rows, tuples of cells, as CSV text or a JSON body.  A CSV row is one
+    `%.12g` format; a row whose text lacks a decimal point in some cell (an
+    integral or non-finite value, `1e-05`, a bool or an int) is rendered again
+    cell by cell with `fmt`, so every cell reads exactly as `fmt` writes it."""
     if cfg.format == "csv":
-        lines = [",".join(columns), *(",".join(map(fmt, row)) for row in rows)]
+        n = len(columns)
+        line = ",".join(("%.12g",) * n)
+        lines = [",".join(columns)]
+        for row in rows:
+            text = line % row
+            lines.append(text if text.count(".") == n else ",".join(map(fmt, row)))
         return "\n".join(lines) + "\n"
     return {"rows": [{c: (v if isinstance(v, (bool, np.bool_)) else _json_num(v))
                       for c, v in zip(columns, row)} for row in rows]}
@@ -191,11 +200,10 @@ def _table(cfg: RunConfig, columns, rows):
 # Each subcommand returns (CSV text or JSON body, ok); ok false exits 2.
 def cmd_signal(cfg: RunConfig, args):
     columns = ("phi", "mean_P", "sqrt_second_moment", "sigma", "mean_N")
-    rows = []
-    for phi in cfg.phi_grid().tolist():
-        st = evaluate(cfg.interferometer, phi)
-        rows.append((phi, st.mean, math.sqrt(st.second_moment),
-                     st.sigma, st.mean_photons))
+    phis = cfg.phi_grid().tolist()
+    mean, m2, sigma, photons = _evaluate_grid(cfg.interferometer, phis)
+    rows = zip(phis, mean.tolist(), np.sqrt(m2).tolist(), sigma.tolist(),
+               [photons] * len(phis))
     return _table(cfg, columns, rows), True
 
 

@@ -17,7 +17,11 @@ tensor, the composition the oracle's slice-wise X_a X_b must equal bit for
 bit.  The per-mode loss chain rebuilds the device's output covariance with `@`
 products and one loss step per mode: each of the engine's loss steps must
 equal it bit for bit, and the phase model must match its output to roundoff.
+The reference signal document is `squint signal` as the per-phase engine wrote
+it, one `evaluate` per phase and one `fmt` per CSV cell: the batched scan and
+its row-at-a-time CSV writer must equal it byte for byte.
 """
+import json
 import math
 
 import numpy as np
@@ -26,6 +30,9 @@ from squint import fock
 from squint import (BsSpec, FockState, ancilla_cutoff, apply_unitary_fock, beam_splitter,
                     evaluate, loss_unitary, phase_shifter, signal_slope, tail_cutoff,
                     two_mode_squeezer)
+from squint.cli import _json_num, fmt
+
+SIGNAL_COLUMNS = ("phi", "mean_P", "sqrt_second_moment", "sigma", "mean_N")
 
 
 def symplectic_form() -> np.ndarray:
@@ -191,3 +198,18 @@ def reference_seed(config):
 def reference_xx(amps, a, b):
     """X_a X_b psi as two whole-tensor passes: X_b first, then X_a on its result."""
     return fock._x_apply(fock._x_apply(amps, b), a)
+
+
+def reference_signal_document(cfg) -> str:
+    """`squint signal`'s document for the RunConfig cfg from one `evaluate` per
+    phase: CSV with one `fmt` per cell, or JSON rows after the config echo."""
+    rows = []
+    for phi in cfg.phi_grid().tolist():
+        st = evaluate(cfg.interferometer, phi)
+        rows.append((phi, st.mean, math.sqrt(st.second_moment), st.sigma, st.mean_photons))
+    if cfg.format == "csv":
+        lines = [",".join(SIGNAL_COLUMNS), *(",".join(map(fmt, row)) for row in rows)]
+        return "\n".join(lines) + "\n"
+    body = {"config": cfg.to_dict(),
+            "rows": [{c: _json_num(v) for c, v in zip(SIGNAL_COLUMNS, row)} for row in rows]}
+    return json.dumps(body, indent=2) + "\n"

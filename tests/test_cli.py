@@ -15,6 +15,7 @@ import squint
 from squint import InterferometerConfig
 from squint.cli import RunConfig, fmt, main
 from squint.resolution import SWEEP_PARAMETERS
+from reference import reference_signal_document
 
 
 def run_json(argv, capsys):
@@ -257,6 +258,37 @@ def test_signal_json_structure(capsys):
     assert len(payload["rows"]) == 16
     assert set(payload["rows"][0]) == {"phi", "mean_P", "sqrt_second_moment",
                                        "sigma", "mean_N"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["signal", "-G", "1"],
+    ["signal", "-G", "0.9", "--xi=-0.0", "--alpha1=0.1", "--beta1=0.2",
+     "--alpha2=1.5707963267948966", "--beta2=0.05", "--delta1=0.05", "--delta2=-0.1"],
+    ["signal", "-G", "0", "--points", "3"],
+    ["signal", "-G", "177.17", "--alpha2=0.3", "--points", "16"],
+    ["signal", "-G", "2.5", "--beta1=0.3", "--delta2=0.78", "--points", "2"],
+    ["signal", "-G", "1.2", "--xi=40", "--alpha2=10", "--degrees", "--phi-min=-90",
+     "--phi-max=270", "--points", "37"],
+    ["signal", "-G", "0.7", "--alpha1=0.2", "--beta2=0.4", "--points", "50",
+     "--format", "json"],
+])
+def test_signal_matches_the_per_phase_document(argv, capsys):
+    # one batched engine call and one format per row write the same bytes as
+    # one evaluate per phase and one fmt per cell
+    cfg = squint.cli._build_runconfig(squint.cli._build_parser().parse_args(argv))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == reference_signal_document(cfg)
+
+
+def test_csv_rows_match_per_cell_fmt():
+    # the row-at-a-time writer against fmt cell by cell, on every ordered pair
+    # of crafted cells: integral, signed-zero, non-finite, bool and numpy values
+    cells = [0.0, -0.0, 1.0, 7, 123456789012.4, 0.9999999999999, 1e-05, math.inf,
+             -math.inf, math.nan, True, np.bool_(False), np.float64(2.5), np.float64(3.0),
+             math.pi]
+    rows = [(a, b, math.e) for a in cells for b in cells]
+    csv = squint.cli._table(RunConfig(InterferometerConfig(G=1.0)), ("a", "b", "c"), rows)
+    assert csv.splitlines() == ["a,b,c", *(",".join(map(fmt, row)) for row in rows)]
 
 
 def test_points_flag_sets_phase_grid_for_signal(capsys):

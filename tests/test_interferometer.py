@@ -31,7 +31,7 @@ from squint import (
     vacuum_state,
 )
 from squint.gaussian import _G_MAX
-from squint.interferometer import _lose
+from squint.interferometer import _evaluate_grid, _lose
 from reference import lose_one_mode, reference_output_state
 
 GAINS = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
@@ -399,6 +399,54 @@ def test_evaluate_refuses_non_finite_phase():
     for phi in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="phase phi must be finite"):
             evaluate(cfg, phi)
+
+
+def test_grid_rows_equal_evaluate_bit_for_bit():
+    # row i of the batched grid is evaluate at phis[i], every bit, on the
+    # edge devices (no gain, full and signed-zero losses, |delta| at 0.785,
+    # both zeros of xi) and seeded ones, at the signed zeros, pi/2 and 1e6
+    grid = np.linspace(0.0, 2 * np.pi, 1000, endpoint=False).tolist()
+    phis = [-0.0, 0.0, np.pi / 2, 1e6, -2.5, *grid]
+    signed_zero_losses = InterferometerConfig(G=1.4, xi=0.3, alpha1=-0.0, beta1=0.2,
+                                              alpha2=-0.0, beta2=-0.0, delta1=0.1)
+    for cfg in (signed_zero_losses, *_model_devices(30)):
+        mean, m2, sigma, photons = _evaluate_grid(cfg, phis)
+        got = [_bits(SignalStats(*row, photons))
+               for row in zip(mean.tolist(), m2.tolist(), sigma.tolist())]
+        assert got == [_bits(evaluate(cfg, phi)) for phi in phis], cfg
+
+
+def test_grid_raises_evaluate_error_at_the_first_bad_phase(monkeypatch):
+    # the rows of a real phase model always give a variance |r0|^2 |r1|^2 +
+    # (r0 . r1)^2 >= 0, so the inconsistency is injected into the model's
+    # moment formula: <P^2> short by 3 <P>^2 turns the variance negative
+    # where |<P>| is large; both paths must stop at the same phase
+    monkeypatch.setattr("squint.interferometer._second_moment",
+                        lambda vaa, vab, vbb: vaa * vbb - vab * vab)
+    cfg = InterferometerConfig(G=1.2, alpha2=0.1, delta1=0.05)
+    phis = np.linspace(0.0, np.pi, 200, endpoint=False).tolist()
+    first = ""
+    for phi in phis:
+        try:
+            evaluate(cfg, phi)
+        except ArithmeticError as exc:
+            first = str(exc)
+            break
+    assert phi > 0.0 and "negative beyond roundoff" in first
+    with pytest.raises(ArithmeticError) as exc:
+        _evaluate_grid(cfg, phis)
+    assert str(exc.value) == first
+    with pytest.raises(ArithmeticError) as exc:
+        _evaluate_grid(cfg, phis[phis.index(phi):])
+    assert str(exc.value) == first
+    _evaluate_grid(cfg, phis[:phis.index(phi)])
+
+
+def test_grid_refuses_non_finite_phase():
+    cfg = InterferometerConfig(G=1.0, alpha2=0.1)
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="phase phi must be finite"):
+            _evaluate_grid(cfg, [0.3, phi, 1.0])
 
 
 def test_config_accepts_range_edges():
