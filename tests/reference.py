@@ -6,7 +6,9 @@ slice by slice, independently of the builders' literals, and the saturation
 test reads the tail of a sweep for the acceptance gates.  Plain bisection
 solves the modified criterion from the public `evaluate` and `signal_slope`
 alone, independent of the library solver's bracket and end handling, and
-golden-section search is the reference for the library's Brent minimiser.  The
+golden-section search is the reference for the library's Brent minimiser.
+The four-point slope, a harmonic identity over four `evaluate` means, is the
+reference for the analytic `signal_slope`, which shifts no phase.  The
 reference loss applies the generic pair map of `loss_unitary` onto an
 ancilla deep enough that no sector is cut, and then truncates it: the
 oracle's binomial split must match it amplitude by amplitude, and the
@@ -135,6 +137,25 @@ def bisection_resolution(config, phi=math.pi / 2):
         else:
             lo = mid
     return 0.5 * (lo + hi), evaluations
+
+
+def four_point_slope(config, phi):
+    """d<P>/dphi from four `evaluate` means, exact up to roundoff.
+
+    The factor is linear in cos(phi) and sin(phi), so <P> is a degree-2
+    trigonometric polynomial in phi.  With D(t) = <P>(phi + t) - <P>(phi - t)
+    and u1, u2 the derivatives of its first and second harmonics,
+    D(t) = 2 sin(t) u1 + sin(2t) u2, hence
+
+        d<P>/dphi = u1 + u2 = D(pi/4) - (sqrt2 - 1)/2 D(pi/2).
+
+    The shifted phases phi +/- t round, which costs an error of about
+    eps |phi| times the fringe's curvature: the analytic slope has no such term.
+    """
+    def diff(t):
+        return evaluate(config, phi + t).mean - evaluate(config, phi - t).mean
+
+    return diff(math.pi / 4) - (math.sqrt(2.0) - 1.0) / 2.0 * diff(math.pi / 2)
 
 
 def golden_min(f, lo, hi, tol):

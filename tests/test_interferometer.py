@@ -32,9 +32,10 @@ from squint import (
 )
 from squint.gaussian import _G_MAX
 from squint.interferometer import _evaluate_grid, _lose
-from reference import lose_one_mode, reference_output_state
+from reference import four_point_slope, lose_one_mode, reference_output_state
 
 GAINS = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+_EPS = float(np.finfo(float).eps)
 
 
 def test_ideal_device_matches_closed_form():
@@ -352,6 +353,45 @@ def test_slope_matches_analytic_derivative():
             assert got == pytest.approx(want, abs=1e-13 * max(1.0, abs(want)))
 
 
+def test_slope_exact_at_large_phases():
+    # the slope reads R' at phi itself: no shifted phase rounds, so it keeps
+    # roundoff of eps (1 + N) at any phase (the four-point identity erred by
+    # up to 78,000 times that at phi = 1e6)
+    for G in (0.25, 1.0, 3.0, 8.0):
+        cfg = InterferometerConfig(G=G)
+        n = evaluate(cfg, 0.0).mean_photons
+        for phi in (1e6, -12345.678, 100.0, np.pi / 2, 0.4):
+            want = 2 * math.sinh(G) * math.cosh(G) * math.cos(2 * phi)
+            assert abs(signal_slope(cfg, phi) - want) <= 2 * _EPS * (1 + n), (G, phi)
+
+
+def _slope_devices(count):
+    """Seeded devices with G = 0 a tenth of the time and up to 12 otherwise,
+    each station's loss 0, -0.0, pi/2 or drawn, |delta| up to 0.785."""
+    rng = np.random.default_rng(2929)
+
+    def loss():
+        return (0.0, -0.0, np.pi / 2, float(rng.uniform(0, np.pi / 2)))[rng.integers(0, 4)]
+
+    return [InterferometerConfig(
+        G=0.0 if rng.uniform() < 0.1 else float(rng.uniform(0, 12)),
+        xi=float(rng.uniform(-4, 4)), delta1=float(rng.uniform(-0.785, 0.785)),
+        delta2=float(rng.uniform(-0.785, 0.785)),
+        alpha1=loss(), beta1=loss(), alpha2=loss(), beta2=loss()) for _ in range(count)]
+
+
+def test_slope_matches_four_point_identity():
+    # the analytic slope against the harmonic identity over four evaluate
+    # means, for |phi| <= 2 pi (measured worst 3.9 eps (1 + N))
+    rng = np.random.default_rng(3030)
+    for cfg in _slope_devices(1000):
+        n = evaluate(cfg, 0.0).mean_photons
+        for phi in (np.pi / 2, -0.0, float(rng.uniform(-2 * np.pi, 2 * np.pi))):
+            got, want = signal_slope(cfg, phi), four_point_slope(cfg, phi)
+            assert type(got) is float
+            assert abs(got - want) <= 8 * _EPS * (1 + n), (cfg, phi)
+
+
 def test_mean_photons_independent_of_phase():
     # the device reads its photon number once, so every phase returns its bits
     for cfg in (InterferometerConfig(G=1.5, alpha1=0.1, beta1=0.05, alpha2=0.2,
@@ -397,8 +437,9 @@ def test_config_rejects_invalid_fields(field, bad):
 def test_evaluate_refuses_non_finite_phase():
     cfg = InterferometerConfig(G=1.0, alpha2=0.1)
     for phi in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="phase phi must be finite"):
-            evaluate(cfg, phi)
+        for read in (evaluate, signal_slope):
+            with pytest.raises(ValueError, match="phase phi must be finite"):
+                read(cfg, phi)
 
 
 def test_grid_rows_equal_evaluate_bit_for_bit():

@@ -128,17 +128,19 @@ def test_high_gain_converged_only_when_correct():
 
 
 def test_evaluations_count_every_engine_call(monkeypatch):
-    import squint.interferometer as engine
+    # every model read a solve makes: evaluate at the working point, the
+    # slope, and each root step's moment kernel
     import squint.resolution as solvers
     calls = []
 
-    def counted(config, phi):
-        calls.append(phi)
-        return evaluate(config, phi)
+    def counted(fn):
+        def read(source, phi):
+            calls.append(phi)
+            return fn(source, phi)
+        return read
 
-    # signal_slope reads the interferometer's global, the solvers their own
-    monkeypatch.setattr(engine, "evaluate", counted)
-    monkeypatch.setattr(solvers, "evaluate", counted)
+    for name in ("evaluate", "signal_slope", "_moments"):
+        monkeypatch.setattr(solvers, name, counted(getattr(solvers, name)))
     cases = [(solver, cfg) for solver in (standard_resolution, modified_resolution)
              for cfg in (InterferometerConfig(G=2.0),  # converges
                          InterferometerConfig(G=0.0),  # slope refusal
@@ -148,7 +150,10 @@ def test_evaluations_count_every_engine_call(monkeypatch):
         calls.clear()
         res = solver(cfg)
         assert res.evaluations == len(calls), (solver.__name__, cfg, res)
-    assert res.evaluations == 5 + res.iterations and not res.converged
+        # standard's one iteration is a division, modified's a root step
+        steps = res.iterations if solver is modified_resolution else 0
+        assert res.evaluations == 2 + steps, (solver.__name__, cfg, res)
+    assert res.iterations and not res.converged
 
 
 @pytest.mark.parametrize("criterion", ["standard", "modified"])
@@ -436,15 +441,16 @@ def _drawn_devices(count):
 
 def test_refine_matches_golden_section_reference(monkeypatch):
     # the library's Brent minimiser against golden section on refine's own
-    # bracket and tolerance, counting engine evaluations, not timing them
+    # bracket and tolerance, counting the moment kernel's reads, not timing them
     import squint.resolution as solvers
+    from squint.interferometer import _moments
     calls = []
 
-    def counted(config, phi):
+    def counted(rows, phi):
         calls.append(phi)
-        return evaluate(config, phi)
+        return _moments(rows, phi)
 
-    monkeypatch.setattr(solvers, "evaluate", counted)
+    monkeypatch.setattr(solvers, "_moments", counted)
     brent_calls = []
     for cfg in _drawn_devices(100):
         calls.clear()
@@ -459,6 +465,24 @@ def test_refine_matches_golden_section_reference(monkeypatch):
         assert evaluate(cfg, phi).sigma <= evaluate(cfg, ref).sigma * (1.0 + 1e-12), cfg
         assert abs(phi - ref) <= 5e-8, cfg
     assert np.mean(brent_calls) <= 20.0
+
+
+def test_solver_reads_keep_evaluate_bits():
+    # the root and refine steps read sigma from the moment kernel, without
+    # evaluate's check and boxing: the same bits, so the same search path
+    import squint.resolution as solvers
+    from squint.interferometer import _moments
+    from squint.moments import _sigma
+    rng = np.random.default_rng(1919)
+    for cfg in _drawn_devices(100):
+        rows = cfg._model[0]
+        for phi in (np.pi / 2, -0.0, *rng.uniform(-2 * np.pi, 2 * np.pi, size=4)):
+            phi = float(phi)
+            assert _sigma(*_moments(rows, phi)).hex() == evaluate(cfg, phi).sigma.hex(), (cfg, phi)
+        want, _ = solvers._brent_min(lambda p: evaluate(cfg, p).sigma,
+                                     np.pi / 2 - solvers._REFINE_HALF_WIDTH,
+                                     np.pi / 2 + solvers._REFINE_HALF_WIDTH, solvers._REFINE_TOL)
+        assert refine_working_point(cfg).hex() == want.hex(), cfg
 
 
 @pytest.mark.parametrize("cfg", [InterferometerConfig(G=5.0),
