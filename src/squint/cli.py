@@ -100,6 +100,9 @@ class RunConfig:
                                   (self.param_min, self.param_max, self.param_points, "param")):
             if not hi > lo:
                 raise ValueError(f"{what} grid must be strictly increasing (max > min)")
+            span = float(hi) - float(lo)  # an int span can exceed float range; np.float64 warns
+            if not math.isfinite(span):
+                raise ValueError(f"{what} grid span max - min must be finite, got {span}")
             _check_integer(f"{what} grid points", pts, least=2)
         if not isinstance(self.log_grid, bool):
             raise ValueError(f"log_grid must be true or false, got {self.log_grid!r}")
@@ -384,7 +387,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", newline="\n") as fh:
                 fh.write(doc)
         return 0 if ok else 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"squint: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .gaussian import _check_choice, _check_finite
 from .interferometer import InterferometerConfig, _moments, evaluate, signal_slope
-from .moments import _sigma
 
 __all__ = [
     "ResolutionResult",
@@ -197,7 +196,7 @@ def modified_resolution(config: InterferometerConfig,
     rows = config._model[0]  # phi is checked and every d finite: no phase check per step
 
     def excess(d):
-        return 2.0 * slope * d - sigma0 - _sigma(*_moments(rows, phi + d))
+        return 2.0 * slope * d - sigma0 - _moments(rows, phi + d)[2]
 
     lo, g_lo, step = 0.0, -2.0 * sigma0, 2.0 * sigma0 / slope
     iters = 0
@@ -411,7 +410,7 @@ def refine_working_point(config: InterferometerConfig,
     """
     _check_finite("working point phi", phi)
     rows = config._model[0]
-    best, _ = _brent_min(lambda p: _sigma(*_moments(rows, p)),
+    best, _ = _brent_min(lambda p: _moments(rows, p)[2],
                          phi - _REFINE_HALF_WIDTH, phi + _REFINE_HALF_WIDTH, _REFINE_TOL)
     return best
 

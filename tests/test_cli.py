@@ -452,6 +452,36 @@ def test_non_finite_device_values_exit_1(argv, capsys):
     assert "must be finite" in captured.err
 
 
+def test_overflowing_grid_span_is_refused_at_the_boundary(capsys):
+    # finite bounds whose span max - min overflows would fill the grid with
+    # inf and nan; the config refuses them before any grid is built
+    device = InterferometerConfig(G=1.0)
+    for lo, hi in ((-1e308, 1e308), (-10**308, 10**308), (np.float64(-1e308), np.float64(1e308))):
+        with pytest.raises(ValueError, match="phi grid span"):
+            RunConfig(device, phi_min=lo, phi_max=hi)
+        with pytest.raises(ValueError, match="param grid span"):
+            RunConfig(device, param_min=lo, param_max=hi, log_grid=False)
+    for argv in (["signal", "--phi-min=-1e308", "--phi-max=1e308", "--points", "3"],
+                 ["sweep", "--linear", "--min=-1e308", "--max=1e308", "--points", "3"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("squint: config error: ") and "span" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["signal", "-G", "1", "--points", "1000000000000000"],
+    ["sweep", "--points", "1000000000000000"],
+])
+def test_unallocatable_grid_exits_1(argv, capsys):
+    # 10**15 points need 8 PB, beyond any 64-bit address space, so the grid's
+    # allocation fails at once: one line on stderr, nothing on stdout
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("squint: ") and captured.err.count("\n") == 1
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["resolve", "--criterion", "bogus"])

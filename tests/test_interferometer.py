@@ -31,7 +31,7 @@ from squint import (
     vacuum_state,
 )
 from squint.gaussian import _G_MAX
-from squint.interferometer import _evaluate_grid, _lose
+from squint.interferometer import _evaluate_grid, _lose, _moments
 from reference import four_point_slope, lose_one_mode, reference_output_state
 
 GAINS = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
@@ -457,37 +457,80 @@ def test_grid_rows_equal_evaluate_bit_for_bit():
         assert got == [_bits(evaluate(cfg, phi)) for phi in phis], cfg
 
 
-def test_grid_raises_evaluate_error_at_the_first_bad_phase(monkeypatch):
-    # the rows of a real phase model always give a variance |r0|^2 |r1|^2 +
-    # (r0 . r1)^2 >= 0, so the inconsistency is injected into the model's
-    # moment formula: <P^2> short by 3 <P>^2 turns the variance negative
-    # where |<P>| is large; both paths must stop at the same phase
-    monkeypatch.setattr("squint.interferometer._second_moment",
-                        lambda vaa, vab, vbb: vaa * vbb - vab * vab)
-    cfg = InterferometerConfig(G=1.2, alpha2=0.1, delta1=0.05)
-    phis = np.linspace(0.0, np.pi, 200, endpoint=False).tolist()
-    first = ""
-    for phi in phis:
-        try:
-            evaluate(cfg, phi)
-        except ArithmeticError as exc:
-            first = str(exc)
-            break
-    assert phi > 0.0 and "negative beyond roundoff" in first
-    with pytest.raises(ArithmeticError) as exc:
-        _evaluate_grid(cfg, phis)
-    assert str(exc.value) == first
-    with pytest.raises(ArithmeticError) as exc:
-        _evaluate_grid(cfg, phis[phis.index(phi):])
-    assert str(exc.value) == first
-    _evaluate_grid(cfg, phis[:phis.index(phi)])
+def _edge_devices(count):
+    """Seeded devices at the edges of every field: gain 0, the gain bound or
+    drawn up to 177; each loss 0, -0.0, pi/2 or drawn; each |delta| 0.785 or
+    drawn; a pump phase of either signed zero or drawn."""
+    rng = np.random.default_rng(3030)
+
+    def pick(edges, draw):
+        k = rng.integers(len(edges) + 1)
+        return edges[k] if k < len(edges) else draw
+
+    for _ in range(count):
+        yield InterferometerConfig(
+            G=pick((0.0, _G_MAX), rng.uniform(0.0, 177.0)),
+            xi=pick((0.0, -0.0), rng.uniform(-4.0, 4.0)),
+            **{name: pick((0.0, -0.0, np.pi / 2), rng.uniform(0.0, np.pi / 2))
+               for name in ("alpha1", "beta1", "alpha2", "beta2")},
+            **{name: pick((0.785, -0.785), rng.uniform(-0.785, 0.785))
+               for name in ("delta1", "delta2")})
 
 
-def test_grid_refuses_non_finite_phase():
-    cfg = InterferometerConfig(G=1.0, alpha2=0.1)
-    for phi in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="phase phi must be finite"):
-            _evaluate_grid(cfg, [0.3, phi, 1.0])
+def test_kernel_variance_is_never_negative():
+    # C00 C11 >= 0, and rounding is monotone, so m2 = C00 C11 + 2 C01^2 rounds
+    # to no less than m1 * m1 does: the variance is >= 0 with no floor, and
+    # sigma is its plain square root, exactly, with no tolerance
+    phis = [-0.0, 0.0, np.pi / 2, 1e6, -2.5,
+            *np.linspace(0.0, 2 * np.pi, 200, endpoint=False).tolist()]
+    devices = [InterferometerConfig(G=_G_MAX), InterferometerConfig(G=_G_MAX, alpha2=np.pi / 2),
+               *_edge_devices(200)]
+    for cfg in devices:
+        rows = cfg._model[0]
+        for phi in phis:
+            m1, m2, sigma = _moments(rows, phi)
+            var = m2 - m1 * m1
+            assert var >= 0.0 and sigma.hex() == math.sqrt(var).hex(), (cfg, phi)
+        m1, m2, sigma, _ = _evaluate_grid(cfg, phis)
+        var = m2 - m1 * m1
+        assert (var >= 0.0).all() and sigma.tobytes() == np.sqrt(var).tobytes(), cfg
+
+
+def _symmetry_devices(count):
+    """Seeded lossy, imbalanced, pumped devices at any gain, each with five
+    phases: G in [0.05, 12), |xi| <= 1, losses <= 0.3, |delta| <= 0.3."""
+    rng = np.random.default_rng(3131)
+    for _ in range(count):
+        losses = rng.uniform(0.0, 0.3, size=4).tolist()
+        delta1, delta2 = rng.uniform(-0.3, 0.3, size=2).tolist()
+        cfg = InterferometerConfig(G=rng.uniform(0.05, 12.0), xi=rng.uniform(-1.0, 1.0),
+                                   alpha1=losses[0], beta1=losses[1], alpha2=losses[2],
+                                   beta2=losses[3], delta1=delta1, delta2=delta2)
+        yield cfg, rng.uniform(-3.0, 3.0, size=5).tolist()
+
+
+def test_model_symmetries_hold_at_any_gain():
+    # exact symmetries of the device, cheap at gains the Fock oracle cannot
+    # reach: mirroring the pump phase and the phase negates the mean, bit for
+    # bit; B2 mirrored with the pump phase and the phase moved by pi negates
+    # it; B1 mirrored with the preparation losses swapped and the phase moved
+    # by pi keeps it.  The last two round differently, so they hold to a few eps
+    for cfg, phis in _symmetry_devices(100):
+        mirror = dataclasses.replace(cfg, xi=-cfg.xi)
+        b2 = dataclasses.replace(cfg, delta2=-cfg.delta2, xi=cfg.xi + np.pi)
+        b1 = dataclasses.replace(cfg, delta1=-cfg.delta1, alpha1=cfg.beta1, beta1=cfg.alpha1)
+        for phi in phis:
+            want = evaluate(cfg, phi)
+            got = evaluate(mirror, -phi)
+            assert _bits(got) == _bits(dataclasses.replace(want, mean=-want.mean)), (cfg, phi)
+            n = want.mean_photons
+            for other, sign in ((b2, -1.0), (b1, 1.0)):
+                got = evaluate(other, phi + np.pi)
+                for a, b in ((sign * got.mean, want.mean), (got.sigma, want.sigma),
+                             (got.mean_photons, n)):
+                    assert abs(a - b) <= 16 * _EPS * (1 + n), (other, phi)
+                assert (abs(got.second_moment - want.second_moment)
+                        <= 64 * _EPS * (1 + n) ** 2), (other, phi)
 
 
 def test_config_accepts_range_edges():
