@@ -183,21 +183,28 @@ def _json_num(x):
     return float(f"{x:.12g}") if math.isfinite(x) else None
 
 
-def _table(cfg: RunConfig, columns, rows):
-    """The rows, tuples of cells, as CSV text or a JSON body.  A CSV row is one
-    `%.12g` format; a row whose text lacks a decimal point in some cell (an
-    integral or non-finite value, `1e-05`, a bool or an int) is rendered again
-    cell by cell with `fmt`, so every cell reads exactly as `fmt` writes it."""
+def _table(cfg: RunConfig, columns, rows, tail=()):
+    """The rows, tuples of cells, as CSV text or a JSON body; `tail` holds the
+    values of the last columns, the same on every row, which the rows omit.
+    A CSV row is one `%.12g` format of its own cells, with the tail's text,
+    rendered once by `fmt`, spliced into the template; a row whose text lacks
+    a decimal point in some formatted cell (an integral or non-finite value,
+    `1e-05`, a bool or an int) is rendered again cell by cell with `fmt`, so
+    every cell reads exactly as `fmt` writes it."""
+    n = len(columns) - len(tail)
     if cfg.format == "csv":
-        n = len(columns)
-        line = ",".join(("%.12g",) * n)
+        end = "".join("," + fmt(v) for v in tail)
+        line = ",".join(("%.12g",) * n) + end
+        dots = n + end.count(".")
         lines = [",".join(columns)]
         for row in rows:
             text = line % row
-            lines.append(text if text.count(".") == n else ",".join(map(fmt, row)))
+            lines.append(text if text.count(".") == dots else ",".join(map(fmt, row)) + end)
         return "\n".join(lines) + "\n"
+    end = {c: (v if isinstance(v, (bool, np.bool_)) else _json_num(v))
+           for c, v in zip(columns[n:], tail)}
     return {"rows": [{c: (v if isinstance(v, (bool, np.bool_)) else _json_num(v))
-                      for c, v in zip(columns, row)} for row in rows]}
+                      for c, v in zip(columns, row)} | end for row in rows]}
 
 
 # Each subcommand returns (CSV text or JSON body, ok); ok false exits 2.
@@ -205,9 +212,8 @@ def cmd_signal(cfg: RunConfig, args):
     columns = ("phi", "mean_P", "sqrt_second_moment", "sigma", "mean_N")
     phis = cfg.phi_grid().tolist()
     mean, m2, sigma, photons = _evaluate_grid(cfg.interferometer, phis)
-    rows = zip(phis, mean.tolist(), np.sqrt(m2).tolist(), sigma.tolist(),
-               [photons] * len(phis))
-    return _table(cfg, columns, rows), True
+    rows = zip(phis, mean.tolist(), np.sqrt(m2).tolist(), sigma.tolist())
+    return _table(cfg, columns, rows, (photons,)), True
 
 
 def cmd_resolve(cfg: RunConfig, args):

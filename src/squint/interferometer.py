@@ -35,10 +35,11 @@ negative, so neither the kernel nor its batched copy has a floor or clamp.
 differentiates <P> = C02 in closed form, in about 8 us against 7 us for
 `evaluate` (2-core VM, in-process).  A phase scan (`squint signal`) makes one
 call, `_evaluate_grid`, that batches the kernel's two products with
-`np.matmul`, so its rows equal `evaluate` bit for bit: 1000 phases cost
-about 0.6 ms against 4.6 ms for 1000 `evaluate` calls, and a single phase
-costs more in a batch of one (13 us against 5 us), so the solvers read one
-phase at a time.
+`np.matmul` and takes each angle with one libm call, as `evaluate` does,
+so its rows equal `evaluate` bit for bit: 1000 phases cost about 0.5 ms
+against 7 ms for 1000 `evaluate` calls, and a single phase costs more in a
+batch of one (16 us against 7 us), so the solvers read one phase at a time
+(2-core VM, in-process, one session).
 """
 from __future__ import annotations
 
@@ -169,13 +170,18 @@ def _evaluate_grid(config: InterferometerConfig, phis) -> tuple:
     moment, sigma, photons): three arrays with row i equal to
     `evaluate(config, phis[i])` bit for bit, and the device's photon number.
 
-    The angles come from `math.cos`/`math.sin`, and each product is the one
-    `evaluate` makes, batched: `np.matmul` of (1, cos, sin) rows for the
-    `np.dot`, and of R with its transpose for `r.dot(r.T)`.
+    The angles come from `math.cos`/`math.sin`, one `map` each, not from
+    numpy's own loops, whose rounding may differ from libm's; each product
+    is the one `evaluate` makes, batched: `np.matmul` of (1, cos, sin) rows
+    for the `np.dot`, and of R with its transpose for `r.dot(r.T)`.
     """
     rows, photons = config._model
-    t = np.array([(1.0, math.cos(phi), math.sin(phi)) for phi in phis]).reshape(-1, 1, 3)
-    r = np.matmul(t, rows).reshape(len(t), 2, -1)
+    n = len(phis)
+    t = np.empty((n, 1, 3))
+    t[:, 0, 0] = 1.0
+    t[:, 0, 1] = np.fromiter(map(math.cos, phis), float, n)
+    t[:, 0, 2] = np.fromiter(map(math.sin, phis), float, n)
+    r = np.matmul(t, rows).reshape(n, 2, -1)
     c = np.matmul(r, r.transpose(0, 2, 1))
     m1 = c[:, 0, 1]
     m2 = _second_moment(c[:, 0, 0], m1, c[:, 1, 1])

@@ -271,24 +271,52 @@ def test_signal_json_structure(capsys):
      "--phi-max=270", "--points", "37"],
     ["signal", "-G", "0.7", "--alpha1=0.2", "--beta2=0.4", "--points", "50",
      "--format", "json"],
+    # no gain, so the constant mean_N is 0.0: `%.12g` writes 0, fmt writes 0.0
+    ["signal", "-G", "0", "--xi=0.4", "--alpha1=0.3", "--beta2=0.1", "--delta1=0.2",
+     "--phi-min=-2", "--phi-max=2", "--points", "41"],
+    ["signal", "-G", "0", "--beta1=0.5", "--delta2=0.2", "--points", "6", "--format", "json"],
+    ["signal", "-G", "0.8", "--xi=-60", "--beta1=20", "--alpha2=35", "--delta1=-12",
+     "--delta2=30", "--degrees", "--phi-min=-180", "--phi-max=180", "--points", "72"],
 ])
 def test_signal_matches_the_per_phase_document(argv, capsys):
-    # one batched engine call and one format per row write the same bytes as
-    # one evaluate per phase and one fmt per cell
+    # one batched engine call and one format per row, with the constant mean_N
+    # formatted once, write the same bytes as one evaluate per phase and one
+    # fmt per cell
     cfg = squint.cli._build_runconfig(squint.cli._build_parser().parse_args(argv))
     assert main(argv) == 0
     assert capsys.readouterr().out == reference_signal_document(cfg)
 
 
+# Integral, signed-zero, exponent, non-finite, bool and numpy cells
+_CRAFTED_CELLS = [0.0, -0.0, 1.0, 7, 123456789012.4, 0.9999999999999, 1e-05, 2e-18,
+                  math.inf, -math.inf, math.nan, True, np.bool_(False), np.float64(2.5),
+                  np.float64(3.0), math.pi]
+
+
 def test_csv_rows_match_per_cell_fmt():
     # the row-at-a-time writer against fmt cell by cell, on every ordered pair
-    # of crafted cells: integral, signed-zero, non-finite, bool and numpy values
-    cells = [0.0, -0.0, 1.0, 7, 123456789012.4, 0.9999999999999, 1e-05, math.inf,
-             -math.inf, math.nan, True, np.bool_(False), np.float64(2.5), np.float64(3.0),
-             math.pi]
+    # of crafted cells
+    cells = _CRAFTED_CELLS
     rows = [(a, b, math.e) for a in cells for b in cells]
     csv = squint.cli._table(RunConfig(InterferometerConfig(G=1.0)), ("a", "b", "c"), rows)
     assert csv.splitlines() == ["a,b,c", *(",".join(map(fmt, row)) for row in rows)]
+
+
+def test_spliced_constant_column_matches_per_cell_fmt():
+    # each crafted cell as the constant last column, formatted once and spliced
+    # into every row, next to each crafted cell: the CSV is fmt cell by cell,
+    # and the JSON rows are those of a table that repeats the constant per row
+    cfg = RunConfig(InterferometerConfig(G=1.0))
+    json_cfg = dataclasses.replace(cfg, format="json")
+    columns = ("a", "b", "c")
+    rows = [(a, math.e) for a in _CRAFTED_CELLS]
+    for constant in _CRAFTED_CELLS:
+        full = [(*row, constant) for row in rows]
+        csv = squint.cli._table(cfg, columns, rows, (constant,))
+        assert csv.splitlines() == ["a,b,c", *(",".join(map(fmt, row)) for row in full)]
+        body = squint.cli._table(json_cfg, columns, rows, (constant,))
+        assert body == squint.cli._table(json_cfg, columns, full)
+        assert [list(row) for row in body["rows"]] == [list(columns)] * len(rows)
 
 
 def test_points_flag_sets_phase_grid_for_signal(capsys):
