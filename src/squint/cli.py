@@ -51,6 +51,7 @@ from .resolution import (
 __all__ = ["RunConfig", "main"]
 
 _FORMATS = ("csv", "json")
+_BOOLS = (bool, np.bool_)
 _DEVICE_FIELDS = tuple(f.name for f in dataclasses.fields(InterferometerConfig))
 # Fields measured in radians: every device field but the gain, the phases,
 # and the parameter-grid bounds unless the swept parameter is the gain.
@@ -163,7 +164,7 @@ def fmt(value) -> str:
     """Render one CSV cell: 12 significant digits, decimal point kept."""
     if type(value) is float:  # most cells: skip the abstract-class checks
         x = value
-    elif isinstance(value, (bool, np.bool_)):
+    elif isinstance(value, _BOOLS):
         return "true" if value else "false"
     elif isinstance(value, (int, np.integer)):
         return f"{int(value)}.0"
@@ -186,24 +187,30 @@ def _json_num(x):
 def _table(cfg: RunConfig, columns, rows, tail=()):
     """The rows, tuples of cells, as CSV text or a JSON body; `tail` holds the
     values of the last columns, the same on every row, which the rows omit.
-    A CSV row is one `%.12g` format of its own cells, with the tail's text,
-    rendered once by `fmt`, spliced into the template; a row whose text lacks
-    a decimal point in some formatted cell (an integral or non-finite value,
-    `1e-05`, a bool or an int) is rendered again cell by cell with `fmt`, so
-    every cell reads exactly as `fmt` writes it."""
+    A CSV row is one format of its own cells by a template of `%.12g` fields,
+    or `%s` where the first row holds a bool, read as true/false, with the
+    tail's text, rendered once by `fmt`, spliced in; a row whose text lacks a
+    decimal point in some `%.12g` field (an integral or non-finite value,
+    `1e-05`, a bool or an int), or that holds a non-bool under `%s`, is
+    rendered again cell by cell with `fmt`, so every cell reads exactly as
+    `fmt` writes it."""
     n = len(columns) - len(tail)
     if cfg.format == "csv":
         end = "".join("," + fmt(v) for v in tail)
-        line = ",".join(("%.12g",) * n) + end
-        dots = n + end.count(".")
-        lines = [",".join(columns)]
+        lines, marks = [",".join(columns)], None
         for row in rows:
+            if marks is None:  # the first row's bool cells make %s columns
+                marks = [i for i, v in enumerate(row) if type(v) in _BOOLS]
+                line = ",".join("%s" if i in marks else "%.12g" for i in range(n)) + end
+                dots = n - len(marks) + end.count(".")
             text = line % row
-            lines.append(text if text.count(".") == dots else ",".join(map(fmt, row)) + end)
-        return "\n".join(lines) + "\n"
-    end = {c: (v if isinstance(v, (bool, np.bool_)) else _json_num(v))
-           for c, v in zip(columns[n:], tail)}
-    return {"rows": [{c: (v if isinstance(v, (bool, np.bool_)) else _json_num(v))
+            if text.count(".") != dots or marks and not all(type(row[i]) in _BOOLS for i in marks):
+                text = ",".join(map(fmt, row)) + end
+            lines.append(text)
+        text = "\n".join(lines) + "\n"  # %s writes a bool as True or False
+        return text.replace("True", "true").replace("False", "false") if marks else text
+    end = {c: (v if isinstance(v, _BOOLS) else _json_num(v)) for c, v in zip(columns[n:], tail)}
+    return {"rows": [{c: (v if isinstance(v, _BOOLS) else _json_num(v))
                       for c, v in zip(columns, row)} | end for row in rows]}
 
 

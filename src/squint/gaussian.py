@@ -145,6 +145,11 @@ def two_mode_squeezer(G: float, xi: float = 0.0) -> np.ndarray:
     """
     _check_gain(G)
     _check_finite("pump phase xi", xi)
+    return _squeezer(G, xi)
+
+
+def _squeezer(G: float, xi: float) -> np.ndarray:
+    """`two_mode_squeezer` of a gain and pump phase already checked."""
     c, s = np.cosh(G), np.sinh(G)
     re, im = s * math.sin(xi), -s * math.cos(xi)
     # Quadrature image of V = Re V + i Im V = s sin(xi) - i s cos(xi):
@@ -172,9 +177,14 @@ def beam_splitter(spec: BsSpec) -> np.ndarray:
     complex entry z the block [[Re z, -Im z], [Im z, Re z]], written out
     entry by entry, signed zeros included (Re(-1j * s) is +0.0, -Im(c + 0j)
     is -0.0)."""
-    th = math.pi / 4 + spec.imbalance
+    return _splitter(spec.variant, spec.imbalance)
+
+
+def _splitter(variant: str, imbalance: float) -> np.ndarray:
+    """`beam_splitter` of a variant and imbalance already checked."""
+    th = math.pi / 4 + imbalance
     c, s = math.cos(th), math.sin(th)
-    if spec.variant == "B1":
+    if variant == "B1":
         return np.array((c, -0.0, 0.0, s,
                          0.0, c, -s, 0.0,
                          0.0, s, c, -0.0,

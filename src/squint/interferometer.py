@@ -25,21 +25,26 @@ mode 0 alone, P(phi) = P0 + cos(phi) Pc + sin(phi) Ps, and commutes with the
 arm loss, which scales mode 0's two rows alike.  So the detected rows of the
 output factor are R(phi) = A + cos(phi) U + sin(phi) V, with A, U and V each
 2 x k, and trace(C) does not depend on phi.  A device builds its model, A, U,
-V and the photon number, once, on its first evaluation.  Per phase, the
-kernel `_moments`, which `evaluate` wraps with the phase check and
-`SignalStats` and the solvers' steps call directly, forms R with one dot
+V and the photon number, once, on its first evaluation, from fields its
+construction has checked, so it calls the builders' unchecked twins,
+`_squeezer` and `_splitter`, and writes B2's detected rows times P0, Pc and
+Ps as one literal.  Per phase, the kernel `_moments`, which `evaluate` wraps
+with the phase check and `SignalStats` and the solvers' steps call directly,
+forms R with one dot
 over (1, cos phi, sin phi), reads C00, C02 and C22 from R R^T and takes
 sigma as the square root of C00 C22 + C02^2, a variance no rounding makes
 negative, so neither the kernel nor its batched copy has a floor or clamp.
 `signal_slope` forms R' = -sin(phi) U + cos(phi) V in the same dot and
-differentiates <P> = C02 in closed form, in about 8 us against 7 us for
-`evaluate` (2-core VM, in-process).  A phase scan (`squint signal`) makes one
-call, `_evaluate_grid`, that batches the kernel's two products with
-`np.matmul` and takes each angle with one libm call, as `evaluate` does,
-so its rows equal `evaluate` bit for bit: 1000 phases cost about 0.5 ms
-against 7 ms for 1000 `evaluate` calls, and a single phase costs more in a
-batch of one (16 us against 7 us), so the solvers read one phase at a time
-(2-core VM, in-process, one session).
+differentiates <P> = C02 in closed form, in about 4 us against 3.5 us for
+`evaluate`.  The kernel and the slope each form their (1, cos, sin) operand
+as an array first, and the kernel unpacks R R^T with one `tolist`.  A phase
+scan (`squint signal`) makes one call, `_evaluate_grid`, that batches the
+kernel's two products with `np.matmul` and takes each angle with one libm
+call, as `evaluate` does, so its rows equal `evaluate` bit for bit: 1000
+phases cost about 0.27 ms against 3.4 ms for 1000 `evaluate` calls, and a
+single phase costs more in a batch of one (8 us against 3.5 us), so the
+solvers read one phase at a time (2-core VM, in-process, best of 15 or
+more repeats in one session).
 """
 from __future__ import annotations
 
@@ -50,13 +55,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (
-    BsSpec,
     _check_finite,
     _check_gain,
     _check_imbalance,
     _check_loss_angle,
-    beam_splitter,
-    two_mode_squeezer,
+    _splitter,
+    _squeezer,
 )
 from .moments import SignalStats, _second_moment, mean_photon_number
 
@@ -110,13 +114,15 @@ class InterferometerConfig:
         columns after both loss steps, and the photon number read at phi = 0.
         The cache is per instance, so a device built by `dataclasses.replace`
         builds its own, and not a field: equality, hashing and repr ignore it."""
-        f = _lose(two_mode_squeezer(self.G, self.xi), self.alpha1, self.beta1)
-        f = _lose(beam_splitter(BsSpec("B1", self.delta1)).dot(f), self.alpha2, self.beta2)
-        b2 = beam_splitter(BsSpec("B2", self.delta2))
-        d, w = b2[::2], np.zeros((3, 2, 4))  # B2's detected rows times P0, Pc and Ps
-        w[0, :, 2:], w[1, :, :2] = d[:, 2:], d[:, :2]
-        w[2, :, 0], w[2, :, 1] = d[:, 1], -d[:, 0]
-        rows = w.reshape(6, 4).dot(f).reshape(3, -1)  # A, U and V, one row each
+        f = _lose(_squeezer(self.G, self.xi), self.alpha1, self.beta1)
+        f = _lose(_splitter("B1", self.delta1).dot(f), self.alpha2, self.beta2)
+        b2 = _splitter("B2", self.delta2)
+        c, s = b2.item(2, 2), b2.item(2, 1)
+        # B2's detected rows, (-c, -0, 0, -s) and (0, s, c, -0), times P0, Pc
+        # and Ps, signed zeros as slices of B2 would carry them
+        w = np.array(((0.0, 0.0, 0.0, -s), (0.0, 0.0, c, -0.0), (-c, -0.0, 0.0, 0.0),
+                      (0.0, s, 0.0, 0.0), (-0.0, c, 0.0, 0.0), (s, -0.0, 0.0, 0.0)))
+        rows = w.dot(f).reshape(3, -1)  # A, U and V, one row each
         rows.flags.writeable = False
         out = b2.dot(f)
         return rows, mean_photon_number(out.dot(out.T))
@@ -129,14 +135,19 @@ def _lose(f: np.ndarray, a0: float, a1: float) -> np.ndarray:
     Each mode's two rows scale by cos(angle), exactly 1.0 for a lossless
     mode, and each lossy mode appends its two columns of diag(sin a0, sin a0,
     sin a1, sin a1), so F F^T picks up sin^2(angle) on the mode's diagonal
-    block: the `apply_loss` channel without forming the covariance.
+    block: the `apply_loss` channel without forming the covariance.  Both
+    parts are written into one zeroed array: the scaled rows by one
+    `np.multiply`, and each noise entry by one store.
     """
     if a0 == 0.0 and a1 == 0.0:
         return f
-    c0, c1 = math.cos(a0), math.cos(a1)
-    noise = np.diag((math.sin(a0),) * 2 + (math.sin(a1),) * 2)
-    lossy = [k for k, a in enumerate((a0, a0, a1, a1)) if a != 0.0]
-    return np.concatenate((f * [[c0], [c0], [c1], [c1]], noise[:, lossy]), axis=1)
+    angles, k = (a0, a0, a1, a1), f.shape[1]
+    noise = [(i, math.sin(a)) for i, a in enumerate(angles) if a != 0.0]
+    out = np.zeros((4, k + len(noise)))
+    np.multiply(f, np.array([math.cos(a) for a in angles]).reshape(4, 1), out=out[:, :k])
+    for j, (i, sin) in enumerate(noise, k):
+        out[i, j] = sin
+    return out
 
 
 def _moments(rows: np.ndarray, phi: float) -> tuple:
@@ -150,10 +161,9 @@ def _moments(rows: np.ndarray, phi: float) -> tuple:
     >= fl(c01 c01) = fl(m1 m1), and fl(m2 - m1 m1) >= 0, subnormals
     included; the gain bound rules out overflow.
     """
-    r = np.dot((1.0, math.cos(phi), math.sin(phi)), rows).reshape(2, -1)
-    c = r.dot(r.T)
-    m1 = c.item(0, 1)
-    m2 = _second_moment(c.item(0, 0), m1, c.item(1, 1))
+    r = np.array((1.0, math.cos(phi), math.sin(phi))).dot(rows).reshape(2, -1)
+    (c00, m1), (_, c11) = r.dot(r.T).tolist()
+    m2 = _second_moment(c00, m1, c11)
     return m1, m2, math.sqrt(m2 - m1 * m1)
 
 
@@ -204,7 +214,7 @@ def signal_slope(config: InterferometerConfig, phi: float) -> float:
     """
     _check_finite("phase phi", phi)
     c, s = math.cos(phi), math.sin(phi)
-    r, dr = np.dot(((1.0, c, s), (0.0, -s, c)), config._model[0]).reshape(2, 2, -1)
+    r, dr = np.array(((1.0, c, s), (0.0, -s, c))).dot(config._model[0]).reshape(2, 2, -1)
     return float(dr[0].dot(r[1]) + r[0].dot(dr[1]))
 
 

@@ -19,6 +19,9 @@ tensor, the composition the oracle's slice-wise X_a X_b must equal bit for
 bit.  The per-mode loss chain rebuilds the device's output covariance with `@`
 products and one loss step per mode: each of the engine's loss steps must
 equal it bit for bit, and the phase model must match its output to roundoff.
+The reference model is the device's phase model as the public builders, a
+concatenating loss step and a slice-filled B2 operator first built it: the
+engine's unchecked builders must keep its rows and photon number bit for bit.
 The reference signal document is `squint signal` as the per-phase engine wrote
 it, one `evaluate` per phase and one `fmt` per CSV cell: the batched scan and
 its row-at-a-time CSV writer must equal it byte for byte.
@@ -30,8 +33,8 @@ import numpy as np
 
 from squint import fock
 from squint import (BsSpec, FockState, ancilla_cutoff, apply_unitary_fock, beam_splitter,
-                    evaluate, loss_unitary, phase_shifter, signal_slope, tail_cutoff,
-                    two_mode_squeezer)
+                    evaluate, loss_unitary, mean_photon_number, phase_shifter, signal_slope,
+                    tail_cutoff, two_mode_squeezer)
 from squint.cli import _json_num, fmt
 
 SIGNAL_COLUMNS = ("phi", "mean_P", "sqrt_second_moment", "sigma", "mean_N")
@@ -93,6 +96,32 @@ def reference_output_state(config, phi):
     f = lose_one_mode(lose_one_mode(f, 0, config.alpha2), 1, config.beta2)
     f = beam_splitter(BsSpec("B2", config.delta2)) @ f
     return f @ f.T
+
+
+def reference_station(f, a0, a1):
+    """Loss station as a broadcast row scaling with the lossy modes' columns of
+    diag(sin a0, sin a0, sin a1, sin a1) concatenated after it; f if lossless."""
+    if a0 == 0.0 and a1 == 0.0:
+        return f
+    c0, c1 = math.cos(a0), math.cos(a1)
+    noise = np.diag((math.sin(a0),) * 2 + (math.sin(a1),) * 2)
+    lossy = [k for k, a in enumerate((a0, a0, a1, a1)) if a != 0.0]
+    return np.concatenate((f * [[c0], [c0], [c1], [c1]], noise[:, lossy]), axis=1)
+
+
+def reference_model(config):
+    """The device's phase model, (rows, photons), from the public builders:
+    the detected rows of B2 times P0, Pc and Ps, each written slice by slice
+    into zeros, times the factor after both loss stations."""
+    f = reference_station(two_mode_squeezer(config.G, config.xi), config.alpha1, config.beta1)
+    f = reference_station(beam_splitter(BsSpec("B1", config.delta1)).dot(f),
+                          config.alpha2, config.beta2)
+    b2 = beam_splitter(BsSpec("B2", config.delta2))
+    d, w = b2[::2], np.zeros((3, 2, 4))
+    w[0, :, 2:], w[1, :, :2] = d[:, 2:], d[:, :2]
+    w[2, :, 0], w[2, :, 1] = d[:, 1], -d[:, 0]
+    out = b2.dot(f)
+    return w.reshape(6, 4).dot(f).reshape(3, -1), mean_photon_number(out.dot(out.T))
 
 
 def detect_saturation(values):

@@ -302,6 +302,16 @@ def test_csv_rows_match_per_cell_fmt():
     assert csv.splitlines() == ["a,b,c", *(",".join(map(fmt, row)) for row in rows)]
 
 
+def test_csv_bool_columns_match_per_cell_fmt():
+    # a first row of bools makes %s columns in the row template: bools under
+    # them read true/false, and every other crafted cell there, ints and the
+    # dotless repr of 5e-324 included, still reads as fmt writes it
+    cells = [*_CRAFTED_CELLS, 5e-324]
+    rows = [(True, np.bool_(False), math.e), *((a, b, math.e) for a in cells for b in cells)]
+    csv = squint.cli._table(RunConfig(InterferometerConfig(G=1.0)), ("a", "b", "c"), rows)
+    assert csv.splitlines() == ["a,b,c", *(",".join(map(fmt, row)) for row in rows)]
+
+
 def test_spliced_constant_column_matches_per_cell_fmt():
     # each crafted cell as the constant last column, formatted once and spliced
     # into every row, next to each crafted cell: the CSV is fmt cell by cell,

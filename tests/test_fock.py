@@ -15,7 +15,6 @@ from squint import (
     InterferometerConfig,
     ancilla_cutoff,
     apply_unitary_fock,
-    beam_splitter,
     evaluate,
     fock_moments,
     loss_unitary,
@@ -23,8 +22,8 @@ from squint import (
     photon_number_expectation,
     tail_cutoff,
     tmsv_fock,
-    two_mode_squeezer,
 )
+from squint.gaussian import _splitter, _squeezer
 from squint.interferometer import _lose
 from reference import reference_lose, reference_losses, reference_seed, reference_xx
 
@@ -556,19 +555,18 @@ def faulty_lose(scale, noise):
 
 
 def flipped_imbalance(variant):
-    """`beam_splitter` with the sign of one splitter's imbalance flipped."""
-    return lambda spec: beam_splitter(
-        BsSpec(variant, -spec.imbalance) if spec.variant == variant else spec)
+    """`_splitter` with the sign of one splitter's imbalance flipped."""
+    return lambda v, imbalance: _splitter(v, -imbalance if v == variant else imbalance)
 
 
 # Each fault replaces one name that the phase model's build looks up.
 ENGINE_FAULTS = {
-    "pump_phase_sign": ("two_mode_squeezer", lambda G, xi: two_mode_squeezer(G, -xi)),
+    "pump_phase_sign": ("_squeezer", lambda G, xi: _squeezer(G, -xi)),
     "loss_modes_swapped": ("_lose", lambda f, a0, a1: _lose(f, a1, a0)),
     "noise_cos_for_sin": ("_lose", faulty_lose(math.cos, math.cos)),
     "rows_cos_squared": ("_lose", faulty_lose(lambda a: math.cos(a) ** 2, math.sin)),
-    "b1_imbalance_sign": ("beam_splitter", flipped_imbalance("B1")),
-    "b2_imbalance_sign": ("beam_splitter", flipped_imbalance("B2")),
+    "b1_imbalance_sign": ("_splitter", flipped_imbalance("B1")),
+    "b2_imbalance_sign": ("_splitter", flipped_imbalance("B2")),
 }
 
 

@@ -30,9 +30,9 @@ from squint import (
     two_mode_squeezer,
     vacuum_state,
 )
-from squint.gaussian import _G_MAX
+from squint.gaussian import _G_MAX, _splitter, _squeezer
 from squint.interferometer import _evaluate_grid, _lose, _moments
-from reference import four_point_slope, lose_one_mode, reference_output_state
+from reference import four_point_slope, lose_one_mode, reference_model, reference_output_state
 
 GAINS = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 _EPS = float(np.finfo(float).eps)
@@ -475,6 +475,27 @@ def _edge_devices(count):
                for name in ("alpha1", "beta1", "alpha2", "beta2")},
             **{name: pick((0.785, -0.785), rng.uniform(-0.785, 0.785))
                for name in ("delta1", "delta2")})
+
+
+def test_model_keeps_the_public_builder_chain_bits():
+    # the model builds from the unchecked builders, a literal B2 operator and
+    # a filled loss array: rows (signed zeros included) and photon number
+    # equal the public chain's bit for bit, and each public builder equals
+    # its unchecked twin
+    devices = list(_edge_devices(1000))
+    seen = {(k, float(v).hex()) for cfg in devices for k, v in dataclasses.asdict(cfg).items()}
+    for name, edge in (("G", 0.0), ("G", _G_MAX), ("xi", -0.0), ("alpha1", -0.0),
+                       ("beta2", np.pi / 2), ("delta1", 0.785), ("delta2", -0.785)):
+        assert (name, edge.hex()) in seen, (name, edge)
+    for cfg in devices:
+        rows, photons = cfg._model
+        want_rows, want_photons = reference_model(cfg)
+        assert rows.shape == want_rows.shape and rows.tobytes() == want_rows.tobytes(), cfg
+        assert photons.hex() == want_photons.hex(), cfg
+        assert two_mode_squeezer(cfg.G, cfg.xi).tobytes() == _squeezer(cfg.G, cfg.xi).tobytes()
+        for variant, imbalance in (("B1", cfg.delta1), ("B2", cfg.delta2)):
+            assert (beam_splitter(BsSpec(variant, imbalance)).tobytes()
+                    == _splitter(variant, imbalance).tobytes()), cfg
 
 
 def test_kernel_variance_is_never_negative():
