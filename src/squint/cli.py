@@ -162,24 +162,20 @@ def _with_fields(cfg: RunConfig, fields: dict) -> RunConfig:
 
 def fmt(value) -> str:
     """Render one CSV cell: 12 significant digits, decimal point kept."""
-    if type(value) is float:  # most cells: skip the abstract-class checks
-        x = value
-    elif isinstance(value, _BOOLS):
-        return "true" if value else "false"
-    elif isinstance(value, (int, np.integer)):
-        return f"{int(value)}.0"
-    else:
-        x = float(value)
-    if not math.isfinite(x):
-        return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
-    s = f"{x:.12g}"
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
+    if type(value) is not float:  # most cells: skip the abstract-class checks
+        if isinstance(value, _BOOLS):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return f"{int(value)}.0"
+    s = f"{float(value):.12g}"  # inf, -inf and nan included
+    return s + ".0" if s.lstrip("-").isdigit() else s
 
 
 def _json_num(x):
-    """JSON data value at 12 significant digits; non-finite becomes null."""
+    """JSON data value: a bool as itself, a number at 12 significant digits,
+    non-finite as null."""
+    if isinstance(x, _BOOLS):
+        return bool(x)
     x = float(x)
     return float(f"{x:.12g}") if math.isfinite(x) else None
 
@@ -187,31 +183,22 @@ def _json_num(x):
 def _table(cfg: RunConfig, columns, rows, tail=()):
     """The rows, tuples of cells, as CSV text or a JSON body; `tail` holds the
     values of the last columns, the same on every row, which the rows omit.
-    A CSV row is one format of its own cells by a template of `%.12g` fields,
-    or `%s` where the first row holds a bool, read as true/false, with the
-    tail's text, rendered once by `fmt`, spliced in; a row whose text lacks a
-    decimal point in some `%.12g` field (an integral or non-finite value,
-    `1e-05`, a bool or an int), or that holds a non-bool under `%s`, is
-    rendered again cell by cell with `fmt`, so every cell reads exactly as
-    `fmt` writes it."""
+    A CSV row is one format of its own cells by a template of `%.12g` fields
+    with the tail's text, rendered once by `fmt`, spliced in; a row whose text
+    lacks a decimal point in some field (an integral or non-finite value,
+    `1e-05`, a bool or an int) is rendered again cell by cell with `fmt`, so
+    every cell reads exactly as `fmt` writes it."""
     n = len(columns) - len(tail)
     if cfg.format == "csv":
         end = "".join("," + fmt(v) for v in tail)
-        lines, marks = [",".join(columns)], None
+        line, dots = ",".join(("%.12g",) * n) + end, n + end.count(".")
+        lines = [",".join(columns)]
         for row in rows:
-            if marks is None:  # the first row's bool cells make %s columns
-                marks = [i for i, v in enumerate(row) if type(v) in _BOOLS]
-                line = ",".join("%s" if i in marks else "%.12g" for i in range(n)) + end
-                dots = n - len(marks) + end.count(".")
             text = line % row
-            if text.count(".") != dots or marks and not all(type(row[i]) in _BOOLS for i in marks):
-                text = ",".join(map(fmt, row)) + end
-            lines.append(text)
-        text = "\n".join(lines) + "\n"  # %s writes a bool as True or False
-        return text.replace("True", "true").replace("False", "false") if marks else text
-    end = {c: (v if isinstance(v, _BOOLS) else _json_num(v)) for c, v in zip(columns[n:], tail)}
-    return {"rows": [{c: (v if isinstance(v, _BOOLS) else _json_num(v))
-                      for c, v in zip(columns, row)} | end for row in rows]}
+            lines.append(text if text.count(".") == dots else ",".join(map(fmt, row)) + end)
+        return "\n".join(lines) + "\n"
+    end = {c: _json_num(v) for c, v in zip(columns[n:], tail)}
+    return {"rows": [{c: _json_num(v) for c, v in zip(columns, row)} | end for row in rows]}
 
 
 # Each subcommand returns (CSV text or JSON body, ok); ok false exits 2.

@@ -82,9 +82,7 @@ def _check_imbalance(name: str, value) -> None:
 def _check_integer(name: str, value, least: int = 0, bound: int | None = None) -> None:
     """ValueError unless value is an int or np.integer (not a bool) >= least
     and, given a bound, below it: a mode index, a level count or a grid size."""
-    # an int skips the slow abstract-class checks: hot path
-    integer = type(value) is int or (not isinstance(value, bool)
-                                     and isinstance(value, numbers.Integral))
+    integer = not isinstance(value, bool) and isinstance(value, numbers.Integral)
     if not (integer and least <= value and (bound is None or value < bound)):
         want = (f"an integer in [{least}, {bound})" if bound is not None else
                 f"an integer >= {least}" if least else "a non-negative integer")

@@ -118,10 +118,9 @@ class InterferometerConfig:
         f = _lose(_splitter("B1", self.delta1).dot(f), self.alpha2, self.beta2)
         b2 = _splitter("B2", self.delta2)
         c, s = b2.item(2, 2), b2.item(2, 1)
-        # B2's detected rows, (-c, -0, 0, -s) and (0, s, c, -0), times P0, Pc
-        # and Ps, signed zeros as slices of B2 would carry them
-        w = np.array(((0.0, 0.0, 0.0, -s), (0.0, 0.0, c, -0.0), (-c, -0.0, 0.0, 0.0),
-                      (0.0, s, 0.0, 0.0), (-0.0, c, 0.0, 0.0), (s, -0.0, 0.0, 0.0)))
+        # B2's detected rows, (-c, 0, 0, -s) and (0, s, c, 0), times P0, Pc and Ps
+        w = np.array(((0.0, 0.0, 0.0, -s), (0.0, 0.0, c, 0.0), (-c, 0.0, 0.0, 0.0),
+                      (0.0, s, 0.0, 0.0), (0.0, c, 0.0, 0.0), (s, 0.0, 0.0, 0.0)))
         rows = w.dot(f).reshape(3, -1)  # A, U and V, one row each
         rows.flags.writeable = False
         out = b2.dot(f)

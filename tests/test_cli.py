@@ -303,9 +303,9 @@ def test_csv_rows_match_per_cell_fmt():
 
 
 def test_csv_bool_columns_match_per_cell_fmt():
-    # a first row of bools makes %s columns in the row template: bools under
-    # them read true/false, and every other crafted cell there, ints and the
-    # dotless repr of 5e-324 included, still reads as fmt writes it
+    # a first row of bools, which `%.12g` writes as a dotless 1 or 0, reads
+    # true/false, and every crafted cell in those columns after it, ints and
+    # the dotless repr of 5e-324 included, reads as fmt writes it
     cells = [*_CRAFTED_CELLS, 5e-324]
     rows = [(True, np.bool_(False), math.e), *((a, b, math.e) for a in cells for b in cells)]
     csv = squint.cli._table(RunConfig(InterferometerConfig(G=1.0)), ("a", "b", "c"), rows)
@@ -315,7 +315,8 @@ def test_csv_bool_columns_match_per_cell_fmt():
 def test_spliced_constant_column_matches_per_cell_fmt():
     # each crafted cell as the constant last column, formatted once and spliced
     # into every row, next to each crafted cell: the CSV is fmt cell by cell,
-    # and the JSON rows are those of a table that repeats the constant per row
+    # and the JSON rows are those of a table that repeats the constant per row,
+    # which json.dumps writes with every bool cell, np.bool_ too, as true/false
     cfg = RunConfig(InterferometerConfig(G=1.0))
     json_cfg = dataclasses.replace(cfg, format="json")
     columns = ("a", "b", "c")
@@ -327,6 +328,10 @@ def test_spliced_constant_column_matches_per_cell_fmt():
         body = squint.cli._table(json_cfg, columns, rows, (constant,))
         assert body == squint.cli._table(json_cfg, columns, full)
         assert [list(row) for row in body["rows"]] == [list(columns)] * len(rows)
+        for row, got in zip(full, json.loads(json.dumps(body))["rows"]):
+            for column, cell in zip(columns, row):
+                if isinstance(cell, (bool, np.bool_)):
+                    assert got[column] is bool(cell), (row, got)
 
 
 def test_points_flag_sets_phase_grid_for_signal(capsys):

@@ -479,9 +479,9 @@ def _edge_devices(count):
 
 def test_model_keeps_the_public_builder_chain_bits():
     # the model builds from the unchecked builders, a literal B2 operator and
-    # a filled loss array: rows (signed zeros included) and photon number
-    # equal the public chain's bit for bit, and each public builder equals
-    # its unchecked twin
+    # a filled loss array: rows and photon number equal the public chain's bit
+    # for bit, each zero's sign included (every zero in the rows is +0.0, as
+    # `dot` sums from +0.0), and each public builder equals its unchecked twin
     devices = list(_edge_devices(1000))
     seen = {(k, float(v).hex()) for cfg in devices for k, v in dataclasses.asdict(cfg).items()}
     for name, edge in (("G", 0.0), ("G", _G_MAX), ("xi", -0.0), ("alpha1", -0.0),
