@@ -29,7 +29,7 @@ V and the photon number, once, on its first evaluation, from fields its
 construction has checked, so it calls the builders' unchecked twins,
 `_squeezer` and `_splitter`, and writes B2's detected rows times P0, Pc and
 Ps as one literal.  Per phase, the kernel `_moments`, which `evaluate` wraps
-with the phase check and `SignalStats` and the solvers' steps call directly,
+with the phase check and `SignalStats` and a lone solve's steps call directly,
 forms R with one dot
 over (1, cos phi, sin phi), reads C00, C02 and C22 from R R^T and takes
 sigma as the square root of C00 C22 + C02^2, a variance no rounding makes
@@ -37,14 +37,18 @@ negative, so neither the kernel nor its batched copy has a floor or clamp.
 `signal_slope` forms R' = -sin(phi) U + cos(phi) V in the same dot and
 differentiates <P> = C02 in closed form, in about 4 us against 3.5 us for
 `evaluate`.  The kernel and the slope each form their (1, cos, sin) operand
-as an array first, and the kernel unpacks R R^T with one `tolist`.  A phase
-scan (`squint signal`) makes one call, `_evaluate_grid`, that batches the
-kernel's two products with `np.matmul` and takes each angle with one libm
-call, as `evaluate` does, so its rows equal `evaluate` bit for bit: 1000
-phases cost about 0.27 ms against 3.4 ms for 1000 `evaluate` calls, and a
-single phase costs more in a batch of one (8 us against 3.5 us), so the
-solvers read one phase at a time (2-core VM, in-process, best of 15 or
-more repeats in one session).
+as an array first, and the kernel unpacks R R^T with one `tolist`.  The
+batched kernel, `_batched_moments`, forms the kernel's two products with
+`np.matmul` and takes each angle with one libm call, as `_moments` does, so
+its rows equal the kernel bit for bit.  It runs over phases or over devices:
+`np.matmul` broadcasts one model over many phases, as a phase scan
+(`squint signal`, through `_evaluate_grid`) reads it, or pairs a stack of
+same-width models with one phase each, as a sweep's rows read it in
+lockstep.  1000 phases of one model cost about 0.27 ms against 3.4 ms for
+1000 `evaluate` calls; 60 (model, phase) pairs cost 30 us against 142 us
+for 60 `_moments` calls; a single phase costs more in a batch of one (8 us
+against 3.5 us), so a lone solve reads one phase at a time (2-core VM,
+in-process, best of 15 or more repeats in one session).
 """
 from __future__ import annotations
 
@@ -152,7 +156,8 @@ def _lose(f: np.ndarray, a0: float, a1: float) -> np.ndarray:
 def _moments(rows: np.ndarray, phi: float) -> tuple:
     """(mean, second moment, sigma) of the product signal at a finite phase
     phi, from a phase model's rows: `evaluate`'s arithmetic without its phase
-    check or its `SignalStats`, for the solvers' per-step reads.
+    check or its `SignalStats`, for the steps of a lone solve and of
+    `refine_working_point`.
 
     The variance needs no floor.  Of c = R R^T, c00 and c11 are sums of
     squares, so their rounded product p is >= 0, and the second moment is
@@ -178,13 +183,24 @@ def _evaluate_grid(config: InterferometerConfig, phis) -> tuple:
     """`evaluate` over a list of finite phases in one pass, as (mean, second
     moment, sigma, photons): three arrays with row i equal to
     `evaluate(config, phis[i])` bit for bit, and the device's photon number.
+    """
+    rows, photons = config._model
+    return (*_batched_moments(rows, phis), photons)
+
+
+def _batched_moments(rows: np.ndarray, phis) -> tuple:
+    """`_moments` over a batch, as three arrays (mean, second moment, sigma):
+    row i is `_moments` of one (3, 2k) model at phis[i], or of rows[i] at
+    phis[i] when `rows` stacks n models of one width as an (n, 3, 2k) array.
 
     The angles come from `math.cos`/`math.sin`, one `map` each, not from
     numpy's own loops, whose rounding may differ from libm's; each product
-    is the one `evaluate` makes, batched: `np.matmul` of (1, cos, sin) rows
-    for the `np.dot`, and of R with its transpose for `r.dot(r.T)`.
+    is the one `_moments` makes, batched: `np.matmul` of (1, cos, sin) rows
+    for the `np.dot`, and of R with its transpose for `r.dot(r.T)`.  Models
+    of different widths are not zero-padded into one stack: the padded sums
+    hold terms the kernel's do not, and nothing holds a BLAS to the same
+    blocking or order for them, so nothing would keep the bits.
     """
-    rows, photons = config._model
     n = len(phis)
     t = np.empty((n, 1, 3))
     t[:, 0, 0] = 1.0
@@ -194,7 +210,7 @@ def _evaluate_grid(config: InterferometerConfig, phis) -> tuple:
     c = np.matmul(r, r.transpose(0, 2, 1))
     m1 = c[:, 0, 1]
     m2 = _second_moment(c[:, 0, 0], m1, c[:, 1, 1])
-    return m1, m2, np.sqrt(m2 - m1 * m1), photons
+    return m1, m2, np.sqrt(m2 - m1 * m1)
 
 
 def signal_slope(config: InterferometerConfig, phi: float) -> float:

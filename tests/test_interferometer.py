@@ -31,7 +31,7 @@ from squint import (
     vacuum_state,
 )
 from squint.gaussian import _G_MAX, _splitter, _squeezer
-from squint.interferometer import _evaluate_grid, _lose, _moments
+from squint.interferometer import _batched_moments, _evaluate_grid, _lose, _moments
 from reference import four_point_slope, lose_one_mode, reference_model, reference_output_state
 
 GAINS = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
@@ -455,6 +455,19 @@ def test_grid_rows_equal_evaluate_bit_for_bit():
         got = [_bits(SignalStats(*row, photons))
                for row in zip(mean.tolist(), m2.tolist(), sigma.tolist())]
         assert got == [_bits(evaluate(cfg, phi)) for phi in phis], cfg
+    # the stacked form, as a sweep's lockstep reads it: the models of one
+    # width stacked, one phase each, and row i the scalar kernel on model i
+    rng = np.random.default_rng(3535)
+    by_width = {}
+    for cfg in (signed_zero_losses, *_model_devices(30), *_edge_devices(200)):
+        by_width.setdefault(cfg._model[0].shape[1], []).append(cfg._model[0])
+    assert len(by_width) == 5 and min(map(len, by_width.values())) >= 10
+    for models in by_width.values():
+        picks = [phis[i] for i in rng.integers(len(phis), size=len(models))]
+        got = zip(*(column.tolist() for column in _batched_moments(np.array(models), picks)))
+        want = [_moments(rows, phi) for rows, phi in zip(models, picks)]
+        assert [tuple(map(float.hex, row)) for row in got] == \
+            [tuple(map(float.hex, row)) for row in want]
 
 
 def _edge_devices(count):

@@ -1,4 +1,5 @@
 """Resolution criteria, sweeps, and the imbalance optimizer."""
+import collections
 import dataclasses
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from squint import (
+    SWEEP_PARAMETERS,
     InterferometerConfig,
     evaluate,
     modified_resolution,
@@ -154,6 +156,37 @@ def test_evaluations_count_every_engine_call(monkeypatch):
         steps = res.iterations if solver is modified_resolution else 0
         assert res.evaluations == 2 + steps, (solver.__name__, cfg, res)
     assert res.iterations and not res.converged
+    # a sweep reads no row through evaluate or the scalar kernel: each row's
+    # sigma comes from the batched kernel, one phase per row per call, and
+    # its slope from one signal_slope call; count both per row's model
+    from squint.interferometer import _batched_moments, signal_slope
+    reads = collections.Counter()
+
+    def counted_batch(rows, phis):
+        assert rows.ndim == 3 and len(rows) == len(phis)
+        reads.update(model.tobytes() for model in rows)
+        return _batched_moments(rows, phis)
+
+    def counted_slope(config, phi):
+        reads[config._model[0].tobytes()] += 1
+        return signal_slope(config, phi)
+
+    monkeypatch.setattr(solvers, "_batched_moments", counted_batch)
+    monkeypatch.setattr(solvers, "signal_slope", counted_slope)
+    for base, parameter, grid in (
+            (InterferometerConfig(G=1.0), "G", [0.0, 0.7, 2.0, 20.0]),  # refusals
+            (InterferometerConfig(G=5.0), "delta2", [-0.3, 0.5, 0.78]),  # no root
+            (InterferometerConfig(G=2.0, beta2=0.1), "alpha1", [0.0, 0.1, 0.3])):  # two widths
+        for criterion in ("standard", "modified"):
+            calls.clear()
+            reads.clear()
+            results = sweep(base, parameter, grid, criterion=criterion)
+            assert not calls
+            for value, res in zip(grid, results):
+                rows = solvers._apply_parameter(base, parameter, value)._model[0]
+                assert res.evaluations == reads[rows.tobytes()], (parameter, value, res)
+                steps = res.iterations if criterion == "modified" else 0
+                assert res.evaluations == 2 + steps, (parameter, value, res)
 
 
 @pytest.mark.parametrize("criterion", ["standard", "modified"])
@@ -246,6 +279,57 @@ def test_sweep_returns_the_solvers_results(criterion):
              lambda v: dataclasses.replace(base, alpha2=v, beta2=v))):
         results = sweep(base, parameter, grid, criterion=criterion)
         assert results == tuple(solver(device(v)) for v in grid)
+
+
+def _fields(result):
+    """A result's fields, each float as its type and hex, so that nan and
+    the signed zeros compare as themselves."""
+    return [(type(v).__name__, v.hex()) if isinstance(v, float) else v
+            for v in dataclasses.astuple(result)]
+
+
+# The gain grid holds a slope refusal (0) and a roundoff refusal (20); the
+# delta2 grid rows without a root at G = 5 (0.7, 0.78); each loss grid starts
+# lossless, so its rows have two model widths.
+_LOCKSTEP_GRIDS = {"G": [0.0, 0.4, 1.5, 4.0, 20.0], "delta1": [-0.5, 0.0, 0.3],
+                   "delta2": [-0.5, -0.2, 0.0, 0.7, 0.78]}
+_LOSS_GRID = [0.0, 0.05, 0.3]
+
+
+def _lockstep_devices():
+    """Seeded devices, G in [0.5, 6], each loss zero or drawn, plus the
+    lossless G = 5 device whose delta2 sweep meets no root."""
+    rng = np.random.default_rng(3636)
+    yield InterferometerConfig(G=5.0)
+    for _ in range(4):
+        losses = [x if rng.uniform() < 0.5 else 0.0 for x in rng.uniform(0.0, 0.2, 4).tolist()]
+        yield InterferometerConfig(
+            G=rng.uniform(0.5, 6.0), xi=rng.uniform(-0.5, 0.5), alpha1=losses[0],
+            beta1=losses[1], alpha2=losses[2], beta2=losses[3],
+            delta1=rng.uniform(-0.1, 0.1), delta2=rng.uniform(-0.1, 0.1))
+
+
+def test_sweep_rows_equal_the_solver_bit_for_bit():
+    # the lockstep batches every row's reads, grouped by model width, and
+    # must give each row the solver's result on that row's device, every field
+    import squint.resolution as solvers
+    messages, widths = set(), set()
+    for cfg in _lockstep_devices():
+        for parameter in SWEEP_PARAMETERS:
+            grid = _LOCKSTEP_GRIDS.get(parameter, _LOSS_GRID)
+            devices = [solvers._apply_parameter(cfg, parameter, v) for v in grid]
+            widths.add(len({d._model[0].shape[1] for d in devices}))
+            for criterion, solver in (("standard", standard_resolution),
+                                      ("modified", modified_resolution)):
+                for phi in (np.pi / 2, 1.3, 2.0):
+                    results = sweep(cfg, parameter, grid, criterion=criterion, phi=phi)
+                    assert len(results) == len(grid)
+                    for device, res in zip(devices, results):
+                        assert _fields(res) == _fields(solver(device, phi=phi)), \
+                            (parameter, device, criterion, phi)
+                        messages.add(res.message.split(" ")[0])
+    # every refusal was met, and sweeps whose rows have two widths
+    assert {"signal", "noise", "no"} <= messages and 2 in widths
 
 
 def test_sweep_records_nonconvergence_and_continues():
