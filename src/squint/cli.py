@@ -183,20 +183,28 @@ def _json_num(x):
 def _table(cfg: RunConfig, columns, rows, tail=()):
     """The rows, tuples of cells, as CSV text or a JSON body; `tail` holds the
     values of the last columns, the same on every row, which the rows omit.
-    A CSV row is one format of its own cells by a template of `%.12g` fields
-    with the tail's text, rendered once by `fmt`, spliced in; a row whose text
-    lacks a decimal point in some field (an integral or non-finite value,
-    `1e-05`, a bool or an int) is rendered again cell by cell with `fmt`, so
-    every cell reads exactly as `fmt` writes it."""
+    A CSV row is one format of its own cells by a template of `%.12g` fields,
+    or `%s` where the first row holds a bool, with the tail's text, rendered
+    once by `fmt`, spliced in; `%s` writes a bool as True or False, the only
+    capitals a row can hold, lowered at the end.  A row whose text lacks a
+    decimal point in some `%.12g` field (an integral or non-finite value,
+    `1e-05`, a bool or an int) or a capital in some `%s` field is rendered
+    again cell by cell with `fmt`, so every cell reads exactly as `fmt`
+    writes it."""
     n = len(columns) - len(tail)
     if cfg.format == "csv":
         end = "".join("," + fmt(v) for v in tail)
-        line, dots = ",".join(("%.12g",) * n) + end, n + end.count(".")
-        lines = [",".join(columns)]
+        lines, line, words = [",".join(columns)], None, 0
         for row in rows:
+            if line is None:  # the first row's bools make %s fields
+                line = ",".join("%s" if type(v) is bool else "%.12g" for v in row) + end
+                dots, words = line.count("."), line.count("%s")
             text = line % row
-            lines.append(text if text.count(".") == dots else ",".join(map(fmt, row)) + end)
-        return "\n".join(lines) + "\n"
+            if text.count(".") != dots or words and text.count("T") + text.count("F") != words:
+                text = ",".join(map(fmt, row)) + end
+            lines.append(text)
+        text = "\n".join(lines) + "\n"
+        return text.replace("True", "true").replace("False", "false") if words else text
     end = {c: _json_num(v) for c, v in zip(columns[n:], tail)}
     return {"rows": [{c: _json_num(v) for c, v in zip(columns, row)} | end for row in rows]}
 

@@ -34,21 +34,31 @@ forms R with one dot
 over (1, cos phi, sin phi), reads C00, C02 and C22 from R R^T and takes
 sigma as the square root of C00 C22 + C02^2, a variance no rounding makes
 negative, so neither the kernel nor its batched copy has a floor or clamp.
-`signal_slope` forms R' = -sin(phi) U + cos(phi) V in the same dot and
-differentiates <P> = C02 in closed form, in about 4 us against 3.5 us for
-`evaluate`.  The kernel and the slope each form their (1, cos, sin) operand
-as an array first, and the kernel unpacks R R^T with one `tolist`.  The
-batched kernel, `_batched_moments`, forms the kernel's two products with
-`np.matmul` and takes each angle with one libm call, as `_moments` does, so
-its rows equal the kernel bit for bit.  It runs over phases or over devices:
-`np.matmul` broadcasts one model over many phases, as a phase scan
-(`squint signal`, through `_evaluate_grid`) reads it, or pairs a stack of
-same-width models with one phase each, as a sweep's rows read it in
-lockstep.  1000 phases of one model cost about 0.27 ms against 3.4 ms for
+The slope kernel `_slope`, which `signal_slope` wraps with the phase check
+and a lone solve calls directly, forms R' = -sin(phi) U + cos(phi) V in the
+same dot and differentiates <P> = C02 in closed form, in about 4 us against
+3.5 us for `evaluate`.  The kernel and the slope each form their (1, cos,
+sin) operand as an array first, and the kernel unpacks R R^T with one
+`tolist`.  The batched kernel, `_batched_moments`, forms the kernel's two
+products with `np.matmul` and takes each angle with one libm call, as
+`_moments` does, so its rows equal the kernel bit for bit.  It runs over
+phases or over devices: `np.matmul` broadcasts one model over many phases,
+as a phase scan (`squint signal`, through `_evaluate_grid`) reads it, or
+pairs a stack of same-width models with one phase each, as a sweep's rows
+read it in lockstep.  1000 phases of one model cost about 0.27 ms against 3.4 ms for
 1000 `evaluate` calls; 60 (model, phase) pairs cost 30 us against 142 us
 for 60 `_moments` calls; a single phase costs more in a batch of one (8 us
 against 3.5 us), so a lone solve reads one phase at a time (2-core VM,
 in-process, best of 15 or more repeats in one session).
+
+A sweep's rows never build a device.  `_models` runs `_model`'s chain over
+a stack of devices that share a loss pattern, each product an `np.matmul`,
+and `_batched_slope` reads every stacked model's slope with three; both
+give the scalar chain's bits, and a test pins them together.  60 models
+cost about 0.11 ms against 0.89 ms to construct 60 devices and build
+theirs, and 60 slopes 10 us against 0.23 ms for 60 `signal_slope` calls;
+a stack of one costs about 130 us against 25-40 us, so a lone device keeps
+`_model` (in-process, best of 401).
 """
 from __future__ import annotations
 
@@ -75,6 +85,17 @@ __all__ = [
     "closed_form_reference",
 ]
 
+# Each device field's check, in field order: construction runs every one,
+# and a sweep runs the swept field's own on each grid value.
+_FIELD_CHECKS = {
+    "G": _check_gain,
+    "xi": functools.partial(_check_finite, "pump phase xi"),
+    **{name: functools.partial(_check_loss_angle, f"loss angle {name}")
+       for name in ("alpha1", "beta1", "alpha2", "beta2")},
+    **{name: functools.partial(_check_imbalance, f"imbalance {name}")
+       for name in ("delta1", "delta2")},
+}
+
 
 @dataclass(frozen=True)
 class InterferometerConfig:
@@ -98,12 +119,8 @@ class InterferometerConfig:
     delta2: float = 0.0
 
     def __post_init__(self):
-        _check_gain(self.G)
-        _check_finite("pump phase xi", self.xi)
-        for name in ("alpha1", "beta1", "alpha2", "beta2"):
-            _check_loss_angle(f"loss angle {name}", getattr(self, name))
-        for name in ("delta1", "delta2"):
-            _check_imbalance(f"imbalance {name}", getattr(self, name))
+        for name, check in _FIELD_CHECKS.items():
+            check(getattr(self, name))
 
     @classmethod
     def with_symmetric_loss(cls, G: float, prep: float = 0.0, arm: float = 0.0,
@@ -150,6 +167,84 @@ def _lose(f: np.ndarray, a0: float, a1: float) -> np.ndarray:
     np.multiply(f, np.array([math.cos(a) for a in angles]).reshape(4, 1), out=out[:, :k])
     for j, (i, sin) in enumerate(noise, k):
         out[i, j] = sin
+    return out
+
+
+def _models(G, xi, alpha1, beta1, alpha2, beta2, delta1, delta2) -> list:
+    """Phase models of n devices, each field an n-long sequence of checked
+    values, read as float64: one (where, rows, photons) per loss pattern (the
+    lossy ones of the four angles, -0.0 lossless as in `_lose`), in order of
+    first appearance, with `where` the devices' indices, `rows` their models'
+    rows as an (m, 3, 2k) stack and `photons` their photon numbers.
+
+    Each is `_model`'s chain run on all m devices at once, the same operations
+    in the same order: `np.cosh`/`np.sinh` on the gains, `math.cos`/`math.sin`
+    through `map` for the angles, each element's literal with its signed
+    zeros, `np.matmul` for B1, for B2's detected rows and for the photon-number
+    product, and the diagonal summed left to right.  So row i equals
+    `_model`'s bit for bit; a test pins the two chains together.  A pattern
+    fixes the width and where the noise columns sit, and no stack mixes two.
+    """
+    fields = np.array((G, xi, alpha1, beta1, alpha2, beta2, delta1, delta2), dtype=float)
+    patterns = {}
+    for i, lossy in enumerate((fields[2:6] != 0.0).T.tolist()):
+        patterns.setdefault(tuple(lossy), []).append(i)
+    return [(where, *_stack_models(fields[:, where], lossy))
+            for lossy, where in patterns.items()]
+
+
+def _cos_sin(angles: np.ndarray) -> tuple:
+    """`math.cos` and `math.sin` of each angle, as two arrays."""
+    angles, n = angles.tolist(), len(angles)
+    return (np.fromiter(map(math.cos, angles), float, n),
+            np.fromiter(map(math.sin, angles), float, n))
+
+
+def _matrices(*entries) -> np.ndarray:
+    """A C-contiguous stack of m matrices with four columns, from their
+    entries in row-major order, each an m-long array: contiguous, so that
+    `np.matmul` hands each product to the BLAS, as `ndarray.dot` does."""
+    return np.array(entries).T.copy().reshape(len(entries[0]), -1, 4)
+
+
+def _stack_models(fields: np.ndarray, lossy: tuple) -> tuple:
+    """`_models`' chain for the columns of an (8, m) field array that share
+    one loss pattern, as (rows, photons)."""
+    G, xi, alpha1, beta1, alpha2, beta2, delta1, delta2 = fields
+    z = np.zeros(len(G))
+    c, s = np.cosh(G), np.sinh(G)
+    cos, sin = _cos_sin(xi)
+    re, im = s * sin, -s * cos
+    f = _matrices(c, z, re, im, z, c, im, -re, re, im, c, z, im, -re, z, c)
+    f = _stack_lose(f, alpha1, beta1, *lossy[:2])
+    c, s = _cos_sin(math.pi / 4 + delta1)
+    b1 = _matrices(c, -z, z, s, z, c, -s, z, z, s, c, -z, -s, z, z, c)
+    f = _stack_lose(np.matmul(b1, f), alpha2, beta2, *lossy[2:])
+    c, s = _cos_sin(math.pi / 4 + delta2)
+    # B2's detected rows times P0, Pc and Ps, and the rows A, U and V
+    w = _matrices(z, z, z, -s, z, z, c, z, -c, z, z, z, z, s, z, z, z, c, z, z, s, z, z, z)
+    rows = np.matmul(w, f).reshape(len(G), 3, -1)
+    out = np.matmul(_matrices(-c, -z, z, -s, z, -c, s, z, z, s, c, -z, -s, z, z, c), f)
+    cov = np.matmul(out, out.transpose(0, 2, 1))
+    trace = cov[:, 0, 0] + cov[:, 1, 1] + cov[:, 2, 2] + cov[:, 3, 3]
+    return rows, (trace - 4.0) / 4.0
+
+
+def _stack_lose(f: np.ndarray, a0: np.ndarray, a1: np.ndarray, lossy0: bool,
+                lossy1: bool) -> np.ndarray:
+    """`_lose` on an (m, 4, k) stack of factors, the angles a0 and a1 as
+    m-long arrays, every factor's modes lossy or not as lossy0 and lossy1
+    say."""
+    if not (lossy0 or lossy1):
+        return f
+    n, _, k = f.shape
+    (c0, s0), (c1, s1) = _cos_sin(a0), _cos_sin(a1)
+    lossy = (lossy0, lossy0, lossy1, lossy1)
+    noise = [(i, sin) for i, sin in enumerate((s0, s0, s1, s1)) if lossy[i]]
+    out = np.zeros((n, 4, k + len(noise)))
+    np.multiply(f, np.array((c0, c0, c1, c1)).T.reshape(n, 4, 1), out=out[:, :, :k])
+    for j, (i, sin) in enumerate(noise, k):
+        out[:, i, j] = sin
     return out
 
 
@@ -228,9 +323,26 @@ def signal_slope(config: InterferometerConfig, phi: float) -> float:
     phi raises ValueError.
     """
     _check_finite("phase phi", phi)
+    return _slope(config._model[0], phi)
+
+
+def _slope(rows: np.ndarray, phi: float) -> float:
+    """`signal_slope` at a finite phase phi, from a phase model's rows,
+    without its phase check: for a lone solve."""
     c, s = math.cos(phi), math.sin(phi)
-    r, dr = np.array(((1.0, c, s), (0.0, -s, c))).dot(config._model[0]).reshape(2, 2, -1)
+    r, dr = np.array(((1.0, c, s), (0.0, -s, c))).dot(rows).reshape(2, 2, -1)
     return float(dr[0].dot(r[1]) + r[0].dot(dr[1]))
+
+
+def _batched_slope(rows: np.ndarray, phi: float) -> np.ndarray:
+    """`_slope` of n same-width models, an (n, 3, 2k) stack, at one finite
+    phase phi, as an array equal to `_slope`'s row by row, bit for bit: one
+    `np.matmul` forms every model's R and R', as `_slope`'s dot does, and
+    two more its r0' . r1 and r0 . r1', as its two vector dots do."""
+    c, s = math.cos(phi), math.sin(phi)
+    r = np.matmul(np.array(((1.0, c, s), (0.0, -s, c))), rows).reshape(len(rows), 4, 1, -1)
+    return (np.matmul(r[:, 2], r[:, 1].transpose(0, 2, 1))
+            + np.matmul(r[:, 0], r[:, 3].transpose(0, 2, 1))).ravel()
 
 
 def closed_form_reference(G: float, phi: float) -> SignalStats:

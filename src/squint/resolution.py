@@ -16,16 +16,19 @@ modified equation has one bracketed solver, Illinois regula falsi.  Both
 criteria report diagnostics instead of raising, and neither marks a result
 converged where the engine's roundoff swamps the dark-fringe noise.
 
-Both criteria run as one coroutine per device, `_resolve`: given sigma0 and
-N at the working point it reads the slope, makes its checks, and then
-yields each phase whose sigma the root needs.  A single resolve serves it
-one scalar kernel read per step.  A sweep runs its rows' coroutines in
-lockstep: per model width, one batched read of sigma0 at the working point
-and then one per round of every unfinished row's phase, since one batched
-read of 60 (model, phase) pairs costs about what 13 scalar reads do (30 us
-against 142 us for 60).  Each row equals the device's own solve bit for
-bit.  A 60-row G sweep takes about 2.3 ms against 3.4 ms solved row by row
-(2-core VM, in-process, best of 31).
+Both criteria run as one coroutine per phase model, `_resolve`: given
+sigma0, N and the slope at the working point it makes its checks, and then
+yields each phase whose sigma the root needs.  No solver reads a config:
+a single resolve builds its device's model and serves the coroutine one
+scalar kernel read per step.  A sweep builds no device: `_models` builds
+every row's model in one batched chain per loss pattern, and the rows'
+coroutines run in lockstep, per model width one batched read of sigma0 and
+one of the slope at the working point, then one read per round of every
+unfinished row's phase, since one batched read of 60 (model, phase) pairs
+costs about what 13 scalar reads do (30 us against 142 us for 60).  Each
+row equals the device's own solve bit for bit.  A 60-row G sweep takes
+about 0.9 ms, against 2.1 ms with each row's device and model built and
+its slope read one by one (2-core VM, in-process, best of 15 rounds).
 """
 from __future__ import annotations
 
@@ -36,12 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import _check_choice, _check_finite
-from .interferometer import (
+from .interferometer import (  # noqa: F401  perfbench's tracer patches evaluate here
+    _FIELD_CHECKS,
     InterferometerConfig,
     _batched_moments,
+    _batched_slope,
+    _models,
     _moments,
+    _slope,
     evaluate,
-    signal_slope,
 )
 
 __all__ = [
@@ -72,7 +78,7 @@ _PRECISION_LIMIT = 1e-7
 # by at most 1.1 times that ratio, beyond the modified root's bracket.
 _ROUNDOFF_SAFETY = 10.0
 _X_RTOL = 1e-14  # relative width that closes the modified root's bracket
-# Model reads before any solve: the working point's evaluate and the slope.
+# Model reads before any solve: the working point's sigma and the slope.
 _PROBE_EVALUATIONS = 2
 # refine_working_point searches phi +/- _REFINE_HALF_WIDTH to _REFINE_TOL.
 _REFINE_HALF_WIDTH = 0.35
@@ -146,23 +152,22 @@ def _result(criterion, phi, d, n, iters, converged, evaluations, bound, message=
         mean_N=n, message=message, evaluations=evaluations, error_bound=bound)
 
 
-def _resolve(config: InterferometerConfig, phi: float, criterion: str,
-             sigma0: float, n: float):
-    """Coroutine of one solve at a checked working point phi, from sigma0
-    and the photon number N there: it yields each phase whose sigma it
-    needs, is sent that sigma, and returns the `ResolutionResult`.
+def _resolve(phi: float, criterion: str, sigma0: float, n: float, slope: float):
+    """Coroutine of one solve at a checked working point phi, from a phase
+    model's three reads there: sigma0, the photon number N and the slope.
+    It yields each phase whose sigma it needs, is sent that sigma, and
+    returns the `ResolutionResult`.
 
-    It reads the slope itself, one `signal_slope` call.  A vanishing slope
-    (e.g. G = 0, or a working point on a fringe extremum) leaves the
-    resolution unbounded; noise below the engine's roundoff leaves it
-    unresolved.  Both are reported, not raised, before any phase is asked
-    for, as is the standard criterion's sigma0 / |slope|; the modified
-    criterion then runs the Illinois loop `modified_resolution` describes.
-    sigma0 comes from `evaluate` or the batched kernel, not from the slope's
-    read: that dot forms R and R' together, and its last bits can differ
-    from the one-row dot of every other read of sigma.
+    A vanishing slope (e.g. G = 0, or a working point on a fringe extremum)
+    leaves the resolution unbounded; noise below the engine's roundoff
+    leaves it unresolved.  Both are reported, not raised, before any phase
+    is asked for, as is the standard criterion's sigma0 / |slope|; the
+    modified criterion then runs the Illinois loop `modified_resolution`
+    describes.  sigma0 comes from the moment kernel, scalar or batched, not
+    from the slope's read: that dot forms R and R' together, and its last
+    bits can differ from the one-row dot of every other read of sigma.
     """
-    slope = abs(signal_slope(config, phi))
+    slope = abs(slope)
     bound = _ROUNDOFF_SAFETY * _EPS * (1.0 + n) / sigma0 if sigma0 else math.inf
     if not slope > _slope_floor(n):
         return _result(criterion, phi, math.inf, n, 0, False, _PROBE_EVALUATIONS, bound,
@@ -223,14 +228,14 @@ def _resolve(config: InterferometerConfig, phi: float, criterion: str,
                    _PROBE_EVALUATIONS + iters, bound)
 
 
-def _solve(config: InterferometerConfig, phi: float, criterion: str) -> ResolutionResult:
-    """One device's result: `evaluate` at the working point, then one
-    `_moments` read per phase the coroutine asks for.  A non-finite phi
-    raises ValueError."""
+def _solve(model: tuple, phi: float, criterion: str) -> ResolutionResult:
+    """The result of one phase model, (rows, photons): `_moments` and
+    `_slope` at the working point, then one `_moments` read per phase the
+    coroutine asks for; phi is checked and every step finite, so no read
+    checks its phase.  A non-finite phi raises ValueError."""
     _check_finite("working point phi", phi)
-    stats = evaluate(config, phi)
-    rows = config._model[0]  # phi is checked and every d finite: no phase check per step
-    solve = _resolve(config, phi, criterion, stats.sigma, stats.mean_photons)
+    rows, photons = model
+    solve = _resolve(phi, criterion, _moments(rows, phi)[2], photons, _slope(rows, phi))
     try:
         phase = next(solve)
         while True:
@@ -242,7 +247,7 @@ def _solve(config: InterferometerConfig, phi: float, criterion: str) -> Resoluti
 def standard_resolution(config: InterferometerConfig,
                         phi: float = np.pi / 2) -> ResolutionResult:
     """Noise-over-slope resolution sigma(phi) / |slope| at the working point."""
-    return _solve(config, phi, "standard")
+    return _solve(config._model, phi, "standard")
 
 
 def modified_resolution(config: InterferometerConfig,
@@ -263,24 +268,23 @@ def modified_resolution(config: InterferometerConfig,
     the minimum kappa falls with no better device: the ideal fringe at the
     interval's centre gives 2N/sqrt(N^2 + 2N), about 2.
     """
-    return _solve(config, phi, "modified")
+    return _solve(config._model, phi, "modified")
 
 
-def _lockstep(devices: list, phi: float, criterion: str) -> tuple:
-    """Every device's result at phi, equal to `_solve`'s bit for bit, with
-    the devices' reads batched: per model width, one `_batched_moments` call
-    for sigma0 at the working point, then one per round for the phase each
-    unfinished coroutine asks for.  A non-finite phi raises ValueError."""
+def _lockstep(groups: list, phi: float, criterion: str) -> tuple:
+    """Every model's result at phi, equal to `_solve`'s bit for bit, from
+    `_models`' groups of stacked models, one width each, with each group's
+    reads batched: one `_batched_moments` call for sigma0 and one
+    `_batched_slope` call at the working point, then one `_batched_moments`
+    call per round for the phase each unfinished coroutine asks for.
+    Results come back in the models' order.  A non-finite phi raises
+    ValueError."""
     _check_finite("working point phi", phi)
-    results = [None] * len(devices)
-    widths = {}
-    for i, device in enumerate(devices):
-        widths.setdefault(device._model[0].shape[1], []).append(i)
-    for group in widths.values():
-        stack = np.array([devices[i]._model[0] for i in group])
+    results = [None] * sum(len(where) for where, _, _ in groups)
+    for group, stack, photons in groups:
         sigma0 = _batched_moments(stack, [phi] * len(group))[2].tolist()
-        solves = [_resolve(devices[i], phi, criterion, s, devices[i]._model[1])
-                  for i, s in zip(group, sigma0)]
+        solves = [_resolve(phi, criterion, *reads) for reads in zip(
+            sigma0, photons.tolist(), _batched_slope(stack, phi).tolist())]
         live, sigmas = range(len(group)), [None] * len(group)
         while True:
             asked, phases = [], []
@@ -299,13 +303,15 @@ def _lockstep(devices: list, phi: float, criterion: str) -> tuple:
 _CRITERIA = {"standard": standard_resolution, "modified": modified_resolution}
 
 
+# The device fields a symmetric sweep parameter sets; any other sets its own.
+_SYMMETRIC = {"symmetric_alpha1": ("alpha1", "beta1"), "symmetric_alpha2": ("alpha2", "beta2")}
+
+
 def _apply_parameter(config: InterferometerConfig, parameter: str,
                      value: float) -> InterferometerConfig:
-    if parameter == "symmetric_alpha1":
-        return dataclasses.replace(config, alpha1=value, beta1=value)
-    if parameter == "symmetric_alpha2":
-        return dataclasses.replace(config, alpha2=value, beta2=value)
-    return dataclasses.replace(config, **{parameter: value})
+    """The device of `config` with the sweep parameter set to value."""
+    fields = _SYMMETRIC.get(parameter, (parameter,))
+    return dataclasses.replace(config, **dict.fromkeys(fields, value))
 
 
 def sweep(config: InterferometerConfig, parameter: str, grid,
@@ -316,10 +322,14 @@ def sweep(config: InterferometerConfig, parameter: str, grid,
     symmetric_alpha1 / symmetric_alpha2 that set both modes' loss at a
     station together.  Returns, for each grid value in order, the
     `ResolutionResult` the criterion's solver gives on that row's device,
-    equal to it bit for bit; a non-converged row keeps the solver's message
-    and the sweep keeps going.  Every row's device is built, and so checked,
-    before the first solve.  The rows solve in lockstep, their phase reads
-    batched across the rows' models, one call per model width and round.
+    equal to it bit for bit (a field of another float type, np.float32 say,
+    enters as its float64 value); a non-converged row keeps the solver's
+    message and the sweep keeps going.  Each grid value is checked, by the
+    swept field's own check, before any model is built; a bad one raises the
+    ValueError its row's device would.  No row builds a device: `_models`
+    builds every row's phase model in one batched chain per loss pattern,
+    and the rows solve in lockstep, their reads batched across the rows'
+    models, one call per model width and round.
     """
     _check_choice("sweep parameter", parameter, SWEEP_PARAMETERS)
     _check_choice("criterion", criterion, _CRITERIA)
@@ -330,8 +340,12 @@ def sweep(config: InterferometerConfig, parameter: str, grid,
     grid = np.asarray(grid, dtype=float)
     if not np.all(np.diff(grid) > 0):
         raise ValueError("grid values must be strictly increasing")
-    devices = [_apply_parameter(config, parameter, float(value)) for value in grid]
-    return _lockstep(devices, phi, criterion)
+    values, fields = grid.tolist(), _SYMMETRIC.get(parameter, (parameter,))
+    for value in values:
+        _FIELD_CHECKS[fields[0]](value)
+    columns = {name: values if name in fields else [getattr(config, name)] * len(values)
+               for name in _FIELD_CHECKS}
+    return _lockstep(_models(**columns), phi, criterion)
 
 
 def _brent_min(f, lo: float, hi: float, tol: float):
@@ -405,12 +419,13 @@ def optimize_delta2(config: InterferometerConfig, criterion: str = "modified",
     `config.delta2` is the variable being optimised, so its given value is
     ignored; every other field holds.  A coarse 33-point sweep of delta2 over
     [-0.78, 0.78] locates the basin (and checks that the sampled profile has
-    a single interior minimum); its rows solve in lockstep, as `sweep`'s do.
-    Brent's method then refines delta2 between the neighbours of the best
-    scan point to a tolerance of 1e-6, the final uncertainty in delta2, one
-    scalar solve per step.  At G = 5 the whole search takes about 2.1 ms
-    against 2.8 ms with the scan solved row by row (2-core VM, in-process,
-    best of 31).  The minimum of kappa is flat, so its location is
+    a single interior minimum); its rows build their models in one batched
+    chain and solve in lockstep, as `sweep`'s do.  Brent's method then
+    refines delta2 between the neighbours of the best scan point to a
+    tolerance of 1e-6, the final uncertainty in delta2, one lone solve per
+    step.  At G = 5 the whole search takes about 1.4 ms, against 2.0 ms with
+    a device built for each scan row (2-core VM, in-process, best of 15
+    rounds).  The minimum of kappa is flat, so its location is
     limited by kappa's roundoff as well: at G = 3 with alpha2 = 0.1,
     golden-section search to the same tolerance lands 2.2e-7 away, at a
     kappa equal within 6e-15 relative.  A multi-basin profile is reported
@@ -424,7 +439,7 @@ def optimize_delta2(config: InterferometerConfig, criterion: str = "modified",
 
     def kappa_at(d2):
         if d2 not in cache:
-            cache[d2] = solver(dataclasses.replace(config, delta2=d2), phi=phi)
+            cache[d2] = solver(_apply_parameter(config, "delta2", d2), phi=phi)
         return cache[d2]
 
     profile = tuple((float(x), r.kappa) for x, r in zip(xs, raw))

@@ -456,7 +456,7 @@ def test_config_errors_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("argv, devices, runs", [
     (["resolve", "-G", "2"], 1, 1),
     (["resolve", "--config", "FILE", "-G", "3"], 2, 2),
-    (["sweep", "--points", "3"], 3, 1),
+    (["sweep", "--points", "3"], 0, 1),
     (["signal", "--points", "3"], 0, 1),
     (["oracle-check"], 0, 0),
 ])
@@ -465,8 +465,8 @@ def test_each_request_builds_its_configs_once(argv, devices, runs, tmp_path, cap
     # the defaults are built at import; a config file is built and checked
     # once before the flags apply, a request that sets no device field keeps
     # the default device, and one that sets no field keeps the default run;
-    # a sweep builds one device per row, and oracle-check, whose grid is
-    # stubbed here, builds none around it
+    # a sweep builds no device for its rows, only their phase models, and
+    # oracle-check, whose grid is stubbed here, builds none around it
     stub_oracle_grid(monkeypatch, 0.0)
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({"interferometer": {"G": 2.0, "delta1": 0.05}}))

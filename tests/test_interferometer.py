@@ -31,7 +31,15 @@ from squint import (
     vacuum_state,
 )
 from squint.gaussian import _G_MAX, _splitter, _squeezer
-from squint.interferometer import _batched_moments, _evaluate_grid, _lose, _moments
+from squint.interferometer import (
+    _batched_moments,
+    _batched_slope,
+    _evaluate_grid,
+    _lose,
+    _models,
+    _moments,
+)
+from squint.resolution import SWEEP_PARAMETERS, _apply_parameter
 from reference import four_point_slope, lose_one_mode, reference_model, reference_output_state
 
 GAINS = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
@@ -509,6 +517,60 @@ def test_model_keeps_the_public_builder_chain_bits():
         for variant, imbalance in (("B1", cfg.delta1), ("B2", cfg.delta2)):
             assert (beam_splitter(BsSpec(variant, imbalance)).tobytes()
                     == _splitter(variant, imbalance).tobytes()), cfg
+
+
+def _sweep_families():
+    """Seeded devices in sweep families: each sweep parameter over a grid
+    from its lower edge to its upper one, G to the gain bound, each loss from
+    0 through -0.0 to pi/2 and each imbalance one ulp inside pi/4 at both
+    ends, on lossless and lossy bases."""
+    inside = math.nextafter(math.pi / 4, 0.0)
+    grids = {"G": [0.0, 0.3, 2.0, 40.0, _G_MAX], "delta1": [-inside, -0.3, 0.0, 0.5, inside]}
+    grids["delta2"] = grids["delta1"]
+    rng = np.random.default_rng(3636)
+    bases = [InterferometerConfig(G=2.0), InterferometerConfig(G=0.0, xi=-0.0)]
+    for _ in range(4):
+        losses = [x if rng.uniform() < 0.5 else 0.0 for x in rng.uniform(0.0, 0.3, 4).tolist()]
+        bases.append(InterferometerConfig(
+            G=rng.uniform(0.0, 12.0), xi=rng.uniform(-4.0, 4.0), alpha1=losses[0],
+            beta1=losses[1], alpha2=losses[2], beta2=losses[3],
+            delta1=rng.uniform(-0.7, 0.7), delta2=rng.uniform(-0.7, 0.7)))
+    for base in bases:
+        for parameter in SWEEP_PARAMETERS:
+            for value in grids.get(parameter, [0.0, -0.0, 0.1, 1.0, np.pi / 2]):
+                yield _apply_parameter(base, parameter, value)
+
+
+def test_batched_models_equal_the_scalar_chain():
+    # `_models` is `_model`'s chain over many devices at once, grouped by loss
+    # pattern; in one call over mixed widths, edge fields (gain 0 and the
+    # bound, losses of -0.0 and pi/2, |delta| one ulp inside pi/4) and every
+    # sweep parameter's family, each device's rows equal its own model's
+    # byte for byte, signed zeros included, and its photon number by hex
+    devices = [*_sweep_families(), *_edge_devices(400)]
+    fields = {f.name: [getattr(cfg, f.name) for cfg in devices]
+              for f in dataclasses.fields(InterferometerConfig)}
+    groups = _models(**fields)
+    assert sorted(i for where, _, _ in groups for i in where) == list(range(len(devices)))
+    widths = set()
+    for where, rows, photons in groups:
+        assert rows.shape == (len(where), 3, rows.shape[2]) and len(photons) == len(where)
+        assert len({tuple(getattr(devices[i], name) != 0.0 for name in
+                          ("alpha1", "beta1", "alpha2", "beta2")) for i in where}) == 1
+        widths.add(rows.shape[2])
+        for i, model, n in zip(where, rows, photons.tolist()):
+            want_rows, want_photons = devices[i]._model
+            assert model.shape == want_rows.shape, devices[i]
+            assert model.tobytes() == want_rows.tobytes(), devices[i]
+            assert n.hex() == want_photons.hex(), devices[i]
+    assert len(groups) == 16 and widths == {8, 12, 16, 20, 24}
+    # the batched slope of each stack equals `signal_slope` on each device
+    rng = np.random.default_rng(3737)
+    for where, rows, _ in groups:
+        for phi in [-0.0, 0.0, np.pi / 2, 1e6, *rng.uniform(-7.0, 7.0, 3).tolist()]:
+            got = _batched_slope(rows, phi).tolist()
+            want = [signal_slope(devices[i], phi) for i in where]
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), phi
 
 
 def test_kernel_variance_is_never_negative():

@@ -130,8 +130,8 @@ def test_high_gain_converged_only_when_correct():
 
 
 def test_evaluations_count_every_engine_call(monkeypatch):
-    # every model read a solve makes: evaluate at the working point, the
-    # slope, and each root step's moment kernel
+    # every model read a solve makes: the moment kernel and the slope kernel
+    # at the working point, and the moment kernel at each root step
     import squint.resolution as solvers
     calls = []
 
@@ -141,7 +141,7 @@ def test_evaluations_count_every_engine_call(monkeypatch):
             return fn(source, phi)
         return read
 
-    for name in ("evaluate", "signal_slope", "_moments"):
+    for name in ("evaluate", "_slope", "_moments"):
         monkeypatch.setattr(solvers, name, counted(getattr(solvers, name)))
     cases = [(solver, cfg) for solver in (standard_resolution, modified_resolution)
              for cfg in (InterferometerConfig(G=2.0),  # converges
@@ -156,10 +156,10 @@ def test_evaluations_count_every_engine_call(monkeypatch):
         steps = res.iterations if solver is modified_resolution else 0
         assert res.evaluations == 2 + steps, (solver.__name__, cfg, res)
     assert res.iterations and not res.converged
-    # a sweep reads no row through evaluate or the scalar kernel: each row's
+    # a sweep reads no row through evaluate or the scalar kernels: each row's
     # sigma comes from the batched kernel, one phase per row per call, and
-    # its slope from one signal_slope call; count both per row's model
-    from squint.interferometer import _batched_moments, signal_slope
+    # its slope from the batched slope kernel; count both per row's model
+    from squint.interferometer import _batched_moments, _batched_slope
     reads = collections.Counter()
 
     def counted_batch(rows, phis):
@@ -167,12 +167,13 @@ def test_evaluations_count_every_engine_call(monkeypatch):
         reads.update(model.tobytes() for model in rows)
         return _batched_moments(rows, phis)
 
-    def counted_slope(config, phi):
-        reads[config._model[0].tobytes()] += 1
-        return signal_slope(config, phi)
+    def counted_slope(rows, phi):
+        assert rows.ndim == 3
+        reads.update(model.tobytes() for model in rows)
+        return _batched_slope(rows, phi)
 
     monkeypatch.setattr(solvers, "_batched_moments", counted_batch)
-    monkeypatch.setattr(solvers, "signal_slope", counted_slope)
+    monkeypatch.setattr(solvers, "_batched_slope", counted_slope)
     for base, parameter, grid in (
             (InterferometerConfig(G=1.0), "G", [0.0, 0.7, 2.0, 20.0]),  # refusals
             (InterferometerConfig(G=5.0), "delta2", [-0.3, 0.5, 0.78]),  # no root
@@ -383,6 +384,30 @@ def test_sweep_validation():
     # each row's device meets the device rules
     with pytest.raises(ValueError, match="gain G must be at most"):
         sweep(cfg, "G", [1.0, 200.0])
+
+
+def test_sweep_checks_each_grid_value_with_its_device_rule(monkeypatch):
+    # every parameter's out-of-range value, last in its grid, raises the exact
+    # ValueError that building that row's device raises (symmetric_alpha1
+    # names alpha1), and it does so before any model is built or read
+    import squint.resolution as solvers
+    reads = []
+    for name in ("_models", "_moments", "_slope", "_batched_moments", "_batched_slope"):
+        monkeypatch.setattr(solvers, name, lambda *args, name=name: reads.append(name))
+    base = InterferometerConfig(G=2.0, alpha1=0.1, delta2=-0.2)
+    grids = {"G": [0.5, 1.0, 200.0], "delta1": [-0.3, 0.0, 1.0], "delta2": [-0.3, 0.0, 1.0]}
+    for parameter in SWEEP_PARAMETERS:
+        grid = grids.get(parameter, [0.0, 0.1, 2.0])
+        with pytest.raises(ValueError) as device:
+            solvers._apply_parameter(base, parameter, grid[-1])
+        for criterion in ("standard", "modified"):
+            with pytest.raises(ValueError) as raised:
+                sweep(base, parameter, grid, criterion=criterion)
+            assert str(raised.value) == str(device.value), parameter
+    assert str(device.value) == "loss angle alpha2 must lie in [0, pi/2]"
+    with pytest.raises(ValueError, match="^loss angle alpha1 must lie in"):
+        sweep(base, "symmetric_alpha1", [0.0, 2.0])
+    assert not reads
 
 
 def test_sweep_rejects_grids_that_are_not_one_dimensional():
