@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,8 @@ __all__ = [
 ]
 
 # Each device field's check, in field order: construction runs every one,
-# and a sweep runs the swept field's own on each grid value.
+# and a sweep runs the swept field's own on each grid value.  `_fields`
+# reads a device's fields in that order.
 _FIELD_CHECKS = {
     "G": _check_gain,
     "xi": functools.partial(_check_finite, "pump phase xi"),
@@ -95,6 +97,7 @@ _FIELD_CHECKS = {
     **{name: functools.partial(_check_imbalance, f"imbalance {name}")
        for name in ("delta1", "delta2")},
 }
+_fields = operator.attrgetter(*_FIELD_CHECKS)
 
 
 @dataclass(frozen=True)
@@ -134,10 +137,13 @@ class InterferometerConfig:
         A, U and V as the rows of one read-only (3, 2k) array, k the factor's
         columns after both loss steps, and the photon number read at phi = 0.
         The cache is per instance, so a device built by `dataclasses.replace`
-        builds its own, and not a field: equality, hashing and repr ignore it."""
-        f = _lose(_squeezer(self.G, self.xi), self.alpha1, self.beta1)
-        f = _lose(_splitter("B1", self.delta1).dot(f), self.alpha2, self.beta2)
-        b2 = _splitter("B2", self.delta2)
+        builds its own, and not a field: equality, hashing and repr ignore it.
+        Each field is read as a Python float, as `_models` reads it, so a field
+        of another float type (np.float32, say) builds the float64 model."""
+        G, xi, alpha1, beta1, alpha2, beta2, delta1, delta2 = map(float, _fields(self))
+        f = _lose(_squeezer(G, xi), alpha1, beta1)
+        f = _lose(_splitter("B1", delta1).dot(f), alpha2, beta2)
+        b2 = _splitter("B2", delta2)
         c, s = b2.item(2, 2), b2.item(2, 1)
         # B2's detected rows, (-c, 0, 0, -s) and (0, s, c, 0), times P0, Pc and Ps
         w = np.array(((0.0, 0.0, 0.0, -s), (0.0, 0.0, c, 0.0), (-c, 0.0, 0.0, 0.0),
@@ -356,10 +362,12 @@ def closed_form_reference(G: float, phi: float) -> SignalStats:
         sigma  = sqrt(1 + (3/2 + cos(2 phi) - (1/2) cos(4 phi)) (N^2/2 + N))
 
     Used as an independent oracle against the matrix pipeline.  ValueError
-    unless G is a number in [0, 177.17] and phi a finite number.
+    unless G is a number in [0, 177.17] and phi a finite number; both are
+    read as Python floats, so the moments are float64 whatever their type.
     """
     _check_gain(G)
     _check_finite("phase phi", phi)
+    G, phi = float(G), float(phi)
     n = 2.0 * np.sinh(G) ** 2
     half = n * n / 2.0 + n
     mean = np.sinh(G) * np.cosh(G) * np.sin(2.0 * phi)

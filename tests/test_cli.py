@@ -2,10 +2,7 @@
 import dataclasses
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +13,7 @@ from squint import InterferometerConfig
 from squint.cli import RunConfig, fmt, main
 from squint.resolution import SWEEP_PARAMETERS
 from reference import reference_signal_document
+from test_entry import run_module
 
 
 def run_json(argv, capsys):
@@ -240,14 +238,8 @@ def test_signal_byte_identical_across_runs(tmp_path):
 
 def test_module_entry_point_runs_without_warnings(capsys):
     argv = ["signal", "-G", "1", "--points", "3"]
-    src = os.path.dirname(os.path.dirname(squint.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "squint", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
     assert main(argv) == 0
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == capsys.readouterr().out
+    assert run_module(*argv) == (0, capsys.readouterr().out.encode(), b"")
 
 
 def test_signal_json_structure(capsys):
@@ -566,11 +558,12 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
       "--points", "4", "--linear", "--format", "json"], 2),
     (["optimize-imbalance", "-G", "5"], 0),
     (["oracle-check"], 2),  # a stubbed grid with one failing case
+    (["resolve", "-G", "3"], 0),
 ])
 def test_out_file_holds_the_stdout_bytes(argv, code, tmp_path, capsys, monkeypatch):
     # one document per request: --out gets exactly the bytes stdout would,
-    # and the diagnostics on stderr and the exit code do not depend on where
-    # it goes
+    # the diagnostics on stderr and the exit code do not depend on where it
+    # goes, and a JSON document's echo names no file
     stub_oracle_grid(monkeypatch, 1e-3)
     assert main(argv) == code
     printed = capsys.readouterr()
@@ -580,6 +573,8 @@ def test_out_file_holds_the_stdout_bytes(argv, code, tmp_path, capsys, monkeypat
     assert written.out == ""
     assert written.err == printed.err
     assert target.read_bytes() == printed.out.encode()
+    if printed.out.startswith("{"):
+        assert "out" not in _keys(printed.out)
 
 
 def test_echo_fed_back_as_config_reproduces_the_document(tmp_path, capsys):
@@ -648,17 +643,26 @@ def test_optimize_imbalance_uses_every_device_flag(capsys):
     assert payload["result"]["kappa_opt"] == pytest.approx(3.821, abs=1e-3)
 
 
-def test_oracle_check_runs_one_fixed_grid(capsys):
+def test_oracle_check_runs_one_fixed_grid(tmp_path, capsys):
     # the grid has no options: its document is the echo and one fixed report,
-    # bound 1e-8, and a flag that would set a cutoff or a bound is refused
-    # before the grid runs
-    code, payload = run_json(["oracle-check"], capsys)
-    assert code == 0
+    # bound 1e-8, with every number outside the echo, worst case included, at
+    # 12 significant digits and no key naming a file; a fresh process, its
+    # caches cold, writes the same bytes to --out; and a flag that would set a
+    # cutoff or a bound is refused before the grid runs
+    assert main(["oracle-check"]) == 0
+    text = capsys.readouterr().out
+    payload = json.loads(text)
     assert list(payload) == ["config", "tolerance", "n_cases", "max_deviation",
                              "worst_case", "n_failures", "passed"]
     assert payload["tolerance"] == 1e-8
     assert (payload["n_cases"], payload["n_failures"], payload["passed"]) == (270, 0, True)
     assert list(payload["worst_case"]) == [f.name for f in dataclasses.fields(squint.GridCase)]
+    values = _floats({k: v for k, v in payload.items() if k != "config"})
+    assert values and all(x == float(f"{x:.12g}") for x in values), values
+    assert "out" not in _keys(text)
+    target = tmp_path / "report.json"
+    assert run_module("oracle-check", "--out", str(target)) == (0, b"", b"")
+    assert target.read_bytes() == text.encode()
     for flag in (["--n-max", "40"], ["--tolerance", "1e-3"]):
         with pytest.raises(SystemExit) as exc:
             main(["oracle-check", *flag])
@@ -675,6 +679,13 @@ def _floats(node):
     if isinstance(node, list):
         return [x for v in node for x in _floats(v)]
     return [node] if isinstance(node, float) else []
+
+
+def _keys(text):
+    """Every key of a JSON document, at any depth."""
+    keys = set()
+    json.loads(text, object_pairs_hook=lambda pairs: keys.update(k for k, _ in pairs))
+    return keys
 
 
 def test_json_documents_hold_12_significant_digits(capsys, monkeypatch):

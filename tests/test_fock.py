@@ -424,6 +424,7 @@ def _grid_state(G):
     return apply_unitary_fock(state, 0.7, 0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_slice_wise_product_is_the_two_pass_composition_bit_for_bit():
     rng = np.random.default_rng(23)
     for dims in ((6, 5), (5, 1, 4), (4, 3, 5, 2)):
@@ -447,6 +448,20 @@ def test_slice_wise_product_is_the_two_pass_composition_bit_for_bit():
     xx = reference_xx(amps, 0, 1)
     assert fock_moments(state, 0, 1) == (float(np.vdot(amps, xx).real),
                                          float(np.real(np.vdot(xx, xx))))
+    # the oracle's final states on the deepest ancillas, with and without a
+    # full arm loss, where a warning from the loss split's weights fails: its
+    # moments are the two-pass composition's
+    for cfg in (InterferometerConfig(**fields) for fields in ENGINE_DEVICES[1:3]):
+        for phi in ENGINE_PHASES:
+            state, arm = fock._prepare(cfg)
+            state = apply_unitary_fock(state, BsSpec("B1", cfg.delta1), (0, 1))
+            state = fock._lose(apply_unitary_fock(state, phi, 0), arm)
+            state = apply_unitary_fock(state, BsSpec("B2", cfg.delta2), (0, 1))
+            amps, got = state.amplitudes, oracle_pipeline(cfg, phi)
+            xx = reference_xx(amps, 0, 1)
+            two_pass = (float(np.vdot(amps, xx).real), float(np.real(np.vdot(xx, xx))))
+            assert fock_moments(state, 0, 1) == two_pass == (got.mean, got.second_moment), \
+                (cfg, phi)
 
 
 def test_moments_hold_one_full_size_array():
@@ -510,10 +525,12 @@ def test_pipeline_refuses_oversized_tensors():
 
 # Engine devices checked against the oracle: arm loss on both modes; the
 # largest losses the benchmark's oracle states use, one-sided at preparation,
-# so the ancillas are at their deepest; and loss on mode 1 alone.
+# so the ancillas are at their deepest, and that device with a full arm loss;
+# and loss on mode 1 alone.
 ENGINE_DEVICES = (
     dict(G=0.5, xi=0.7, alpha2=0.1, beta2=0.08, delta1=0.05, delta2=-0.1),
     dict(G=0.6, xi=-1.1, alpha1=0.3, alpha2=0.3, delta1=-0.12, delta2=0.08),
+    dict(G=0.6, xi=-1.1, alpha1=0.3, alpha2=np.pi / 2, delta1=-0.12, delta2=0.08),
     dict(G=0.55, xi=0.4, beta1=0.2, beta2=0.15, delta1=0.07, delta2=-0.06),
 )
 ENGINE_PHASES = (0.3, np.pi / 2)

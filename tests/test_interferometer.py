@@ -70,6 +70,9 @@ def test_closed_form_reference_applies_the_gain_and_phase_rules():
         with pytest.raises(ValueError, match="phase phi must be"):
             closed_form_reference(1.0, bad)
     assert closed_form_reference(0.0, 0.3).mean_photons == 0.0
+    # a number of another float type is read as a Python float
+    G, phi = np.float32(1.5), np.float32(math.pi / 4)
+    assert closed_form_reference(G, phi) == closed_form_reference(float(G), float(phi))
 
 
 def test_mean_signal_example():

@@ -333,6 +333,19 @@ def test_sweep_rows_equal_the_solver_bit_for_bit():
     assert {"signal", "noise", "no"} <= messages and 2 in widths
 
 
+def test_a_float32_field_builds_the_float64_device():
+    # each field is read as a Python float: a device with one np.float32 field
+    # solves as its float64 twin does, and as its sweep row, every field by hex
+    base = InterferometerConfig(G=1.5, xi=0.1, alpha1=0.05, beta1=0.02, alpha2=0.1,
+                                beta2=0.05, delta1=0.05, delta2=-0.1)
+    for name, field in dataclasses.asdict(base).items():
+        value = np.float32(field)
+        device, twin = (dataclasses.replace(base, **{name: v}) for v in (value, float(value)))
+        rows = sweep(base, name, [value]) if name in SWEEP_PARAMETERS else ()
+        for got in (modified_resolution(device), *rows):
+            assert _fields(got) == _fields(modified_resolution(twin)), name
+
+
 def test_sweep_records_nonconvergence_and_continues():
     # delta2 near +pi/4 drives the solver past its bracket; the sweep keeps
     # those rows as the solver returned them and still finishes the grid
