@@ -296,7 +296,7 @@ def _add_subcommand(sub, name: str, run, summary: str, device: bool = True) -> _
     false) the device flags.  Each flag's dest names the field it sets; an
     unset flag is None and keeps the config file's value or the default."""
     p = sub.add_parser(name, help=summary)
-    p.set_defaults(run=run, device=device)
+    p.set_defaults(command=name, run=run, device=device)
     if device:
         p.add_argument("-G", "--gain", dest="G", type=float, help="squeezer gain")
         p.add_argument("--xi", type=float, help="pump phase (angle)")
@@ -319,11 +319,16 @@ def _add_solver_flags(p: _Parser) -> None:
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """The CLI's parser, built once; each parse_args fills a fresh namespace."""
+    """The CLI's full parser, built once; each parse fills a fresh namespace.
+    Its `commands` maps each subcommand's name to that subcommand's parser,
+    which alone parses a request naming it (see `_parse`).  The full parser
+    handles only help, a missing or unknown command, an option before the
+    command, and leftover tokens."""
     parser = _Parser(prog="squint",
                      description="Squeezed-vacuum interferometry: signals, "
                                  "resolution limits, sweeps, and oracle checks.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices
 
     p = _add_subcommand(sub, "signal", cmd_signal, "fringe scan of the product signal")
     p.add_argument("--phi-min", type=float, help="grid start (angle, default 0)")
@@ -378,8 +383,25 @@ def _build_runconfig(args) -> RunConfig:
     return _with_fields(cfg, fields)
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The request's namespace, equal to the full parser's, in one pass: the
+    parser of the subcommand that argv[0] names parses the rest.  Any other
+    request, and one with tokens left over, goes to the full parser, which
+    reports the error as it always has."""
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in parser.commands:
+        args, rest = parser.commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one request, `sys.argv[1:]` if argv is None, and return its exit
+    code.  The request is parsed once, by its subcommand's parser; help and
+    usage errors exit through SystemExit, as argparse does."""
+    args = _parse(argv)
     try:
         cfg = _build_runconfig(args)
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:

@@ -1,8 +1,10 @@
 """CLI behavior: formatting, config handling, exit codes, determinism."""
 import dataclasses
+import importlib.util
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 import squint
 from squint import InterferometerConfig
-from squint.cli import RunConfig, fmt, main
+from squint.cli import RunConfig, _build_parser, _parse, fmt, main
 from squint.resolution import SWEEP_PARAMETERS
 from reference import reference_signal_document
 from test_entry import run_module
@@ -525,6 +527,75 @@ def test_usage_errors_exit_1(capsys):
         main([])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+def perfbench_argvs(seeds):
+    """The argv of every CLI request the benchmark's workloads send for the seeds."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [req["argv"] for seed in seeds for make in workloads.REQUESTS.values()
+            for req in make(seed) if req["argv"] is not None]
+
+
+def test_one_pass_parses_as_the_full_parser():
+    argvs = perfbench_argvs(range(1, 9)) + [["resolve", "--ga=2"], ["sweep", "--lin"]]
+    assert len(argvs) > 600
+    for argv in argvs:
+        assert vars(_parse(argv)) == vars(_build_parser().parse_args(argv)), argv
+
+
+def exit_of(call, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        call(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["--gain=1", "resolve"], ["resolve", "--bogus"],
+    ["resolve", "-G", "1", "extra"], ["resolve", "--criterion", "bogus"], ["resolve", "--gain"],
+    ["sweep", "--log", "--linear"], ["oracle-check", "--n-max", "40"],
+    ["resolve", "--", "-G", "1"], ["resolve", "-G", "1", "--"], ["resolve", "-h"], ["-h"],
+], ids=lambda argv: " ".join(argv) or "no-command")
+def test_usage_errors_and_help_read_as_the_full_parser_writes_them(argv, capsys):
+    want = exit_of(_build_parser().parse_args, argv, capsys)
+    assert exit_of(main, argv, capsys) == want
+    assert want[0] == (0 if "-h" in argv else 1)
+
+
+@pytest.mark.parametrize("argv", [["resolve", "-G", "2", "--alpha2=0.05"],
+                                  ["resolve", "--bogus"]])
+def test_main_reads_any_argv_sequence(argv, capsys, monkeypatch):
+    def outcome(*args):
+        try:
+            code = main(*args)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    want = outcome(argv)
+    monkeypatch.setattr(sys, "argv", ["squint", *argv])
+    assert outcome() == want
+    assert outcome(tuple(argv)) == want
+    assert outcome(arg for arg in argv) == want
+
+
+@pytest.mark.parametrize("argv", [["signal", "--points", "3"], ["resolve", "-G", "2"],
+                                  ["sweep", "--points", "3"], ["optimize-imbalance", "-G", "5"],
+                                  ["oracle-check"]])
+def test_a_request_is_parsed_once_by_its_subcommand(argv, capsys, monkeypatch):
+    # every parser, the top-level one and each subcommand's, is a _Parser
+    stub_oracle_grid(monkeypatch, 0.0)
+    calls = []
+
+    def counted(self, *args, parse=squint.cli._Parser.parse_known_args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+    monkeypatch.setattr(squint.cli._Parser, "parse_known_args", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == [f"squint {argv[0]}"]
 
 
 def test_log_grid_with_negative_min_exits_1(capsys):

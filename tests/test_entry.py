@@ -64,6 +64,20 @@ def test_module_exits_1_on_invalid_input():
     assert (code, out) == (1, b"") and b"Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["resolve", "--bogus"], 1)],
+                         ids=["help", "leftover-token"])
+def test_top_level_parser_writes_the_in_process_bytes(argv, code, capsys, monkeypatch):
+    # the two paths that still reach the top-level parser; help wraps at COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = run_module(*argv)
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+        warnings.simplefilter("error")
+        main(argv)
+    out, err = capsys.readouterr()
+    assert fresh == (exc.value.code, out.encode(), err.encode())
+    assert exc.value.code == code and (code == 0 or out == "") and "usage: squint" in out + err
+
+
 @pytest.mark.parametrize("argv", [
     # both loss stations, one-sided and imbalanced
     "signal -G 0.7 --xi=0.3 --alpha1=0.1 --beta2=0.2 --delta1=0.05 --points 5",
