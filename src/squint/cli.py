@@ -212,7 +212,12 @@ def _table(cfg: RunConfig, columns, rows, tail=()):
 # Each subcommand returns (CSV text or JSON body, ok); ok false exits 2.
 def cmd_signal(cfg: RunConfig, args):
     columns = ("phi", "mean_P", "sqrt_second_moment", "sigma", "mean_N")
-    phis = cfg.phi_grid().tolist()
+    grid = cfg.phi_grid()
+    if not np.all(np.diff(grid) > 0):  # more points than floats in the span
+        raise ValueError(f"phase grid values must be strictly increasing, but its "
+                         f"{cfg.phi_points} points in [{cfg.phi_min!r}, {cfg.phi_max!r}) "
+                         "repeat a phase")
+    phis = grid.tolist()
     mean, m2, sigma, photons = _evaluate_grid(cfg.interferometer, phis)
     rows = zip(phis, mean.tolist(), np.sqrt(m2).tolist(), sigma.tolist())
     return _table(cfg, columns, rows, (photons,)), True
@@ -284,11 +289,57 @@ def cmd_oracle_check(cfg: RunConfig, args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors on exit code 1 (2 is reserved for numerics)."""
+    """argparse with usage errors on exit code 1 (2 is reserved for numerics),
+    and a flag table: `flags` maps each option string of an argument added by
+    `add_argument` (not argparse's own -h/--help) to the action it returned."""
+
+    exclusive = frozenset()  # actions a request may give at most one of
+
+    def __init__(self, **kwargs):
+        self.flags = None
+        super().__init__(**kwargs)
+        self.flags = {}
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if self.flags is not None:
+            self.flags.update(dict.fromkeys(action.option_strings, action))
+        return action
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def read_flags(self, tokens):
+        """The namespace the full parser gives this subcommand's `tokens`, read
+        from the flag table, or None unless every token is `--name=value`,
+        `--name value` or `-G value` with a value that is non-empty and not
+        led by "-", or a bare store_true/store_false flag; each value passes
+        its action's type and choices, and at most one exclusive flag is
+        given.  The rest, help and every usage error, is argparse's."""
+        values, given, tokens = dict(self.defaults), set(), iter(tokens)
+        for token in tokens:
+            name, eq, text = token.partition("=")
+            action = self.flags.get(name if eq and name.startswith("--") else token)
+            # argparse before 3.13 reads --name=-- as an empty list
+            if action is None or eq and (action.nargs == 0 or text == "--"):
+                return None
+            if action.nargs == 0:
+                value = action.const
+            else:
+                if not eq:
+                    text = next(tokens, "")
+                    if not text or text[0] == "-":
+                        return None
+                try:
+                    value = text if action.type is None else action.type(text)
+                except (TypeError, ValueError):
+                    return None
+                if action.choices is not None and value not in action.choices:
+                    return None
+            values[action.dest] = value
+            given.add(action)
+        return argparse.Namespace(**values) if len(given & self.exclusive) < 2 else None
 
 
 def _add_subcommand(sub, name: str, run, summary: str, device: bool = True) -> _Parser:
@@ -296,7 +347,8 @@ def _add_subcommand(sub, name: str, run, summary: str, device: bool = True) -> _
     false) the device flags.  Each flag's dest names the field it sets; an
     unset flag is None and keeps the config file's value or the default."""
     p = sub.add_parser(name, help=summary)
-    p.set_defaults(command=name, run=run, device=device)
+    p.defaults = dict(command=name, run=run, device=device)
+    p.set_defaults(**p.defaults)
     if device:
         p.add_argument("-G", "--gain", dest="G", type=float, help="squeezer gain")
         p.add_argument("--xi", type=float, help="pump phase (angle)")
@@ -321,9 +373,9 @@ def _add_solver_flags(p: _Parser) -> None:
 def _build_parser() -> _Parser:
     """The CLI's full parser, built once; each parse fills a fresh namespace.
     Its `commands` maps each subcommand's name to that subcommand's parser,
-    which alone parses a request naming it (see `_parse`).  The full parser
-    handles only help, a missing or unknown command, an option before the
-    command, and leftover tokens."""
+    whose flag table (`_Parser.read_flags`) reads a request of exact flags
+    (see `_parse`); the full parser reads every other request, and alone
+    writes help and usage errors."""
     parser = _Parser(prog="squint",
                      description="Squeezed-vacuum interferometry: signals, "
                                  "resolution limits, sweeps, and oracle checks.")
@@ -349,11 +401,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--max", dest="param_max", type=float, help="grid maximum")
     p.add_argument("--points", dest="param_points", metavar="POINTS", type=int,
                    help="grid size (default 60)")
-    grid = p.add_mutually_exclusive_group()
-    grid.add_argument("--log", dest="log_grid", action="store_true", default=None,
-                      help="log-spaced grid (default)")
-    grid.add_argument("--linear", dest="log_grid", action="store_false", default=None,
-                      help="linearly spaced grid")
+    grid = p.add_mutually_exclusive_group()  # its add_argument is argparse's own
+    pair = (grid.add_argument("--log", dest="log_grid", action="store_true", default=None,
+                              help="log-spaced grid (default)"),
+            grid.add_argument("--linear", dest="log_grid", action="store_false", default=None,
+                              help="linearly spaced grid"))
+    p.flags.update((action.option_strings[0], action) for action in pair)
+    p.exclusive = frozenset(pair)
     p.add_argument("--format", choices=_FORMATS, help="output format (default csv)")
 
     p = _add_subcommand(sub, "optimize-imbalance", cmd_optimize_imbalance,
@@ -362,6 +416,13 @@ def _build_parser() -> _Parser:
 
     _add_subcommand(sub, "oracle-check", cmd_oracle_check,
                     "engine vs Fock oracle on the validation grid", device=False)
+    for p in parser.commands.values():
+        # argparse's namespace order: the top level's dest, then each
+        # argument's dest as added, then the rest of set_defaults
+        defaults = {"command": None}
+        for action in p.flags.values():
+            defaults.setdefault(action.dest, action.default)
+        p.defaults = defaults | p.defaults
     return parser
 
 
@@ -384,23 +445,24 @@ def _build_runconfig(args) -> RunConfig:
 
 
 def _parse(argv) -> argparse.Namespace:
-    """The request's namespace, equal to the full parser's, in one pass: the
-    parser of the subcommand that argv[0] names parses the rest.  Any other
-    request, and one with tokens left over, goes to the full parser, which
-    reports the error as it always has."""
+    """The request's namespace, equal to the full parser's.  A request whose
+    argv[0] names a subcommand and whose tokens are all str is read from that
+    subcommand's flag table when the table can read it; the full parser reads
+    any other request, and alone writes help and usage errors."""
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in parser.commands:
-        args, rest = parser.commands[argv[0]].parse_known_args(argv[1:])
-        if not rest:
+    if argv and all(type(token) is str for token in argv) and argv[0] in parser.commands:
+        args = parser.commands[argv[0]].read_flags(argv[1:])
+        if args is not None:
             return args
     return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one request, `sys.argv[1:]` if argv is None, and return its exit
-    code.  The request is parsed once, by its subcommand's parser; help and
-    usage errors exit through SystemExit, as argparse does."""
+    code.  The request is read by its subcommand's flag table, or else by
+    argparse; help and usage errors exit through SystemExit, as argparse
+    does."""
     args = _parse(argv)
     try:
         cfg = _build_runconfig(args)

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import random
 import re
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import squint
 from squint import InterferometerConfig
-from squint.cli import RunConfig, _build_parser, _parse, fmt, main
+from squint.cli import _DEFAULT_RUN, RunConfig, _build_parser, _parse, fmt, main
 from squint.resolution import SWEEP_PARAMETERS
 from reference import reference_signal_document
 from test_entry import run_module
@@ -336,6 +337,29 @@ def test_points_flag_sets_phase_grid_for_signal(capsys):
     assert payload["config"]["param_grid"]["points"] == 60  # untouched default
 
 
+def test_signal_refuses_a_phase_grid_with_repeated_phases(capsys):
+    # 6 points in a span of 5 floats: linspace repeats a phase, so the scan
+    # exits 1 as sweep does for its grid, with nothing on stdout
+    argv = ["signal", "--gain=1", "--phi-min=1", "--phi-max=1.000000000000001", "--points", "6"]
+    cfg = squint.cli._build_runconfig(_build_parser().parse_args(argv))
+    assert len(set(cfg.phi_grid().tolist())) < 6
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("squint: invalid configuration: phase grid values must "
+                                   "be strictly increasing")
+    assert captured.err.count("\n") == 1
+
+
+def test_default_signal_scan_writes_1000_distinct_phases(capsys):
+    # the repeated-phase check leaves the default scan's bytes as they were
+    assert main(["signal"]) == 0
+    out = capsys.readouterr().out
+    assert out == reference_signal_document(_DEFAULT_RUN)
+    phis = [line.split(",")[0] for line in out.splitlines()[1:]]
+    assert len(set(phis)) == len(phis) == 1000
+
+
 def test_resolve_reports_modified_limit(capsys):
     code, payload = run_json(["resolve", "-G", "3"], capsys)
     assert code == 0
@@ -539,11 +563,99 @@ def perfbench_argvs(seeds):
             for req in make(seed) if req["argv"] is not None]
 
 
+def read_by_table(argv):
+    """The namespace argv's subcommand's flag table reads, or None."""
+    return _build_parser().commands[argv[0]].read_flags(argv[1:])
+
+
 def test_one_pass_parses_as_the_full_parser():
-    argvs = perfbench_argvs(range(1, 9)) + [["resolve", "--ga=2"], ["sweep", "--lin"]]
+    # every benchmark request is read by its subcommand's flag table: a
+    # request that fell back to argparse would still parse, only slower
+    argvs = perfbench_argvs(range(1, 9))
     assert len(argvs) > 600
     for argv in argvs:
+        args = read_by_table(argv)
+        assert args is not None, argv
+        assert repr(args) == repr(_parse(argv)) == repr(_build_parser().parse_args(argv))
+    for argv in (["resolve", "--ga=2"], ["sweep", "--lin"]):
+        assert read_by_table(argv) is None
         assert vars(_parse(argv)) == vars(_build_parser().parse_args(argv)), argv
+
+
+def parse_outcome(parse, argv, capsys):
+    """A parse's namespace repr (so nan values compare), or what it raised."""
+    try:
+        return repr(parse(argv))
+    except SystemExit as exc:
+        return (exc.code, *capsys.readouterr())
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+_FUZZ_OPTIONS = {  # each subcommand's own option strings
+    "signal": ["--phi-min", "--phi-max", "--points", "--format"],
+    "resolve": ["--criterion", "--phi", "--refine-phi"],
+    "sweep": ["--criterion", "--phi", "--param", "--min", "--max", "--points", "--log",
+              "--linear", "--format"],
+    "optimize-imbalance": ["--criterion", "--phi"],
+    "oracle-check": [],
+}
+_FUZZ_DEVICE = ["-G", "--gain", "--xi", "--alpha1", "--beta1", "--alpha2", "--beta2",
+                "--delta1", "--delta2"]
+_FUZZ_COMMON = ["--config", "--out", "--degrees"]
+_FUZZ_FLAGS = {"--refine-phi", "--log", "--linear", "--degrees"}
+# abbreviations, unique and ambiguous, unknown options, help, "--" and "-",
+# and attached short values
+_FUZZ_STRAY = ["--phi-m", "--phi", "--crit", "--ref", "--lin", "--lo", "--m", "--ga", "--al",
+               "--de", "--deg", "-g", "--bogus", "-h", "--help", "--", "-", "-G3", "-Gx"]
+_FUZZ_NUMBERS = ["1.5", "2", "0", "-2", "-0.5", "-5e-05", "5e-05", "1e3", "-1E+2", "nan",
+                 "-nan", "inf", "-inf", "1_0", " 3", "2.5"]
+_FUZZ_FITTING = {"--criterion": ["modified", "standard"], "--param": ["G", "alpha2"],
+                 "--format": ["csv", "json"], "--points": ["2", "3", "40", "-3"],
+                 "--config": ["doc.json", "--"], "--out": ["doc.json", "-", "--"]}
+_FUZZ_VALUES = [*_FUZZ_NUMBERS, *dict.fromkeys(v for vs in _FUZZ_FITTING.values() for v in vs),
+                "x", "", "-", "--", "=", "bogus", "JSON", "symmetric_alpha2", "a=b"]
+_FUZZ_ODD = [3, 0, 1.5, None, b"-G", ["x"]]
+
+
+def fuzz_argv(rng):
+    """A random request: a subcommand (rarely none, or an option first), then
+    options, mostly its own, each with a value, mostly a fitting one, in the
+    `=` form, the separate form or bare; rarely a non-str token."""
+    command = rng.choice([*_FUZZ_OPTIONS, *_FUZZ_OPTIONS, "bogus", "-G"])
+    options = _FUZZ_OPTIONS.get(command, []) + _FUZZ_COMMON
+    if command != "oracle-check":
+        options += _FUZZ_DEVICE
+    argv = [command]
+    for _ in range(rng.randrange(1, 7)):
+        option = rng.choice(options if rng.random() < 0.85 else _FUZZ_STRAY)
+        value = rng.choice(_FUZZ_FITTING.get(option, _FUZZ_NUMBERS)
+                           if rng.random() < 0.75 else _FUZZ_VALUES)
+        form = rng.random()
+        if option in _FUZZ_FLAGS and form < 0.8 or form < 0.1:
+            argv.append(option)
+        elif form < 0.55:
+            argv.append(f"{option}={value}")
+        else:
+            argv += [option, value]
+    if rng.random() < 0.03:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(_FUZZ_ODD))
+    return argv
+
+
+def test_the_flag_table_reads_only_what_argparse_reads_alike(capsys):
+    # whenever a table reads a request, argparse accepts it and gives an equal
+    # namespace; any other request, non-str tokens included, meets argparse
+    rng, read = random.Random(39), 0
+    for _ in range(3000):
+        argv = fuzz_argv(rng)
+        want = parse_outcome(_build_parser().parse_args, argv, capsys)
+        table = all(type(t) is str for t in argv) and argv[0] in _build_parser().commands
+        if table and read_by_table(argv) is not None:
+            read += 1
+            assert isinstance(want, str), argv
+        assert parse_outcome(_parse, argv, capsys) == want, argv
+    assert 300 < read < 2700
 
 
 def exit_of(call, argv, capsys):
@@ -557,8 +669,14 @@ def exit_of(call, argv, capsys):
     ["resolve", "-G", "1", "extra"], ["resolve", "--criterion", "bogus"], ["resolve", "--gain"],
     ["sweep", "--log", "--linear"], ["oracle-check", "--n-max", "40"],
     ["resolve", "--", "-G", "1"], ["resolve", "-G", "1", "--"], ["resolve", "-h"], ["-h"],
+    # exact flags that the tables decline: an empty value, a value given to a
+    # bare flag, a failed conversion, and a separate value led by "-"
+    ["resolve", "--gain="], ["resolve", "--refine-phi=1"], ["sweep", "--points", "2.5"],
+    ["resolve", "-G", "1", "--xi", "-5e-05"],
 ], ids=lambda argv: " ".join(argv) or "no-command")
 def test_usage_errors_and_help_read_as_the_full_parser_writes_them(argv, capsys):
+    if argv and argv[0] in _build_parser().commands:
+        assert read_by_table(argv) is None
     want = exit_of(_build_parser().parse_args, argv, capsys)
     assert exit_of(main, argv, capsys) == want
     assert want[0] == (0 if "-h" in argv else 1)
@@ -581,11 +699,17 @@ def test_main_reads_any_argv_sequence(argv, capsys, monkeypatch):
     assert outcome(arg for arg in argv) == want
 
 
+_FULL_PARSER_REQUESTS = [["resolve", "--ga=2"], ["sweep", "--lin"], ["resolve", "-G3"]]
+
+
 @pytest.mark.parametrize("argv", [["signal", "--points", "3"], ["resolve", "-G", "2"],
                                   ["sweep", "--points", "3"], ["optimize-imbalance", "-G", "5"],
-                                  ["oracle-check"]])
+                                  ["oracle-check"], *_FULL_PARSER_REQUESTS])
 def test_a_request_is_parsed_once_by_its_subcommand(argv, capsys, monkeypatch):
-    # every parser, the top-level one and each subcommand's, is a _Parser
+    # every parser, the top-level one and each subcommand's, is a _Parser: a
+    # request of exact flags is read by its subcommand's flag table, with no
+    # argparse parse; an abbreviation or an attached short value is parsed
+    # once by the full parser, which hands it to the subparser
     stub_oracle_grid(monkeypatch, 0.0)
     calls = []
 
@@ -595,7 +719,7 @@ def test_a_request_is_parsed_once_by_its_subcommand(argv, capsys, monkeypatch):
     monkeypatch.setattr(squint.cli._Parser, "parse_known_args", counted)
     assert main(argv) == 0
     capsys.readouterr()
-    assert calls == [f"squint {argv[0]}"]
+    assert calls == (["squint", f"squint {argv[0]}"] if argv in _FULL_PARSER_REQUESTS else [])
 
 
 def test_log_grid_with_negative_min_exits_1(capsys):
