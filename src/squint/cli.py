@@ -427,8 +427,12 @@ def _build_parser() -> _Parser:
 
 
 def _build_runconfig(args) -> RunConfig:
+    for flag in ("config", "out"):
+        path = getattr(args, flag)
+        if path is not None and not (isinstance(path, str) and path):
+            raise ValueError(f"--{flag} needs a file path, but got {path!r}")
     cfg = _DEFAULT_RUN
-    if args.config:
+    if args.config is not None:
         with open(args.config) as fh:
             data = json.load(fh)
         cfg = RunConfig.from_dict(data)

@@ -24,13 +24,16 @@ Only output rows 0 and 2, the x quadratures, are detected.  The phase turns
 mode 0 alone, P(phi) = P0 + cos(phi) Pc + sin(phi) Ps, and commutes with the
 arm loss, which scales mode 0's two rows alike.  So the detected rows of the
 output factor are R(phi) = A + cos(phi) U + sin(phi) V, with A, U and V each
-2 x k, and trace(C) does not depend on phi.  A device builds its model, A, U,
-V and the photon number, once, on its first evaluation, from fields its
-construction has checked, so it calls the builders' unchecked twins,
-`_squeezer` and `_splitter`, and writes B2's detected rows times P0, Pc and
-Ps as one literal.  Per phase, the kernel `_moments`, which `evaluate` wraps
-with the phase check and `SignalStats` and a lone solve's steps call directly,
-forms R with one dot
+2 x k.  No phase, pump phase or recombiner moves a photon, so the photon
+number N is a closed form in G, the four loss angles and delta1, `_photons`,
+which no output covariance enters: it is products and sums of non-negative
+terms, good to a few eps relative at every gain, while (trace(C) - 4) / 4
+cancels to roundoff at small G.  A device builds its model, A, U, V and N,
+once, on its first evaluation, from fields its construction has checked, so
+it calls the builders' unchecked twins, `_squeezer` and `_splitter`, and
+writes B2's detected rows times P0, Pc and Ps as one literal.  Per phase,
+the kernel `_moments`, which `evaluate` wraps with the phase check and
+`SignalStats` and a lone solve's steps call directly, forms R with one dot
 over (1, cos phi, sin phi), reads C00, C02 and C22 from R R^T and takes
 sigma as the square root of C00 C22 + C02^2, a variance no rounding makes
 negative, so neither the kernel nor its batched copy has a floor or clamp.
@@ -77,7 +80,7 @@ from .gaussian import (
     _splitter,
     _squeezer,
 )
-from .moments import SignalStats, _second_moment, mean_photon_number
+from .moments import SignalStats, _second_moment
 
 __all__ = [
     "InterferometerConfig",
@@ -135,14 +138,16 @@ class InterferometerConfig:
     def _model(self) -> tuple:
         """The device's phase model, built on first use, as (rows, photons):
         A, U and V as the rows of one read-only (3, 2k) array, k the factor's
-        columns after both loss steps, and the photon number read at phi = 0.
+        columns after both loss steps, and the photon number from `_photons`
+        as a Python float, of B1's entries and the loss angles' cosines.
         The cache is per instance, so a device built by `dataclasses.replace`
         builds its own, and not a field: equality, hashing and repr ignore it.
         Each field is read as a Python float, as `_models` reads it, so a field
         of another float type (np.float32, say) builds the float64 model."""
         G, xi, alpha1, beta1, alpha2, beta2, delta1, delta2 = map(float, _fields(self))
         f = _lose(_squeezer(G, xi), alpha1, beta1)
-        f = _lose(_splitter("B1", delta1).dot(f), alpha2, beta2)
+        b1 = _splitter("B1", delta1)
+        f = _lose(b1.dot(f), alpha2, beta2)
         b2 = _splitter("B2", delta2)
         c, s = b2.item(2, 2), b2.item(2, 1)
         # B2's detected rows, (-c, 0, 0, -s) and (0, s, c, 0), times P0, Pc and Ps
@@ -150,8 +155,8 @@ class InterferometerConfig:
                       (0.0, s, 0.0, 0.0), (0.0, c, 0.0, 0.0), (s, 0.0, 0.0, 0.0)))
         rows = w.dot(f).reshape(3, -1)  # A, U and V, one row each
         rows.flags.writeable = False
-        out = b2.dot(f)
-        return rows, mean_photon_number(out.dot(out.T))
+        cos = map(math.cos, (alpha1, beta1, alpha2, beta2))
+        return rows, _photons(float(np.sinh(G)), *cos, b1.item(0, 0), b1.item(0, 3))
 
 
 def _lose(f: np.ndarray, a0: float, a1: float) -> np.ndarray:
@@ -176,6 +181,29 @@ def _lose(f: np.ndarray, a0: float, a1: float) -> np.ndarray:
     return out
 
 
+def _photons(sh, ca1, cb1, ca2, cb2, c1, s1):
+    """The mean photon number at the detectors, in closed form,
+
+        N = sinh^2 G [cos^2 alpha2 (c1^2 cos^2 alpha1 + s1^2 cos^2 beta1)
+                      + cos^2 beta2 (s1^2 cos^2 alpha1 + c1^2 cos^2 beta1)],
+
+    from sh = sinh G, the four loss angles' cosines and B1's c1, s1 = cos,
+    sin(pi/4 + delta1): each mode carries sinh^2 G photons after the
+    squeezer, each loss keeps cos^2 of them, B1 mixes them and B2 conserves
+    them, and the pump phase moves none.  It takes only `*` and `+` of
+    non-negative terms, so Python floats and float64 arrays give the same
+    bits and no term cancels.  Each rounding adds one unit u = eps/2 to the
+    relative error of its result, over the larger of its operands' for a
+    sum and over their total for a product: 1 for a square, 3 for a product
+    of two, 4 for the inner sum, 6 with cos^2 alpha2 or cos^2 beta2, 7 for
+    the outer sum and 9 with sinh^2 G.  So N errs by at most 9 u = 4.5 eps
+    relative against its inputs while sinh^2 G stays normal, G above about
+    1.5e-154.
+    """
+    a, b, c1, s1 = ca1 * ca1, cb1 * cb1, c1 * c1, s1 * s1
+    return sh * sh * (ca2 * ca2 * (c1 * a + s1 * b) + cb2 * cb2 * (s1 * a + c1 * b))
+
+
 def _models(G, xi, alpha1, beta1, alpha2, beta2, delta1, delta2) -> list:
     """Phase models of n devices, each field an n-long sequence of checked
     values, read as float64: one (where, rows, photons) per loss pattern (the
@@ -186,10 +214,10 @@ def _models(G, xi, alpha1, beta1, alpha2, beta2, delta1, delta2) -> list:
     Each is `_model`'s chain run on all m devices at once, the same operations
     in the same order: `np.cosh`/`np.sinh` on the gains, `math.cos`/`math.sin`
     through `map` for the angles, each element's literal with its signed
-    zeros, `np.matmul` for B1, for B2's detected rows and for the photon-number
-    product, and the diagonal summed left to right.  So row i equals
-    `_model`'s bit for bit; a test pins the two chains together.  A pattern
-    fixes the width and where the noise columns sit, and no stack mixes two.
+    zeros, `np.matmul` for B1 and for B2's detected rows, and `_photons` on
+    arrays.  So row i equals `_model`'s bit for bit; a test pins the two
+    chains together.  A pattern fixes the width and where the noise columns
+    sit, and no stack mixes two.
     """
     fields = np.array((G, xi, alpha1, beta1, alpha2, beta2, delta1, delta2), dtype=float)
     patterns = {}
@@ -218,31 +246,29 @@ def _stack_models(fields: np.ndarray, lossy: tuple) -> tuple:
     one loss pattern, as (rows, photons)."""
     G, xi, alpha1, beta1, alpha2, beta2, delta1, delta2 = fields
     z = np.zeros(len(G))
-    c, s = np.cosh(G), np.sinh(G)
+    ch, sh = np.cosh(G), np.sinh(G)
     cos, sin = _cos_sin(xi)
-    re, im = s * sin, -s * cos
-    f = _matrices(c, z, re, im, z, c, im, -re, re, im, c, z, im, -re, z, c)
-    f = _stack_lose(f, alpha1, beta1, *lossy[:2])
-    c, s = _cos_sin(math.pi / 4 + delta1)
-    b1 = _matrices(c, -z, z, s, z, c, -s, z, z, s, c, -z, -s, z, z, c)
-    f = _stack_lose(np.matmul(b1, f), alpha2, beta2, *lossy[2:])
+    re, im = sh * sin, -sh * cos
+    f = _matrices(ch, z, re, im, z, ch, im, -re, re, im, ch, z, im, -re, z, ch)
+    f, ca1, cb1 = _stack_lose(f, alpha1, beta1, *lossy[:2])
+    c1, s1 = _cos_sin(math.pi / 4 + delta1)
+    b1 = _matrices(c1, -z, z, s1, z, c1, -s1, z, z, s1, c1, -z, -s1, z, z, c1)
+    f, ca2, cb2 = _stack_lose(np.matmul(b1, f), alpha2, beta2, *lossy[2:])
     c, s = _cos_sin(math.pi / 4 + delta2)
     # B2's detected rows times P0, Pc and Ps, and the rows A, U and V
     w = _matrices(z, z, z, -s, z, z, c, z, -c, z, z, z, z, s, z, z, z, c, z, z, s, z, z, z)
     rows = np.matmul(w, f).reshape(len(G), 3, -1)
-    out = np.matmul(_matrices(-c, -z, z, -s, z, -c, s, z, z, s, c, -z, -s, z, z, c), f)
-    cov = np.matmul(out, out.transpose(0, 2, 1))
-    trace = cov[:, 0, 0] + cov[:, 1, 1] + cov[:, 2, 2] + cov[:, 3, 3]
-    return rows, (trace - 4.0) / 4.0
+    return rows, _photons(sh, ca1, cb1, ca2, cb2, c1, s1)
 
 
 def _stack_lose(f: np.ndarray, a0: np.ndarray, a1: np.ndarray, lossy0: bool,
-                lossy1: bool) -> np.ndarray:
+                lossy1: bool) -> tuple:
     """`_lose` on an (m, 4, k) stack of factors, the angles a0 and a1 as
     m-long arrays, every factor's modes lossy or not as lossy0 and lossy1
-    say."""
+    say, as (factors, cos a0, cos a1): each cosine an array, or 1.0, which
+    `math.cos` gives exactly, when the station loses nothing."""
     if not (lossy0 or lossy1):
-        return f
+        return f, 1.0, 1.0
     n, _, k = f.shape
     (c0, s0), (c1, s1) = _cos_sin(a0), _cos_sin(a1)
     lossy = (lossy0, lossy0, lossy1, lossy1)
@@ -251,7 +277,7 @@ def _stack_lose(f: np.ndarray, a0: np.ndarray, a1: np.ndarray, lossy0: bool,
     np.multiply(f, np.array((c0, c0, c1, c1)).T.reshape(n, 4, 1), out=out[:, :, :k])
     for j, (i, sin) in enumerate(noise, k):
         out[:, i, j] = sin
-    return out
+    return out, c0, c1
 
 
 def _moments(rows: np.ndarray, phi: float) -> tuple:

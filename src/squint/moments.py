@@ -75,6 +75,8 @@ def mean_photon_number(cov: np.ndarray) -> float:
 
     Follows from <x^2> + <p^2> = 4<n> + 2 per mode in this scaling.  The
     diagonal is summed left to right, the order np.trace adds four entries in.
+    The subtraction cancels to roundoff at small gain, so the engine takes
+    its photon number from the closed form instead.
     """
     trace = cov.item(0, 0) + cov.item(1, 1) + cov.item(2, 2) + cov.item(3, 3)
     return (trace - 4.0) / 4.0

@@ -77,6 +77,9 @@ _PRECISION_LIMIT = 1e-7
 # ideal device, for G in [0.5, 10.3], kappa errs against its closed-form root
 # by at most 1.1 times that ratio, beyond the modified root's bracket.
 _ROUNDOFF_SAFETY = 10.0
+# N's share of kappa's relative error: nine roundings in `_photons` and one in
+# kappa = delta_phi * N, each at most eps / 2.
+_PHOTON_ROUNDOFF = 10 * _EPS / 2
 _X_RTOL = 1e-14  # relative width that closes the modified root's bracket
 # Model reads before any solve: the working point's sigma and the slope.
 _PROBE_EVALUATIONS = 2
@@ -111,12 +114,16 @@ class ResolutionResult:
     working point (its statistics and the slope), then one per iteration of
     the modified criterion.  error_bound bounds the relative error of
     delta_phi and kappa: ten times the engine's roundoff ratio
-    eps (1 + N) / sigma0 at the working point, plus, for the modified
-    criterion, half the 1e-14 relative width that closes its bracket.  The
-    tenfold margin is over the worst ratio measured on the ideal device
-    against the closed-form roots, for G in [0.5, 10.3] under both criteria.
-    The bound is computed for every result but only holds for a converged
-    one.
+    eps (1 + N) / sigma0 at the working point, plus 5 eps for N, which
+    kappa = delta_phi * N multiplies in (N's closed form rounds at most nine
+    times and the product once, each by at most eps / 2), plus, for the
+    modified criterion, half the 1e-14 relative width that closes its
+    bracket.  The tenfold margin is over the worst ratio measured on the
+    ideal device against the closed-form roots, for G in [0.5, 10.3] under
+    both criteria; the standard kappa stays within the bound down to
+    G = 0.05.  Below that the slope's own roundoff, which the bound does
+    not count, can exceed it.  The bound is computed for every result but
+    only holds for a converged one.
     """
 
     delta_phi: float
@@ -168,7 +175,7 @@ def _resolve(phi: float, criterion: str, sigma0: float, n: float, slope: float):
     bits can differ from the one-row dot of every other read of sigma.
     """
     slope = abs(slope)
-    bound = _ROUNDOFF_SAFETY * _EPS * (1.0 + n) / sigma0 if sigma0 else math.inf
+    bound = _ROUNDOFF_SAFETY * _EPS * (1.0 + n) / sigma0 + _PHOTON_ROUNDOFF if sigma0 else math.inf
     if not slope > _slope_floor(n):
         return _result(criterion, phi, math.inf, n, 0, False, _PROBE_EVALUATIONS, bound,
                        "signal slope vanishes at the working point")

@@ -20,14 +20,21 @@ bit.  The per-mode loss chain rebuilds the device's output covariance with `@`
 products and one loss step per mode: each of the engine's loss steps must
 equal it bit for bit, and the phase model must match its output to roundoff.
 The reference model is the device's phase model as the public builders, a
-concatenating loss step and a slice-filled B2 operator first built it: the
-engine's unchecked builders must keep its rows and photon number bit for bit.
+concatenating loss step and a slice-filled B2 operator first built it, with
+the photon number read from its output covariance's trace: the engine's
+unchecked builders must keep its rows bit for bit, and the engine's
+closed-form photon number must match that trace to roundoff.  The decimal
+photon number evaluates the same closed form at 60 digits from the device's
+float fields, exactly converted, with stdlib `decimal` alone: the engine's
+count must match it to a few eps relative at every gain.
 The reference signal document is `squint signal` as the per-phase engine wrote
 it, one `evaluate` per phase and one `fmt` per CSV cell: the batched scan and
 its row-at-a-time CSV writer must equal it byte for byte.
 """
+import decimal
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 
@@ -122,6 +129,60 @@ def reference_model(config):
     w[2, :, 0], w[2, :, 1] = d[:, 1], -d[:, 0]
     out = b2.dot(f)
     return w.reshape(6, 4).dot(f).reshape(3, -1), mean_photon_number(out.dot(out.T))
+
+
+def _series(x, term, k, step):
+    """Sum of a power series in stdlib `decimal` to the context's precision:
+    from the first term, each next term is the last times step(x, k), with k
+    rising by 2 from its start k each time."""
+    total = term
+    while True:
+        k += 2
+        term *= step(x, k)
+        if total + term == total:
+            return total
+        total += term
+
+
+def _cos(x):
+    """cos x by its Taylor series, for |x| up to a few."""
+    return _series(-x * x, Decimal(1), 0, lambda y, k: y / (k * (k - 1)))
+
+
+def _sinh(x):
+    """sinh x for x >= 0: its Taylor series below 1, exp above."""
+    if x >= 1:
+        e = x.exp()
+        return (e - 1 / e) / 2
+    return _series(x * x, x, 1, lambda y, k: y / (k * (k - 1)))
+
+
+def _atan_inverse(n):
+    """atan(1 / n) by its Taylor series, n > 1."""
+    x = Decimal(1) / n
+    return _series(-x * x, x, 1, lambda y, k: y * (k - 2) / k)
+
+
+def decimal_photons(config):
+    """The device's photon number from its closed form,
+
+        sinh^2 G [cos^2 alpha2 (c1^2 cos^2 alpha1 + s1^2 cos^2 beta1)
+                  + cos^2 beta2 (s1^2 cos^2 alpha1 + c1^2 cos^2 beta1)],
+
+    c1, s1 = cos, sin(pi/4 + delta1), evaluated at 60 digits from the float
+    fields converted exactly, as a Decimal.  pi/4 comes from Machin's
+    formula, 4 atan(1/5) - atan(1/239), and sin(pi/4 + delta1) as
+    cos(pi/4 - delta1).
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        quarter = 4 * _atan_inverse(5) - _atan_inverse(239)
+        delta1 = Decimal(config.delta1)
+        c1, s1 = _cos(quarter + delta1) ** 2, _cos(quarter - delta1) ** 2
+        a1, b1, a2, b2 = (_cos(Decimal(angle)) ** 2 for angle in
+                          (config.alpha1, config.beta1, config.alpha2, config.beta2))
+        return _sinh(Decimal(config.G)) ** 2 * (a2 * (c1 * a1 + s1 * b1)
+                                                + b2 * (s1 * a1 + c1 * b1))
 
 
 def detect_saturation(values):

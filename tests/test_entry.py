@@ -96,10 +96,30 @@ def test_standard_kappa_is_tanh_G(capsys):
     assert code == 0 and json.loads(out)["result"]["kappa"] == float(f"{math.tanh(3):.12g}")
 
 
+def test_small_gain_standard_kappa_is_tanh_G(capsys):
+    # N = 2 sinh^2 G = 2e-16 is not lost to the trace's roundoff: kappa is
+    # tanh G to the slope's own roundoff, not 0.0
+    code, out, _ = run(["resolve", "-G", "1e-8", "--criterion", "standard"], capsys)
+    result = json.loads(out)["result"]
+    assert code == 0 and result["converged"] and result["mean_N"] == 2e-16
+    assert abs(result["kappa"] - math.tanh(1e-8)) <= 1e-7 * math.tanh(1e-8), result
+
+
+def test_small_gain_sweep_prints_no_zero_kappa(capsys):
+    # each row's kappa and four_over_N are finite and nonzero at G down to 1e-9
+    argv = "sweep -G 1 --param G --min 1e-9 --max 1e-6 --points 4 --criterion standard"
+    code, out, _ = run(argv.split(), capsys)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and len(rows) == 4
+    for row in rows:
+        assert float(row["kappa"]) > 0.0 and math.isfinite(float(row["four_over_N"])), row
+
+
 @pytest.mark.parametrize("argv, want", [
     (LOSSY_SCAN, None),
     ("signal -G 0 --points 3", {"0.0"}),  # no gain: fmt's fallback for 0.0
-], ids=["lossy-scan", "zero-gain"])
+    ("signal -G 0 --alpha2=0.5 --points 2", {"0.0"}),  # and no roundoff below it
+], ids=["lossy-scan", "zero-gain", "lossy-zero-gain"])
 def test_a_scan_writes_one_mean_N(argv, want, capsys):
     # the device's photon number is read once: one mean_N over every phase
     code, out, _ = run(argv.split(), capsys)
@@ -144,10 +164,15 @@ def test_table_json_values_are_its_csv_cells(argv, n, capsys):
     "resolve -G 1 --delta1=1",
     "signal -G 400 --points 2",
     "sweep --param G --min 100 --max 200 --points 3 --linear",
+    # a path argparse before Python 3.13 reads as [] or a path left empty
+    "resolve --config=--",
+    "resolve --config=",
+    "resolve --out=--",
 ])
 def test_invalid_request_exits_1_with_empty_stdout(argv, capsys):
     code, out, err = run(argv.split(), capsys)
     assert (code, out) == (1, "") and err.startswith("squint: ") and "Traceback" not in err
+    assert err.count("\n") == 1, err
 
 
 def test_mixed_width_sweep_rows_equal_the_solver_bit_for_bit():

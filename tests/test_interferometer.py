@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import math
 import pickle
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -40,7 +41,8 @@ from squint.interferometer import (
     _moments,
 )
 from squint.resolution import SWEEP_PARAMETERS, _apply_parameter
-from reference import four_point_slope, lose_one_mode, reference_model, reference_output_state
+from reference import (decimal_photons, four_point_slope, lose_one_mode, reference_model,
+                       reference_output_state)
 
 GAINS = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 _EPS = float(np.finfo(float).eps)
@@ -503,23 +505,66 @@ def _edge_devices(count):
 
 def test_model_keeps_the_public_builder_chain_bits():
     # the model builds from the unchecked builders, a literal B2 operator and
-    # a filled loss array: rows and photon number equal the public chain's bit
-    # for bit, each zero's sign included (every zero in the rows is +0.0, as
-    # `dot` sums from +0.0), and each public builder equals its unchecked twin
+    # a filled loss array: its rows equal the public chain's bit for bit, each
+    # zero's sign included (every zero in the rows is +0.0, as `dot` sums from
+    # +0.0), and each public builder equals its unchecked twin; the photon
+    # number is a closed form, checked below against the chain's trace and
+    # against a 60-digit evaluation
     devices = list(_edge_devices(1000))
     seen = {(k, float(v).hex()) for cfg in devices for k, v in dataclasses.asdict(cfg).items()}
     for name, edge in (("G", 0.0), ("G", _G_MAX), ("xi", -0.0), ("alpha1", -0.0),
                        ("beta2", np.pi / 2), ("delta1", 0.785), ("delta2", -0.785)):
         assert (name, edge.hex()) in seen, (name, edge)
     for cfg in devices:
-        rows, photons = cfg._model
-        want_rows, want_photons = reference_model(cfg)
+        rows = cfg._model[0]
+        want_rows = reference_model(cfg)[0]
         assert rows.shape == want_rows.shape and rows.tobytes() == want_rows.tobytes(), cfg
-        assert photons.hex() == want_photons.hex(), cfg
         assert two_mode_squeezer(cfg.G, cfg.xi).tobytes() == _squeezer(cfg.G, cfg.xi).tobytes()
         for variant, imbalance in (("B1", cfg.delta1), ("B2", cfg.delta2)):
             assert (beam_splitter(BsSpec(variant, imbalance)).tobytes()
                     == _splitter(variant, imbalance).tobytes()), cfg
+
+
+def _drawn_devices(rng, count, gain):
+    """count seeded devices, each gain from gain() and every other field drawn
+    over its whole range or set at its edge: each loss 0, pi/2 or drawn,
+    each |delta| up to 0.785."""
+    for _ in range(count):
+        losses = [a if rng.uniform() < 0.8 else float(rng.choice((0.0, np.pi / 2)))
+                  for a in rng.uniform(0.0, np.pi / 2, 4).tolist()]
+        yield InterferometerConfig(gain(), rng.uniform(-4.0, 4.0), *losses,
+                                   *rng.uniform(-0.785, 0.785, 2).tolist())
+
+
+def test_photons_match_the_decimal_closed_form():
+    # N is `_photons` of rounded inputs: within its nine roundings, 9 u
+    # (u = eps/2), of the closed form at those inputs.  Each input rounds
+    # once, by u (correctly rounded sinh and cos), which a square doubles:
+    # 8 u over the four factors of a term.  And c1, s1 are cos, sin of
+    # theta = fl(pi/4 + delta1), within (theta + 0.28) u of the exact sum
+    # (math.pi/4 is 0.28 u off), which c1^2 or s1^2 amplifies by 2 tan or 2
+    # cot theta.  So N is within (17 + 2 max(tan, cot) (theta + 0.28)) u of
+    # the closed form at 60 digits from the exact fields, at every gain down
+    # to 1e-300, plus, below G ~ 1.5e-154, the subnormal rounding of
+    # sinh^2 G (at most 2 ulp(0) once the bracket, at most 2, scales it).
+    rng = np.random.default_rng(4040)
+    devices = [*_drawn_devices(rng, 3000, lambda: 10.0 ** rng.uniform(-300.0, math.log10(8.0))),
+               InterferometerConfig(G=0.0, alpha2=0.5), InterferometerConfig(G=1e-300)]
+    for cfg in devices:
+        n, want = cfg._model[1], decimal_photons(cfg)
+        theta = math.pi / 4 + cfg.delta1
+        units = 17.0 + 2.0 * max(math.tan(theta), 1.0 / math.tan(theta)) * (theta + 0.28)
+        assert type(n) is float and n >= 0.0, cfg
+        assert abs(Decimal(n) - want) <= Decimal(units * _EPS / 2) * want + 2 * Decimal(5e-324), cfg
+
+
+def test_photons_match_the_output_covariance_trace():
+    # the trace rule, (trace C - 4) / 4 of the public chain's output
+    # covariance, agrees with the closed form to its absolute roundoff
+    rng = np.random.default_rng(4141)
+    for cfg in _drawn_devices(rng, 3000, lambda: rng.uniform(0.0, 8.0)):
+        n, trace_n = cfg._model[1], reference_model(cfg)[1]
+        assert abs(n - trace_n) <= 4.5 * _EPS * (1.0 + n), cfg
 
 
 def _sweep_families():

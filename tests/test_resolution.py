@@ -203,6 +203,18 @@ def test_error_bound_holds_against_closed_roots(criterion):
         assert abs(res.kappa - want) <= res.error_bound * res.kappa, (G, res.kappa, want)
 
 
+def test_small_gain_standard_kappa_holds_its_bound():
+    # N is exact to a few eps at small gain, and error_bound counts its share,
+    # so the ideal standard kappa, tanh G, holds its bound below G = 0.5 too,
+    # down to 0.05: below that the slope's own roundoff, which the bound does
+    # not count yet, exceeds it (10.4 eps at G = 0.031)
+    for G in np.linspace(0.05, 0.5, 400).tolist():
+        res = standard_resolution(InterferometerConfig(G=G))
+        want = math.tanh(G)
+        assert res.converged and 0 < res.error_bound < 1e-13, (G, res)
+        assert abs(res.kappa - want) <= res.error_bound * want, (G, res.kappa, want)
+
+
 def test_scaled_resolution_asymptote():
     for G in (4.0, 5.0, 6.0):
         res = modified_resolution(InterferometerConfig(G=G))
