@@ -115,8 +115,7 @@ class BsSpec:
 
     def unitary(self) -> np.ndarray:
         """Complex 2x2 mode map of this beam splitter."""
-        th = np.pi / 4 + self.imbalance
-        c, s = np.cos(th), np.sin(th)
+        c, s = _quarter_turn(self.imbalance)
         if self.variant == "B1":
             # a' = cos a - i sin b, b' = -i sin a + cos b
             return np.array([[c, -1j * s], [-1j * s, c]])
@@ -178,10 +177,36 @@ def beam_splitter(spec: BsSpec) -> np.ndarray:
     return _splitter(spec.variant, spec.imbalance)
 
 
+# pi/4 as an unevaluated sum: the float nearest it and the remainder
+_PI4_HI = math.pi / 4
+_PI4_LO = 3.061616997868383e-17
+
+
+def _quarter_turn(imbalance: float) -> tuple:
+    """(cos, sin) of pi/4 + imbalance, for |imbalance| < pi/4.
+
+    Near |imbalance| = pi/4 one of the pair is small, and the rounding of the
+    sum fl(pi/4 + imbalance), amplified by tan or cot of it, would swamp it.
+    So beyond |imbalance| = pi/8 the pair is read from the complement
+    e = pi/4 - |imbalance|, formed as (_PI4_HI - |imbalance|) + _PI4_LO: the
+    difference is exact (Sterbenz, since pi/8 < |imbalance| < pi/4), so e
+    rounds once, and each of the pair errs by about an ulp.  Within pi/8 the
+    rounded sum's error is amplified at most 2.4 times, and the sum is kept,
+    so those imbalances keep their bits.
+    """
+    if imbalance > _PI4_HI / 2:
+        e = (_PI4_HI - imbalance) + _PI4_LO
+        return math.sin(e), math.cos(e)
+    if imbalance < -_PI4_HI / 2:
+        e = (_PI4_HI + imbalance) + _PI4_LO
+        return math.cos(e), math.sin(e)
+    th = _PI4_HI + imbalance
+    return math.cos(th), math.sin(th)
+
+
 def _splitter(variant: str, imbalance: float) -> np.ndarray:
     """`beam_splitter` of a variant and imbalance already checked."""
-    th = math.pi / 4 + imbalance
-    c, s = math.cos(th), math.sin(th)
+    c, s = _quarter_turn(imbalance)
     if variant == "B1":
         return np.array((c, -0.0, 0.0, s,
                          0.0, c, -s, 0.0,

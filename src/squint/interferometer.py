@@ -40,13 +40,17 @@ negative, so neither the kernel nor its batched copy has a floor or clamp.
 The slope kernel `_slope`, which `signal_slope` wraps with the phase check
 and a lone solve calls directly, forms R' = -sin(phi) U + cos(phi) V in the
 same dot and differentiates <P> = C02 in closed form, in about 4 us against
-3.5 us for `evaluate`.  The kernel and the slope each form their (1, cos,
-sin) operand as an array first, and the kernel unpacks R R^T with one
-`tolist`.  The batched kernel, `_batched_moments`, forms the kernel's two
-products with `np.matmul` and takes each angle with one libm call, as
-`_moments` does, so its rows equal the kernel bit for bit.  It runs over
-phases or over devices: `np.matmul` broadcasts one model over many phases,
-as a phase scan (`squint signal`, through `_evaluate_grid`) reads it, or
+3.5 us for `evaluate`.  The phase-jet kernel `_phase_jet`, which
+`refine_working_point` reads at each Newton step, adds R'' = A - R as a
+third row of the dot, and from four rows of the Gram of R, R' and R''
+gives f' and f'' of f = sigma^2 = C00 C22 + C02^2 in closed form, in about
+3.8 us against 2.3 us for `_moments`.  The kernels each form their (1, cos,
+sin) operand as an array first, and `_moments` and `_phase_jet` each unpack
+their Gram with one `tolist`.  The batched kernel, `_batched_moments`, forms
+the kernel's two products with `np.matmul` and takes each angle with one
+libm call, as `_moments` does, so its rows equal the kernel bit for bit.
+It runs over phases or over devices: `np.matmul` broadcasts one model over
+many phases, as a phase scan (`squint signal`, through `_evaluate_grid`) reads it, or
 pairs a stack of same-width models with one phase each, as a sweep's rows
 read it in lockstep.  1000 phases of one model cost about 0.27 ms against 3.4 ms for
 1000 `evaluate` calls; 60 (model, phase) pairs cost 30 us against 142 us
@@ -77,6 +81,7 @@ from .gaussian import (
     _check_gain,
     _check_imbalance,
     _check_loss_angle,
+    _quarter_turn,
     _splitter,
     _squeezer,
 )
@@ -234,6 +239,11 @@ def _cos_sin(angles: np.ndarray) -> tuple:
             np.fromiter(map(math.sin, angles), float, n))
 
 
+def _quarter_turns(imbalances: np.ndarray) -> np.ndarray:
+    """`_quarter_turn` of each imbalance, as two arrays (cos, sin)."""
+    return np.array([*map(_quarter_turn, imbalances.tolist())]).reshape(-1, 2).T
+
+
 def _matrices(*entries) -> np.ndarray:
     """A C-contiguous stack of m matrices with four columns, from their
     entries in row-major order, each an m-long array: contiguous, so that
@@ -251,10 +261,10 @@ def _stack_models(fields: np.ndarray, lossy: tuple) -> tuple:
     re, im = sh * sin, -sh * cos
     f = _matrices(ch, z, re, im, z, ch, im, -re, re, im, ch, z, im, -re, z, ch)
     f, ca1, cb1 = _stack_lose(f, alpha1, beta1, *lossy[:2])
-    c1, s1 = _cos_sin(math.pi / 4 + delta1)
+    c1, s1 = _quarter_turns(delta1)
     b1 = _matrices(c1, -z, z, s1, z, c1, -s1, z, z, s1, c1, -z, -s1, z, z, c1)
     f, ca2, cb2 = _stack_lose(np.matmul(b1, f), alpha2, beta2, *lossy[2:])
-    c, s = _cos_sin(math.pi / 4 + delta2)
+    c, s = _quarter_turns(delta2)
     # B2's detected rows times P0, Pc and Ps, and the rows A, U and V
     w = _matrices(z, z, z, -s, z, z, c, z, -c, z, z, z, z, s, z, z, z, c, z, z, s, z, z, z)
     rows = np.matmul(w, f).reshape(len(G), 3, -1)
@@ -283,8 +293,7 @@ def _stack_lose(f: np.ndarray, a0: np.ndarray, a1: np.ndarray, lossy0: bool,
 def _moments(rows: np.ndarray, phi: float) -> tuple:
     """(mean, second moment, sigma) of the product signal at a finite phase
     phi, from a phase model's rows: `evaluate`'s arithmetic without its phase
-    check or its `SignalStats`, for the steps of a lone solve and of
-    `refine_working_point`.
+    check or its `SignalStats`, for the steps of a lone solve.
 
     The variance needs no floor.  Of c = R R^T, c00 and c11 are sums of
     squares, so their rounded product p is >= 0, and the second moment is
@@ -364,6 +373,36 @@ def _slope(rows: np.ndarray, phi: float) -> float:
     c, s = math.cos(phi), math.sin(phi)
     r, dr = np.array(((1.0, c, s), (0.0, -s, c))).dot(rows).reshape(2, 2, -1)
     return float(dr[0].dot(r[1]) + r[0].dot(dr[1]))
+
+
+def _phase_jet(rows: np.ndarray, phi: float) -> tuple:
+    """(f', f'') at a finite phase phi, from a phase model's rows, where
+    f = sigma^2 = C00 C22 + C02^2 is the product signal's variance: its first
+    two phase derivatives in closed form, for `refine_working_point`.
+
+    R'' = -cos(phi) U - sin(phi) V, so one dot of ((1, c, s), (0, -s, c),
+    (0, -c, -s)) with the model's rows gives the six rows r0, r1, r0', r1',
+    r0'' and r1'', and the first four rows of their 6 x 6 Gram every product
+    the derivatives need, with C22's derivatives C00's with r1 for r0:
+
+        C00' = 2 r0 . r0',   C00'' = 2 (r0' . r0' + r0 . r0''),
+        C02' = r0' . r1 + r0 . r1',
+        C02'' = r0'' . r1 + 2 r0' . r1' + r0 . r1'',
+        f'  = C00' C22 + C00 C22' + 2 C02 C02',
+        f'' = C00'' C22 + 2 C00' C22' + C00 C22'' + 2 (C02'^2 + C02 C02'').
+
+    No phase is shifted and nothing is differenced, so both are exact up to
+    the roundoff of the dot, the Gram and the sums, whatever the size of phi.
+    """
+    c, s = math.cos(phi), math.sin(phi)
+    r = np.array(((1.0, c, s), (0.0, -s, c), (0.0, -c, -s))).dot(rows).reshape(6, -1)
+    # h_ij = r_i . r_j', k_ij = r_i . r_j'', p_ij = r_i' . r_j', 0 for r0, 2 for r1
+    (c00, c02, h00, h02, k00, k02), (_, c22, h20, h22, k20, k22), \
+        (_, _, p00, p02, _, _), (_, _, _, p22, _, _) = r[:4].dot(r.T).tolist()
+    d00, d02, d22 = 2.0 * h00, h20 + h02, 2.0 * h22
+    e00, e02, e22 = 2.0 * (p00 + k00), k20 + 2.0 * p02 + k02, 2.0 * (p22 + k22)
+    return (d00 * c22 + c00 * d22 + 2.0 * c02 * d02,
+            e00 * c22 + 2.0 * d00 * d22 + c00 * e22 + 2.0 * (d02 * d02 + c02 * e02))
 
 
 def _batched_slope(rows: np.ndarray, phi: float) -> np.ndarray:

@@ -46,6 +46,7 @@ from .interferometer import (  # noqa: F401  perfbench's tracer patches evaluate
     _batched_slope,
     _models,
     _moments,
+    _phase_jet,
     _slope,
     evaluate,
 )
@@ -106,7 +107,8 @@ class ResolutionResult:
     """Outcome of one resolution computation.
 
     kappa is the photon-normalised resolution delta_phi * mean_N, the
-    figure of merit that settles to a constant in the high-gain limit.
+    figure of merit that settles to a constant in the high-gain limit; where
+    delta_phi is inf or nan, a refusal, kappa is delta_phi.
     mean_N is the mean photon number of the state reaching the detectors
     (phase independent, so quoted once per configuration).
 
@@ -153,9 +155,10 @@ class OptimizeResult:
 
 
 def _result(criterion, phi, d, n, iters, converged, evaluations, bound, message=""):
+    # inf * N would read nan where N underflows to 0.0
     return ResolutionResult(
         delta_phi=d, criterion=criterion, working_point=phi,
-        kappa=d * n, iterations=iters, converged=converged,
+        kappa=d * n if math.isfinite(d) else d, iterations=iters, converged=converged,
         mean_N=n, message=message, evaluations=evaluations, error_bound=bound)
 
 
@@ -481,20 +484,59 @@ def refine_working_point(config: InterferometerConfig,
 
     The default working point pi/2 sits exactly on the dark-fringe noise
     minimum for the ideal device; imperfections shift the minimum (to
-    pi/2 - xi/3 for the ideal device with pump phase xi), and Brent's method
-    over [phi - 0.35, phi + 0.35] finds it to a tolerance of 1e-9, the final
-    uncertainty in phase.  The minimum is flat, so sigma's roundoff limits
-    its location further: on 600 seeded lossy, imbalanced devices, Brent's
-    and golden-section search to the same tolerance placed it up to 2.1e-8
-    apart, with sigma equal within 2e-15 relative.  A minimum outside the
-    bracket comes back as a point within the tolerance of its nearer end.
-    Returns the refined phase; a non-finite phi raises ValueError.
+    pi/2 - xi/3 for the ideal device with pump phase xi).  The search is a
+    safeguarded Newton iteration on f' = d sigma^2 / dphi over the bracket
+    [phi - 0.35, phi + 0.35], each read one `_phase_jet`, which gives f' and
+    f'' in closed form from the model's rows.  Each read moves an end of the
+    bracket to it by the sign of f'.  The next point is the Newton step
+    -f'/f'' when f'' > 0 and it stays inside the bracket, and the bracket's
+    midpoint otherwise; where f'' <= 0 the step counts as running past the
+    bracket downhill.  A step past an end of the original bracket reads the
+    jet at that end instead, and if f' keeps its sign there the minimum lies
+    beyond it and that end comes back exactly, so the CLI's edge note fires.
+    The search stops once a step is at most 1e-9, the final uncertainty in
+    phase, and returns the point it steps to; it also stops after a Newton
+    step once the next one, about step^3 / last^2 as Newton's steps shrink
+    quadratically, could not move that point by half an ulp.
+
+    On 100 seeded lossy, pumped, imbalanced devices this takes 3.8 reads on
+    average and 5 at most, where Brent's method on sigma took 14.8, and ends
+    where f' is zero within a few eps (1 + N)^2, its roundoff.  On the ideal
+    and arm-loss-only devices it lands within 1e-13 of pi/2, where sigma's
+    flat minimum left Brent up to 6e-7 away.  Returns the refined phase; a
+    non-finite phi raises ValueError.
     """
     _check_finite("working point phi", phi)
     rows = config._model[0]
-    best, _ = _brent_min(lambda p: _moments(rows, p)[2],
-                         phi - _REFINE_HALF_WIDTH, phi + _REFINE_HALF_WIDTH, _REFINE_TOL)
-    return best
+    lo, hi = phi - _REFINE_HALF_WIDTH, phi + _REFINE_HALF_WIDTH
+    # the unread ends of the bracket, each with the sign f' keeps there when
+    # the minimum lies beyond it; last is the previous Newton step, 0 if none
+    ends, x, last = {lo: 1.0, hi: -1.0}, phi, 0.0
+    while True:
+        d1, d2 = _phase_jet(rows, x)
+        if d1 == 0.0 or d1 * ends.pop(x, 0.0) > 0.0:
+            return x
+        if d1 > 0.0:
+            hi = x
+        else:
+            lo = x
+        # the Newton step, or past the bracket downhill where f'' <= 0
+        step = -d1 / d2 if d2 > 0.0 else -math.copysign(math.inf, d1)
+        if abs(step) <= _REFINE_TOL:
+            return x + step
+        nxt = x + step
+        if lo < nxt < hi:
+            # Newton steps shrink quadratically, the next about step^3 / last^2:
+            # once that cannot move nxt, a further read would only confirm it
+            if abs(step) ** 3 <= 0.5 * math.ulp(nxt) * last * last:
+                return nxt
+            last = abs(step)
+        else:
+            end = lo if nxt <= lo else hi
+            nxt, last = end if end in ends else 0.5 * (lo + hi), 0.0
+            if abs(nxt - x) <= _REFINE_TOL:
+                return nxt
+        x = nxt
 
 
 def small_angle_root() -> float:

@@ -401,6 +401,15 @@ def test_resolve_refine_phi(capsys):
     assert payload["refined_working_point"] == pytest.approx(math.pi / 2, abs=1e-5)
 
 
+def test_refine_phi_prints_pi_over_2_on_the_ideal_device(capsys):
+    # the minimum is pi/2, where f' vanishes to roundoff; Brent's method on
+    # sigma, which is flat there, printed 1.57079636115
+    argv = ["resolve", "-G", "0.05", "--refine-phi", "--criterion", "standard"]
+    code, payload = run_json(argv, capsys)
+    assert code == 0 and payload["refined_working_point"] == float(f"{math.pi / 2:.12g}")
+    assert payload["result"]["working_point"] == payload["refined_working_point"]
+
+
 @pytest.mark.parametrize("xi, edge", [(1.2, True), (0.9, False)])
 def test_refine_phi_notes_a_minimum_at_the_bracket_edge(xi, edge, capsys):
     # the ideal device's noise minimum sits at pi/2 - xi/3, outside the

@@ -115,6 +115,18 @@ def test_small_gain_sweep_prints_no_zero_kappa(capsys):
         assert float(row["kappa"]) > 0.0 and math.isfinite(float(row["four_over_N"])), row
 
 
+def test_refused_sweep_rows_print_kappa_inf(capsys):
+    # a vanishing slope leaves delta_phi unbounded, and kappa with it, also
+    # where N underflows to 0.0 (below G ~ 1e-154, where inf * N read nan);
+    # the refused rows exit 2, the numerics code
+    argv = "sweep -G 1 --param G --min 1e-300 --max 1e-100 --points 5 --criterion standard"
+    code, out, _ = run(argv.split(), capsys)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 2 and [row["mean_N"] for row in rows][:3] == ["0.0"] * 3
+    assert [(row["delta_phi"], row["kappa"], row["converged"]) for row in rows] == \
+        [("inf", "inf", "false")] * 5
+
+
 @pytest.mark.parametrize("argv, want", [
     (LOSSY_SCAN, None),
     ("signal -G 0 --points 3", {"0.0"}),  # no gain: fmt's fallback for 0.0

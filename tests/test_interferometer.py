@@ -39,6 +39,7 @@ from squint.interferometer import (
     _lose,
     _models,
     _moments,
+    _phase_jet,
 )
 from squint.resolution import SWEEP_PARAMETERS, _apply_parameter
 from reference import (decimal_photons, four_point_slope, lose_one_mode, reference_model,
@@ -405,6 +406,46 @@ def test_slope_matches_four_point_identity():
             assert abs(got - want) <= 8 * _EPS * (1 + n), (cfg, phi)
 
 
+def test_phase_jet_matches_the_ideal_closed_forms():
+    # sigma^2 = 1 + (3/2 + cos 2phi - cos(4phi)/2) h, h = N^2/2 + N, so
+    # f' = (2 sin 4phi - 2 sin 2phi) h and f'' = (8 cos 4phi - 4 cos 2phi) h,
+    # each within its roundoff, 64 eps (1 + N)^2 (measured worst 6.9 for f'
+    # and 24.5 for f'', at G = 0.01, where terms of order 1 cancel)
+    rng = np.random.default_rng(4141)
+    for G in 10.0 ** rng.uniform(-2.0, math.log10(8.0), 40):
+        cfg = InterferometerConfig(G=float(G))
+        rows, n = cfg._model
+        h = n * n / 2 + n
+        for phi in (np.pi / 2, -0.0, *rng.uniform(-2 * np.pi, 2 * np.pi, 4).tolist()):
+            d1, d2 = _phase_jet(rows, phi)
+            assert type(d1) is float and type(d2) is float
+            tol = 64 * _EPS * (1 + n) ** 2
+            assert abs(d1 - (2 * math.sin(4 * phi) - 2 * math.sin(2 * phi)) * h) <= tol, (G, phi)
+            assert abs(d2 - (8 * math.cos(4 * phi) - 4 * math.cos(2 * phi)) * h) <= tol, (G, phi)
+
+
+def test_phase_jet_matches_central_differences_of_evaluate():
+    # on lossy, pumped, imbalanced devices the jet's f' and f'' against
+    # central differences of evaluate's sigma^2 at step 1e-4, within 1e-6
+    # (1 + N)^2: the differences' truncation, h^2 f'''/6 and h^2 f''''/12,
+    # reaches 7.7e-8 and 3.2e-7 of it, while a wrong term in either
+    # derivative moves it by order (1 + N)^2
+    rng = np.random.default_rng(4242)
+    for cfg in _model_devices(100):
+        rows, n = cfg._model
+
+        def f(p):
+            return evaluate(cfg, p).sigma ** 2
+
+        for phi in rng.uniform(-2 * np.pi, 2 * np.pi, 3).tolist():
+            d1, d2 = _phase_jet(rows, phi)
+            h, f0 = 1e-4, f(phi)
+            up, down = f(phi + h), f(phi - h)
+            tol = 1e-6 * (1 + n) ** 2
+            assert abs(d1 - (up - down) / (2 * h)) <= tol, (cfg, phi)
+            assert abs(d2 - (up - 2 * f0 + down) / (h * h)) <= tol, (cfg, phi)
+
+
 def test_mean_photons_independent_of_phase():
     # the device reads its photon number once, so every phase returns its bits
     for cfg in (InterferometerConfig(G=1.5, alpha1=0.1, beta1=0.05, alpha2=0.2,
@@ -540,22 +581,42 @@ def test_photons_match_the_decimal_closed_form():
     # N is `_photons` of rounded inputs: within its nine roundings, 9 u
     # (u = eps/2), of the closed form at those inputs.  Each input rounds
     # once, by u (correctly rounded sinh and cos), which a square doubles:
-    # 8 u over the four factors of a term.  And c1, s1 are cos, sin of
-    # theta = fl(pi/4 + delta1), within (theta + 0.28) u of the exact sum
-    # (math.pi/4 is 0.28 u off), which c1^2 or s1^2 amplifies by 2 tan or 2
-    # cot theta.  So N is within (17 + 2 max(tan, cot) (theta + 0.28)) u of
-    # the closed form at 60 digits from the exact fields, at every gain down
-    # to 1e-300, plus, below G ~ 1.5e-154, the subnormal rounding of
-    # sinh^2 G (at most 2 ulp(0) once the bracket, at most 2, scales it).
+    # 8 u over the four factors of a term.  For |delta1| <= pi/8, c1, s1 are
+    # cos, sin of theta = fl(pi/4 + delta1), within (theta + 0.28) u of the
+    # exact sum (math.pi/4 is 0.28 u off), which c1^2 or s1^2 amplifies by
+    # 2 tan or 2 cot theta, at most 7.1 u; beyond it they are read from the
+    # complement pi/4 - |delta1|, formed exactly and rounded once, which adds
+    # at most 2 u.  So N is within 17 u and that term of the closed form at
+    # 60 digits from the exact fields (measured worst 0.28 of it), at every
+    # gain down to 1e-300, plus, below G ~ 1.5e-154, the subnormal rounding
+    # of sinh^2 G (at most 2 ulp(0) once the bracket, at most 2, scales it).
     rng = np.random.default_rng(4040)
     devices = [*_drawn_devices(rng, 3000, lambda: 10.0 ** rng.uniform(-300.0, math.log10(8.0))),
                InterferometerConfig(G=0.0, alpha2=0.5), InterferometerConfig(G=1e-300)]
     for cfg in devices:
         n, want = cfg._model[1], decimal_photons(cfg)
         theta = math.pi / 4 + cfg.delta1
-        units = 17.0 + 2.0 * max(math.tan(theta), 1.0 / math.tan(theta)) * (theta + 0.28)
+        units = 17.0 + (2.0 * max(math.tan(theta), 1.0 / math.tan(theta)) * (theta + 0.28)
+                        if abs(cfg.delta1) <= math.pi / 8 else 2.0)
         assert type(n) is float and n >= 0.0, cfg
         assert abs(Decimal(n) - want) <= Decimal(units * _EPS / 2) * want + 2 * Decimal(5e-324), cfg
+
+
+def test_photons_keep_their_digits_next_to_pi_over_4():
+    # one ulp inside |delta1| = pi/4, B1's small entry is about 1e-16, and on
+    # a device whose N is that entry squared, fl(pi/4 + delta1) put N 59% low;
+    # the complement pi/4 - |delta1|, formed exactly, keeps it within 4 eps
+    # (measured worst 1.6 eps over gains 1e-3 to 5 and |delta1| down to 0.39)
+    inside = math.nextafter(math.pi / 4, 0.0)
+    for magnitude in (inside, math.pi / 4 - 1e-12, 0.785, 0.6, math.nextafter(math.pi / 8, 1.0)):
+        for sign, losses in ((1.0, {"beta1": np.pi / 2, "beta2": np.pi / 2}),
+                             (-1.0, {"alpha1": np.pi / 2, "beta2": np.pi / 2})):
+            for G in (1e-3, 1.0, 5.0):
+                cfg = InterferometerConfig(G=G, delta1=sign * magnitude, **losses)
+                n, want = cfg._model[1], decimal_photons(cfg)
+                assert abs(Decimal(n) - want) <= Decimal(4 * _EPS) * want, cfg
+    cfg = InterferometerConfig(G=1.0, delta1=inside, beta1=np.pi / 2, beta2=np.pi / 2)
+    assert cfg._model[1] == pytest.approx(3.80634098924733e-32, rel=1e-14)
 
 
 def test_photons_match_the_output_covariance_trace():

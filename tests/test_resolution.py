@@ -19,6 +19,8 @@ from squint import (
 )
 from reference import bisection_resolution, detect_saturation, golden_min
 
+_EPS = float(np.finfo(float).eps)
+
 
 def photons(G):
     return 2 * np.sinh(G) ** 2
@@ -253,6 +255,19 @@ def test_zero_slope_reports_diagnostic():
         assert "slope" in res.message
     res = standard_resolution(InterferometerConfig(G=1.0), phi=np.pi / 4)
     assert not res.converged
+
+
+def test_refused_results_carry_delta_phi_as_kappa():
+    # a refusal's kappa is its delta_phi, not delta_phi * N: inf for a
+    # vanishing slope at any N, 0.0 included, and nan for roundoff
+    for cfg in (InterferometerConfig(G=0.0), InterferometerConfig(G=1e-200),
+                InterferometerConfig(G=2.0, alpha1=np.pi / 2, beta1=np.pi / 2)):
+        for solver in (standard_resolution, modified_resolution):
+            res = solver(cfg)
+            assert not res.converged and "slope" in res.message, cfg
+            assert math.isinf(res.delta_phi) and res.kappa == res.delta_phi, cfg
+    res = modified_resolution(InterferometerConfig(G=20.0))
+    assert "roundoff" in res.message and math.isnan(res.kappa)
 
 
 def test_non_finite_working_point_raises():
@@ -573,49 +588,84 @@ def _drawn_devices(count):
                                    delta1=delta1, delta2=delta2)
 
 
-def test_refine_matches_golden_section_reference(monkeypatch):
-    # the library's Brent minimiser against golden section on refine's own
-    # bracket and tolerance, counting the moment kernel's reads, not timing them
+def _counted_reads(monkeypatch):
+    """Patch refine's two kernels to record each phase they are read at, and
+    return the two lists: (phase-jet reads, moment-kernel reads)."""
     import squint.resolution as solvers
-    from squint.interferometer import _moments
-    calls = []
+    reads = {"_phase_jet": [], "_moments": []}
+    for name, calls in reads.items():
+        kernel = getattr(solvers, name)
+        monkeypatch.setattr(solvers, name, lambda rows, phi, k=kernel, c=calls:
+                            c.append(phi) or k(rows, phi))
+    return reads["_phase_jet"], reads["_moments"]
 
-    def counted(rows, phi):
-        calls.append(phi)
-        return _moments(rows, phi)
 
-    monkeypatch.setattr(solvers, "_moments", counted)
-    brent_calls = []
+def test_refine_matches_golden_section_reference(monkeypatch):
+    # the Newton search against golden section on sigma, over refine's own
+    # bracket and tolerance, counting the phase-jet reads, not timing them;
+    # refine reads no moments
+    import squint.resolution as solvers
+    jets, moments = _counted_reads(monkeypatch)
+    counts = []
     for cfg in _drawn_devices(100):
-        calls.clear()
+        jets.clear()
         phi = refine_working_point(cfg)
-        brent_calls.append(len(calls))
-        with monkeypatch.context() as m:
-            m.setattr(solvers, "_brent_min", golden_min)
-            calls.clear()
-            ref = refine_working_point(cfg)
-            assert len(calls) == 45
-        # at the flat minimum both are limited by sigma's roundoff
+        counts.append(len(jets))
+        ref, _ = golden_min(lambda p: evaluate(cfg, p).sigma,
+                            np.pi / 2 - solvers._REFINE_HALF_WIDTH,
+                            np.pi / 2 + solvers._REFINE_HALF_WIDTH, solvers._REFINE_TOL)
+        # at the flat minimum golden section is limited by sigma's roundoff
         assert evaluate(cfg, phi).sigma <= evaluate(cfg, ref).sigma * (1.0 + 1e-12), cfg
         assert abs(phi - ref) <= 5e-8, cfg
-    assert np.mean(brent_calls) <= 20.0
+    assert not moments
+    assert np.mean(counts) <= 4.0 and max(counts) <= 8
 
 
 def test_solver_reads_keep_evaluate_bits():
-    # the root and refine steps read sigma from the moment kernel, without
-    # evaluate's check and boxing: the same bits, so the same search path
-    import squint.resolution as solvers
-    from squint.interferometer import _moments
+    # the root steps read sigma from the moment kernel, without evaluate's
+    # check and boxing: the same bits, so the same search path; and refine
+    # stops where f' = d sigma^2 / dphi is zero within its roundoff, a few
+    # eps (1 + N)^2 (measured worst 4.3 of it)
+    from squint.interferometer import _moments, _phase_jet
     rng = np.random.default_rng(1919)
     for cfg in _drawn_devices(100):
-        rows = cfg._model[0]
+        rows, n = cfg._model
         for phi in (np.pi / 2, -0.0, *rng.uniform(-2 * np.pi, 2 * np.pi, size=4)):
             phi = float(phi)
             assert _moments(rows, phi)[2].hex() == evaluate(cfg, phi).sigma.hex(), (cfg, phi)
-        want, _ = solvers._brent_min(lambda p: evaluate(cfg, p).sigma,
-                                     np.pi / 2 - solvers._REFINE_HALF_WIDTH,
-                                     np.pi / 2 + solvers._REFINE_HALF_WIDTH, solvers._REFINE_TOL)
-        assert refine_working_point(cfg).hex() == want.hex(), cfg
+        d1, d2 = _phase_jet(rows, refine_working_point(cfg))
+        assert abs(d1) <= 16 * _EPS * (1 + n) ** 2 and d2 > 0.0, cfg
+
+
+def test_refine_lands_on_pi_over_2_where_the_device_is_symmetric():
+    # ideal and arm-loss-only devices keep their noise minimum at pi/2, where
+    # f' = 0 up to roundoff: one Newton step from pi/2 stays on it (Brent on
+    # sigma stopped up to 6e-7 away, 3.4e-8 at G = 0.05)
+    rng = np.random.default_rng(4141)
+    for G in 10.0 ** rng.uniform(-2.0, math.log10(8.0), 60):
+        alpha2, beta2 = rng.uniform(0.0, 0.5, 2)
+        for losses in ({}, {"alpha2": alpha2}, {"beta2": beta2},
+                       {"alpha2": alpha2, "beta2": beta2}):
+            cfg = InterferometerConfig(G=float(G), **losses)
+            assert abs(refine_working_point(cfg) - np.pi / 2) <= 1e-12, cfg
+
+
+def test_refine_follows_the_pump_phase_exactly():
+    # the ideal device's noise minimum sits at pi/2 - xi/3
+    for G in (0.05, 1.0, 3.0, 8.0):
+        for xi in (0.3, -0.3, 0.6, -0.6, 0.9, -0.9, 1.0, -1.0):
+            got = refine_working_point(InterferometerConfig(G=G, xi=xi))
+            assert abs(got - (np.pi / 2 - xi / 3)) <= 1e-12, (G, xi)
+
+
+def test_refine_returns_a_bracket_end_exactly_in_two_reads(monkeypatch):
+    # the minimum of G = 2, xi = 1.2 sits at pi/2 - 0.4, outside pi/2 +/- 0.35:
+    # f'' < 0 at pi/2 sends the step past the lower end, f' keeps its sign there
+    import squint.resolution as solvers
+    jets, moments = _counted_reads(monkeypatch)
+    phi = refine_working_point(InterferometerConfig(G=2.0, xi=1.2))
+    assert phi == np.pi / 2 - solvers._REFINE_HALF_WIDTH
+    assert len(jets) <= 2 and not moments
 
 
 @pytest.mark.parametrize("cfg", [InterferometerConfig(G=5.0),
