@@ -142,11 +142,6 @@ def two_mode_squeezer(G: float, xi: float = 0.0) -> np.ndarray:
     """
     _check_gain(G)
     _check_finite("pump phase xi", xi)
-    return _squeezer(G, xi)
-
-
-def _squeezer(G: float, xi: float) -> np.ndarray:
-    """`two_mode_squeezer` of a gain and pump phase already checked."""
     c, s = np.cosh(G), np.sinh(G)
     re, im = s * math.sin(xi), -s * math.cos(xi)
     # Quadrature image of V = Re V + i Im V = s sin(xi) - i s cos(xi):
@@ -174,7 +169,16 @@ def beam_splitter(spec: BsSpec) -> np.ndarray:
     complex entry z the block [[Re z, -Im z], [Im z, Re z]], written out
     entry by entry, signed zeros included (Re(-1j * s) is +0.0, -Im(c + 0j)
     is -0.0)."""
-    return _splitter(spec.variant, spec.imbalance)
+    c, s = _quarter_turn(spec.imbalance)
+    if spec.variant == "B1":
+        return np.array((c, -0.0, 0.0, s,
+                         0.0, c, -s, 0.0,
+                         0.0, s, c, -0.0,
+                         -s, 0.0, 0.0, c)).reshape(4, 4)
+    return np.array((-c, -0.0, 0.0, -s,
+                     0.0, -c, s, 0.0,
+                     0.0, s, c, -0.0,
+                     -s, 0.0, 0.0, c)).reshape(4, 4)
 
 
 # pi/4 as an unevaluated sum: the float nearest it and the remainder
@@ -202,20 +206,6 @@ def _quarter_turn(imbalance: float) -> tuple:
         return math.cos(e), math.sin(e)
     th = _PI4_HI + imbalance
     return math.cos(th), math.sin(th)
-
-
-def _splitter(variant: str, imbalance: float) -> np.ndarray:
-    """`beam_splitter` of a variant and imbalance already checked."""
-    c, s = _quarter_turn(imbalance)
-    if variant == "B1":
-        return np.array((c, -0.0, 0.0, s,
-                         0.0, c, -s, 0.0,
-                         0.0, s, c, -0.0,
-                         -s, 0.0, 0.0, c)).reshape(4, 4)
-    return np.array((-c, -0.0, 0.0, -s,
-                     0.0, -c, s, 0.0,
-                     0.0, s, c, -0.0,
-                     -s, 0.0, 0.0, c)).reshape(4, 4)
 
 
 def loss_unitary(alpha: float) -> np.ndarray:

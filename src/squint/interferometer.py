@@ -11,12 +11,16 @@ Element order, fixed by the physical layout:
            -> product-signal statistics on the two outputs.
 
 The engine carries a factor F of the covariance, C = F F^T, starting from
-the squeezer's matrix (the vacuum is the identity).  Each symplectic element
-multiplies F from the left, by `ndarray.dot`, which skips the dispatch cost
-that `@` pays at these sizes.  Each loss station (preparation, arm) is one
-step, `_lose`: it scales the rows of every mode by cos(angle) and appends each
-lossy mode's two noise columns of sin(angle), and a lossless station leaves F
-as it is.  C is read only at the outputs, as products of rows, so
+the squeezer's matrix (the vacuum is the identity), with 12 columns on
+every device: the squeezer's 4, then 4 noise columns per loss station.  One
+function, `_chain`, builds every model, a lone device's and a sweep's stack
+alike, from the element entries, by row operations in elementwise `*`, `+`
+and `-`: each loss station scales each mode's two rows by cos(angle) and
+writes sin(angle) into the mode's two noise columns (a lossless mode's
+cos 0 = 1.0 and sin 0 = 0.0 leave its rows and fill nothing), B1 mixes the
+rows of the two modes, and B2's detected rows pick and scale them.  So IEEE
+arithmetic, not a BLAS, fixes each bit, on Python floats and on arrays
+alike.  C is read only at the outputs, as products of rows, so
 no step subtracts the large entries of an earlier covariance: the dark-fringe
 noise keeps a relative roundoff of about eps (1 + N) / sigma.
 
@@ -24,14 +28,13 @@ Only output rows 0 and 2, the x quadratures, are detected.  The phase turns
 mode 0 alone, P(phi) = P0 + cos(phi) Pc + sin(phi) Ps, and commutes with the
 arm loss, which scales mode 0's two rows alike.  So the detected rows of the
 output factor are R(phi) = A + cos(phi) U + sin(phi) V, with A, U and V each
-2 x k.  No phase, pump phase or recombiner moves a photon, so the photon
+2 x 12.  No phase, pump phase or recombiner moves a photon, so the photon
 number N is a closed form in G, the four loss angles and delta1, `_photons`,
 which no output covariance enters: it is products and sums of non-negative
 terms, good to a few eps relative at every gain, while (trace(C) - 4) / 4
 cancels to roundoff at small G.  A device builds its model, A, U, V and N,
-once, on its first evaluation, from fields its construction has checked, so
-it calls the builders' unchecked twins, `_squeezer` and `_splitter`, and
-writes B2's detected rows times P0, Pc and Ps as one literal.  Per phase,
+once, on its first evaluation, by `_chain` on its entries as Python floats,
+in about 14 us, ideal or lossy.  Per phase,
 the kernel `_moments`, which `evaluate` wraps with the phase check and
 `SignalStats` and a lone solve's steps call directly, forms R with one dot
 over (1, cos phi, sin phi), reads C00, C02 and C22 from R R^T and takes
@@ -51,21 +54,22 @@ the kernel's two products with `np.matmul` and takes each angle with one
 libm call, as `_moments` does, so its rows equal the kernel bit for bit.
 It runs over phases or over devices: `np.matmul` broadcasts one model over
 many phases, as a phase scan (`squint signal`, through `_evaluate_grid`) reads it, or
-pairs a stack of same-width models with one phase each, as a sweep's rows
-read it in lockstep.  1000 phases of one model cost about 0.27 ms against 3.4 ms for
-1000 `evaluate` calls; 60 (model, phase) pairs cost 30 us against 142 us
+pairs a stack of models with one phase each, as a sweep's rows read it in
+lockstep.  1000 phases of one model cost about 0.26 ms against 3.4 ms for
+1000 `evaluate` calls; 60 (model, phase) pairs cost 25 us against 123 us
 for 60 `_moments` calls; a single phase costs more in a batch of one (8 us
 against 3.5 us), so a lone solve reads one phase at a time (2-core VM,
 in-process, best of 15 or more repeats in one session).
 
-A sweep's rows never build a device.  `_models` runs `_model`'s chain over
-a stack of devices that share a loss pattern, each product an `np.matmul`,
-and `_batched_slope` reads every stacked model's slope with three; both
-give the scalar chain's bits, and a test pins them together.  60 models
-cost about 0.11 ms against 0.89 ms to construct 60 devices and build
-theirs, and 60 slopes 10 us against 0.23 ms for 60 `signal_slope` calls;
-a stack of one costs about 130 us against 25-40 us, so a lone device keeps
-`_model` (in-process, best of 401).
+A sweep's rows never build a device.  `_models` runs `_chain` on arrays of
+every row's entries, lossless and lossy rows in one stack, and
+`_batched_slope` reads every stacked model's slope with three `np.matmul`
+calls; each row equals its device's model and `signal_slope` bit for bit,
+and a test pins them together.  60 models cost about 0.15 ms against
+1.1 ms to construct 60 devices and build theirs, and 60 slopes 10 us
+against 0.23 ms for 60 `signal_slope` calls; a stack of one costs about
+46 us against 14 us, so a lone device calls the chain itself (in-process,
+best of 15).
 """
 from __future__ import annotations
 
@@ -82,8 +86,6 @@ from .gaussian import (
     _check_imbalance,
     _check_loss_angle,
     _quarter_turn,
-    _splitter,
-    _squeezer,
 )
 from .moments import SignalStats, _second_moment
 
@@ -142,48 +144,72 @@ class InterferometerConfig:
     @functools.cached_property
     def _model(self) -> tuple:
         """The device's phase model, built on first use, as (rows, photons):
-        A, U and V as the rows of one read-only (3, 2k) array, k the factor's
-        columns after both loss steps, and the photon number from `_photons`
-        as a Python float, of B1's entries and the loss angles' cosines.
-        The cache is per instance, so a device built by `dataclasses.replace`
-        builds its own, and not a field: equality, hashing and repr ignore it.
-        Each field is read as a Python float, as `_models` reads it, so a field
-        of another float type (np.float32, say) builds the float64 model."""
-        G, xi, alpha1, beta1, alpha2, beta2, delta1, delta2 = map(float, _fields(self))
-        f = _lose(_squeezer(G, xi), alpha1, beta1)
-        b1 = _splitter("B1", delta1)
-        f = _lose(b1.dot(f), alpha2, beta2)
-        b2 = _splitter("B2", delta2)
-        c, s = b2.item(2, 2), b2.item(2, 1)
-        # B2's detected rows, (-c, 0, 0, -s) and (0, s, c, 0), times P0, Pc and Ps
-        w = np.array(((0.0, 0.0, 0.0, -s), (0.0, 0.0, c, 0.0), (-c, 0.0, 0.0, 0.0),
-                      (0.0, s, 0.0, 0.0), (0.0, c, 0.0, 0.0), (s, 0.0, 0.0, 0.0)))
-        rows = w.dot(f).reshape(3, -1)  # A, U and V, one row each
+        A, U and V as the rows of one read-only (3, 24) array and the photon
+        number as a Python float, both from `_chain` of the device's element
+        entries as Python floats.  A sweep's stack runs the same chain on
+        arrays, so this model equals the device's row of any stack bit for
+        bit.  The cache is per instance, so a device built by
+        `dataclasses.replace` builds its own, and not a field: equality,
+        hashing and repr ignore it.  Each field is read as a Python float, as
+        `_models` reads it, so a field of another float type (np.float32, say)
+        builds the float64 model."""
+        G, xi, *angles, delta1, delta2 = map(float, _fields(self))
+        rows, photons = _chain(float(np.cosh(G)), float(np.sinh(G)),
+                               *[f(a) for a in (xi, *angles) for f in (math.cos, math.sin)],
+                               *_quarter_turn(delta1), *_quarter_turn(delta2))
+        rows = rows.reshape(3, -1)
         rows.flags.writeable = False
-        cos = map(math.cos, (alpha1, beta1, alpha2, beta2))
-        return rows, _photons(float(np.sinh(G)), *cos, b1.item(0, 0), b1.item(0, 3))
+        return rows, photons
 
 
-def _lose(f: np.ndarray, a0: float, a1: float) -> np.ndarray:
-    """The factor f after one loss station, angles a0 on mode 0 and a1 on
-    mode 1; f itself when neither mode loses.
+# B2's detected rows times P0, Pc and Ps read the rows h3, h2 (A), h0, h1 (U), h1, h0 (V)
+_B2_ROWS = np.array((3, 2, 0, 1, 1, 0))
 
-    Each mode's two rows scale by cos(angle), exactly 1.0 for a lossless
-    mode, and each lossy mode appends its two columns of diag(sin a0, sin a0,
-    sin a1, sin a1), so F F^T picks up sin^2(angle) on the mode's diagonal
-    block: the `apply_loss` channel without forming the covariance.  Both
-    parts are written into one zeroed array: the scaled rows by one
-    `np.multiply`, and each noise entry by one store.
+
+def _chain(ch, sh, cx, sx, ca1, sa1, cb1, sb1, ca2, sa2, cb2, sb2, c1, s1, c2, s2) -> tuple:
+    """The phase model of one device or of a stack, as (rows, photons), from
+    the element entries: ch, sh = cosh G, sinh G, the cos and sin of xi and
+    of the four loss angles, and B1's and B2's (c, s) from `_quarter_turn`.
+    Every entry is a Python float, for one device, or every one an m-long
+    float64 array, for a stack; rows is (6, 12) or (6, 12, m), the rows of
+    A, U and V, and photons is `_photons` of the same entries.
+
+    The factor has 12 columns on every device: the squeezer's 4, then each
+    loss station's 4 noise columns, diag(sin a, sin a, sin b, sin b).  A
+    lossless mode scales its rows by cos 0 = 1.0, exactly, and its noise
+    entries are sin 0 = 0.0, so no device has a width of its own.  Each step
+    is a row operation in elementwise `*`, `+` and `-`, the same on floats
+    and on arrays, so IEEE arithmetic, not a BLAS, fixes every bit, and a
+    device's rows equal its row of any stack.  A negative product of a zero
+    gives -0.0, so the rows end with + 0, which turns -0.0 into +0.0 and
+    leaves every other value as it is.  The zeros are the int 0, which
+    Python floats, float64 arrays and `decimal.Decimal` entries each take as
+    their own zero, so the same body runs on Decimal entries too, as object
+    arrays.
     """
-    if a0 == 0.0 and a1 == 0.0:
-        return f
-    angles, k = (a0, a0, a1, a1), f.shape[1]
-    noise = [(i, math.sin(a)) for i, a in enumerate(angles) if a != 0.0]
-    out = np.zeros((4, k + len(noise)))
-    np.multiply(f, np.array([math.cos(a) for a in angles]).reshape(4, 1), out=out[:, :k])
-    for j, (i, sin) in enumerate(noise, k):
-        out[i, j] = sin
-    return out
+    re, im = sh * sx, -sh * cx
+    z = 0 * ch
+    # the squeezer's rows times the preparation loss's cosines, its noise
+    # columns 4-7, and the arm's columns 8-11, zero until the arm loss
+    f = np.array((ca1 * ch, z, ca1 * re, ca1 * im, sa1, z, z, z, z, z, z, z,
+                  z, ca1 * ch, ca1 * im, -(ca1 * re), z, sa1, z, z, z, z, z, z,
+                  cb1 * re, cb1 * im, cb1 * ch, z, z, z, sb1, z, z, z, z, z,
+                  cb1 * im, -(cb1 * re), z, cb1 * ch, z, z, z, sb1, z, z, z, z))
+    f = f.reshape(4, 12, *f.shape[1:])
+    # per-row factors: s1 with B1's signs for the rows in reverse order, the
+    # arm loss's cosines, and B2's weights of the six detected rows
+    k = np.array((s1, -s1, s1, -s1, ca2, ca2, cb2, cb2,
+                  -s2, c2, -c2, s2, c2, s2))
+    k = k.reshape(14, 1, *k.shape[1:])
+    # B1: g0 = c1 f0 + s1 f3, g1 = c1 f1 - s1 f2, g2 = s1 f1 + c1 f2, g3 = c1 f3 - s1 f0
+    g = c1 * f + k[:4] * f[::-1]
+    # the arm loss: each mode's rows times its cosine, then its noise columns
+    g *= k[4:8]
+    g[0, 8], g[1, 9], g[2, 10], g[3, 11] = sa2, sa2, sb2, sb2
+    # A = (-s2 h3, c2 h2), U = (-c2 h0, s2 h1) and V = (c2 h1, s2 h0)
+    rows = k[8:] * g.take(_B2_ROWS, 0)
+    rows += 0
+    return rows, _photons(sh, ca1, cb1, ca2, cb2, c1, s1)
 
 
 def _photons(sh, ca1, cb1, ca2, cb2, c1, s1):
@@ -209,85 +235,24 @@ def _photons(sh, ca1, cb1, ca2, cb2, c1, s1):
     return sh * sh * (ca2 * ca2 * (c1 * a + s1 * b) + cb2 * cb2 * (s1 * a + c1 * b))
 
 
-def _models(G, xi, alpha1, beta1, alpha2, beta2, delta1, delta2) -> list:
+def _models(G, xi, alpha1, beta1, alpha2, beta2, delta1, delta2) -> tuple:
     """Phase models of n devices, each field an n-long sequence of checked
-    values, read as float64: one (where, rows, photons) per loss pattern (the
-    lossy ones of the four angles, -0.0 lossless as in `_lose`), in order of
-    first appearance, with `where` the devices' indices, `rows` their models'
-    rows as an (m, 3, 2k) stack and `photons` their photon numbers.
-
-    Each is `_model`'s chain run on all m devices at once, the same operations
-    in the same order: `np.cosh`/`np.sinh` on the gains, `math.cos`/`math.sin`
-    through `map` for the angles, each element's literal with its signed
-    zeros, `np.matmul` for B1 and for B2's detected rows, and `_photons` on
-    arrays.  So row i equals `_model`'s bit for bit; a test pins the two
-    chains together.  A pattern fixes the width and where the noise columns
-    sit, and no stack mixes two.
+    values, read as float64, as (rows, photons): the models' rows as one
+    (n, 3, 24) stack and their photon numbers as an array, in the devices'
+    order.  It is `_model`'s `_chain` run on arrays, its entries taken by the
+    same functions (`np.cosh`/`np.sinh` on the gains, `math.cos`/`math.sin`
+    through `map` for the angles, `_quarter_turn` for each imbalance), so
+    row i equals device i's `_model` bit for bit.
     """
     fields = np.array((G, xi, alpha1, beta1, alpha2, beta2, delta1, delta2), dtype=float)
-    patterns = {}
-    for i, lossy in enumerate((fields[2:6] != 0.0).T.tolist()):
-        patterns.setdefault(tuple(lossy), []).append(i)
-    return [(where, *_stack_models(fields[:, where], lossy))
-            for lossy, where in patterns.items()]
-
-
-def _cos_sin(angles: np.ndarray) -> tuple:
-    """`math.cos` and `math.sin` of each angle, as two arrays."""
-    angles, n = angles.tolist(), len(angles)
-    return (np.fromiter(map(math.cos, angles), float, n),
-            np.fromiter(map(math.sin, angles), float, n))
-
-
-def _quarter_turns(imbalances: np.ndarray) -> np.ndarray:
-    """`_quarter_turn` of each imbalance, as two arrays (cos, sin)."""
-    return np.array([*map(_quarter_turn, imbalances.tolist())]).reshape(-1, 2).T
-
-
-def _matrices(*entries) -> np.ndarray:
-    """A C-contiguous stack of m matrices with four columns, from their
-    entries in row-major order, each an m-long array: contiguous, so that
-    `np.matmul` hands each product to the BLAS, as `ndarray.dot` does."""
-    return np.array(entries).T.copy().reshape(len(entries[0]), -1, 4)
-
-
-def _stack_models(fields: np.ndarray, lossy: tuple) -> tuple:
-    """`_models`' chain for the columns of an (8, m) field array that share
-    one loss pattern, as (rows, photons)."""
-    G, xi, alpha1, beta1, alpha2, beta2, delta1, delta2 = fields
-    z = np.zeros(len(G))
-    ch, sh = np.cosh(G), np.sinh(G)
-    cos, sin = _cos_sin(xi)
-    re, im = sh * sin, -sh * cos
-    f = _matrices(ch, z, re, im, z, ch, im, -re, re, im, ch, z, im, -re, z, ch)
-    f, ca1, cb1 = _stack_lose(f, alpha1, beta1, *lossy[:2])
-    c1, s1 = _quarter_turns(delta1)
-    b1 = _matrices(c1, -z, z, s1, z, c1, -s1, z, z, s1, c1, -z, -s1, z, z, c1)
-    f, ca2, cb2 = _stack_lose(np.matmul(b1, f), alpha2, beta2, *lossy[2:])
-    c, s = _quarter_turns(delta2)
-    # B2's detected rows times P0, Pc and Ps, and the rows A, U and V
-    w = _matrices(z, z, z, -s, z, z, c, z, -c, z, z, z, z, s, z, z, z, c, z, z, s, z, z, z)
-    rows = np.matmul(w, f).reshape(len(G), 3, -1)
-    return rows, _photons(sh, ca1, cb1, ca2, cb2, c1, s1)
-
-
-def _stack_lose(f: np.ndarray, a0: np.ndarray, a1: np.ndarray, lossy0: bool,
-                lossy1: bool) -> tuple:
-    """`_lose` on an (m, 4, k) stack of factors, the angles a0 and a1 as
-    m-long arrays, every factor's modes lossy or not as lossy0 and lossy1
-    say, as (factors, cos a0, cos a1): each cosine an array, or 1.0, which
-    `math.cos` gives exactly, when the station loses nothing."""
-    if not (lossy0 or lossy1):
-        return f, 1.0, 1.0
-    n, _, k = f.shape
-    (c0, s0), (c1, s1) = _cos_sin(a0), _cos_sin(a1)
-    lossy = (lossy0, lossy0, lossy1, lossy1)
-    noise = [(i, sin) for i, sin in enumerate((s0, s0, s1, s1)) if lossy[i]]
-    out = np.zeros((n, 4, k + len(noise)))
-    np.multiply(f, np.array((c0, c0, c1, c1)).T.reshape(n, 4, 1), out=out[:, :, :k])
-    for j, (i, sin) in enumerate(noise, k):
-        out[:, i, j] = sin
-    return out, c0, c1
+    n = fields.shape[1]
+    _, xi, *angles, delta1, delta2 = fields.tolist()
+    c1, c2, s1, s2 = np.array([*map(_quarter_turn, delta1 + delta2)]).T.reshape(4, n)
+    rows, photons = _chain(np.cosh(fields[0]), np.sinh(fields[0]),
+                           *[np.fromiter(map(f, a), float, n)
+                             for a in (xi, *angles) for f in (math.cos, math.sin)],
+                           c1, s1, c2, s2)
+    return np.ascontiguousarray(rows.reshape(3, -1, n).transpose(2, 0, 1)), photons
 
 
 def _moments(rows: np.ndarray, phi: float) -> tuple:
@@ -326,16 +291,15 @@ def _evaluate_grid(config: InterferometerConfig, phis) -> tuple:
 
 def _batched_moments(rows: np.ndarray, phis) -> tuple:
     """`_moments` over a batch, as three arrays (mean, second moment, sigma):
-    row i is `_moments` of one (3, 2k) model at phis[i], or of rows[i] at
-    phis[i] when `rows` stacks n models of one width as an (n, 3, 2k) array.
+    row i is `_moments` of one (3, 24) model at phis[i], or of rows[i] at
+    phis[i] when `rows` stacks n models as an (n, 3, 24) array.
 
     The angles come from `math.cos`/`math.sin`, one `map` each, not from
     numpy's own loops, whose rounding may differ from libm's; each product
     is the one `_moments` makes, batched: `np.matmul` of (1, cos, sin) rows
-    for the `np.dot`, and of R with its transpose for `r.dot(r.T)`.  Models
-    of different widths are not zero-padded into one stack: the padded sums
-    hold terms the kernel's do not, and nothing holds a BLAS to the same
-    blocking or order for them, so nothing would keep the bits.
+    for the `np.dot`, and of R with its transpose for `r.dot(r.T)`.  Every
+    model has the same 24 columns, so any models stack, and each sum has the
+    terms of the kernel's, in a stack or alone.
     """
     n = len(phis)
     t = np.empty((n, 1, 3))
@@ -406,7 +370,7 @@ def _phase_jet(rows: np.ndarray, phi: float) -> tuple:
 
 
 def _batched_slope(rows: np.ndarray, phi: float) -> np.ndarray:
-    """`_slope` of n same-width models, an (n, 3, 2k) stack, at one finite
+    """`_slope` of n models, an (n, 3, 24) stack, at one finite
     phase phi, as an array equal to `_slope`'s row by row, bit for bit: one
     `np.matmul` forms every model's R and R', as `_slope`'s dot does, and
     two more its r0' . r1 and r0 . r1', as its two vector dots do."""

@@ -21,14 +21,14 @@ sigma0, N and the slope at the working point it makes its checks, and then
 yields each phase whose sigma the root needs.  No solver reads a config:
 a single resolve builds its device's model and serves the coroutine one
 scalar kernel read per step.  A sweep builds no device: `_models` builds
-every row's model in one batched chain per loss pattern, and the rows'
-coroutines run in lockstep, per model width one batched read of sigma0 and
-one of the slope at the working point, then one read per round of every
-unfinished row's phase, since one batched read of 60 (model, phase) pairs
-costs about what 13 scalar reads do (30 us against 142 us for 60).  Each
-row equals the device's own solve bit for bit.  A 60-row G sweep takes
-about 0.9 ms, against 2.1 ms with each row's device and model built and
-its slope read one by one (2-core VM, in-process, best of 15 rounds).
+every row's model with the same chain on arrays, lossless and lossy rows in
+one stack, and the rows' coroutines run in lockstep, with one batched read
+of sigma0 and one of the slope at the working point, then one read per
+round of every unfinished row's phase, since one batched read of 60
+(model, phase) pairs costs about what 12 scalar reads do (25 us against
+123 us for 60).  Each row equals the device's own solve bit for bit.  A
+60-row G sweep takes about 0.92 ms, against 3.3 ms with each row's device
+built and solved on its own (2-core VM, in-process, best of 15 rounds).
 """
 from __future__ import annotations
 
@@ -281,33 +281,30 @@ def modified_resolution(config: InterferometerConfig,
     return _solve(config._model, phi, "modified")
 
 
-def _lockstep(groups: list, phi: float, criterion: str) -> tuple:
+def _lockstep(stack: np.ndarray, photons: np.ndarray, phi: float, criterion: str) -> tuple:
     """Every model's result at phi, equal to `_solve`'s bit for bit, from
-    `_models`' groups of stacked models, one width each, with each group's
-    reads batched: one `_batched_moments` call for sigma0 and one
-    `_batched_slope` call at the working point, then one `_batched_moments`
-    call per round for the phase each unfinished coroutine asks for.
-    Results come back in the models' order.  A non-finite phi raises
-    ValueError."""
+    `_models`' stack of rows and photon numbers, with the reads batched: one
+    `_batched_moments` call for sigma0 and one `_batched_slope` call at the
+    working point, then one `_batched_moments` call per round for the phase
+    each unfinished coroutine asks for.  Results come back in the models'
+    order.  A non-finite phi raises ValueError."""
     _check_finite("working point phi", phi)
-    results = [None] * sum(len(where) for where, _, _ in groups)
-    for group, stack, photons in groups:
-        sigma0 = _batched_moments(stack, [phi] * len(group))[2].tolist()
-        solves = [_resolve(phi, criterion, *reads) for reads in zip(
-            sigma0, photons.tolist(), _batched_slope(stack, phi).tolist())]
-        live, sigmas = range(len(group)), [None] * len(group)
-        while True:
-            asked, phases = [], []
-            for j, sigma in zip(live, sigmas):
-                try:
-                    phases.append(solves[j].send(sigma))
-                    asked.append(j)
-                except StopIteration as done:
-                    results[group[j]] = done.value
-            if not asked:
-                break
-            live, sigmas = asked, _batched_moments(stack[asked], phases)[2].tolist()
-    return tuple(results)
+    n = len(stack)
+    sigma0 = _batched_moments(stack, [phi] * n)[2].tolist()
+    solves = [_resolve(phi, criterion, *reads) for reads in zip(
+        sigma0, photons.tolist(), _batched_slope(stack, phi).tolist())]
+    results, live, sigmas = [None] * n, range(n), [None] * n
+    while True:
+        asked, phases = [], []
+        for j, sigma in zip(live, sigmas):
+            try:
+                phases.append(solves[j].send(sigma))
+                asked.append(j)
+            except StopIteration as done:
+                results[j] = done.value
+        if not asked:
+            return tuple(results)
+        live, sigmas = asked, _batched_moments(stack[asked], phases)[2].tolist()
 
 
 _CRITERIA = {"standard": standard_resolution, "modified": modified_resolution}
@@ -337,9 +334,9 @@ def sweep(config: InterferometerConfig, parameter: str, grid,
     message and the sweep keeps going.  Each grid value is checked, by the
     swept field's own check, before any model is built; a bad one raises the
     ValueError its row's device would.  No row builds a device: `_models`
-    builds every row's phase model in one batched chain per loss pattern,
-    and the rows solve in lockstep, their reads batched across the rows'
-    models, one call per model width and round.
+    builds every row's phase model in one stack, by the chain a lone device
+    runs, and the rows solve in lockstep, their reads batched across the
+    rows' models, one call per round.
     """
     _check_choice("sweep parameter", parameter, SWEEP_PARAMETERS)
     _check_choice("criterion", criterion, _CRITERIA)
@@ -355,7 +352,7 @@ def sweep(config: InterferometerConfig, parameter: str, grid,
         _FIELD_CHECKS[fields[0]](value)
     columns = {name: values if name in fields else [getattr(config, name)] * len(values)
                for name in _FIELD_CHECKS}
-    return _lockstep(_models(**columns), phi, criterion)
+    return _lockstep(*_models(**columns), phi, criterion)
 
 
 def _brent_min(f, lo: float, hi: float, tol: float):

@@ -116,14 +116,17 @@ def reference_station(f, a0, a1):
     return np.concatenate((f * [[c0], [c0], [c1], [c1]], noise[:, lossy]), axis=1)
 
 
-def reference_model(config):
+def reference_model(config, station=reference_station, element=lambda matrix: matrix):
     """The device's phase model, (rows, photons), from the public builders:
     the detected rows of B2 times P0, Pc and Ps, each written slice by slice
-    into zeros, times the factor after both loss stations."""
-    f = reference_station(two_mode_squeezer(config.G, config.xi), config.alpha1, config.beta1)
-    f = reference_station(beam_splitter(BsSpec("B1", config.delta1)).dot(f),
-                          config.alpha2, config.beta2)
-    b2 = beam_splitter(BsSpec("B2", config.delta2))
+    into zeros, times the factor after both loss stations.  `station` is the
+    loss step, and `element` maps each builder's matrix before use: with
+    `np.abs`, each row entry is, up to its sign, the sum of its terms'
+    magnitudes, the scale of its roundoff."""
+    f = station(element(two_mode_squeezer(config.G, config.xi)), config.alpha1, config.beta1)
+    f = station(element(beam_splitter(BsSpec("B1", config.delta1))).dot(f),
+                config.alpha2, config.beta2)
+    b2 = element(beam_splitter(BsSpec("B2", config.delta2)))
     d, w = b2[::2], np.zeros((3, 2, 4))
     w[0, :, 2:], w[1, :, :2] = d[:, 2:], d[:, :2]
     w[2, :, 0], w[2, :, 1] = d[:, 1], -d[:, 0]

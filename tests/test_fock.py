@@ -1,5 +1,6 @@
 """Truncated number-basis machinery: construction, unitaries, guards."""
 import dataclasses
+import inspect
 import math
 import time
 import tracemalloc
@@ -23,8 +24,6 @@ from squint import (
     tail_cutoff,
     tmsv_fock,
 )
-from squint.gaussian import _splitter, _squeezer
-from squint.interferometer import _lose
 from reference import reference_lose, reference_losses, reference_seed, reference_xx
 
 
@@ -559,37 +558,35 @@ def test_pipeline_arm_loss_matches_engine(oracle_values):
     assert engine_deviation(oracle_values) <= 1e-8
 
 
-def faulty_lose(scale, noise):
-    """A loss step that scales each mode's rows by scale(angle) and gives each
-    lossy mode two noise columns of noise(angle)."""
-    def lose(f, a0, a1):
-        if a0 == 0.0 and a1 == 0.0:
-            return f
-        cols = [noise(a) * np.eye(4)[:, 2 * m:2 * m + 2]
-                for m, a in enumerate((a0, a1)) if a != 0.0]
-        return np.hstack([f * np.repeat([scale(a0), scale(a1)], 2)[:, None], *cols])
-    return lose
+def faulty_chain(fault):
+    """`_chain` with faulty element entries: fault takes the entries by name
+    and returns the ones it replaces."""
+    chain = interferometer._chain
+    names = inspect.signature(chain).parameters
+
+    def faulty(*entries):
+        entries = dict(zip(names, entries))
+        return chain(**{**entries, **fault(entries)})
+    return faulty
 
 
-def flipped_imbalance(variant):
-    """`_splitter` with the sign of one splitter's imbalance flipped."""
-    return lambda v, imbalance: _splitter(v, -imbalance if v == variant else imbalance)
-
-
-# Each fault replaces one name that the phase model's build looks up.
+# Each fault changes the element entries that the phase model's one chain reads.
+_MODES = ("a1", "b1", "a2", "b2")
 ENGINE_FAULTS = {
-    "pump_phase_sign": ("_squeezer", lambda G, xi: _squeezer(G, -xi)),
-    "loss_modes_swapped": ("_lose", lambda f, a0, a1: _lose(f, a1, a0)),
-    "noise_cos_for_sin": ("_lose", faulty_lose(math.cos, math.cos)),
-    "rows_cos_squared": ("_lose", faulty_lose(lambda a: math.cos(a) ** 2, math.sin)),
-    "b1_imbalance_sign": ("_splitter", flipped_imbalance("B1")),
-    "b2_imbalance_sign": ("_splitter", flipped_imbalance("B2")),
+    "pump_phase_sign": lambda e: {"sx": -e["sx"]},
+    "loss_modes_swapped": lambda e: {f"{t}{m}{k}": e[f"{t}{o}{k}"] for t in "cs"
+                                     for m, o in (("a", "b"), ("b", "a")) for k in "12"},
+    "noise_cos_for_sin": lambda e: {f"s{m}": e[f"c{m}"] for m in _MODES},
+    "rows_cos_squared": lambda e: {f"c{m}": e[f"c{m}"] ** 2 for m in _MODES},
+    # cos and sin of pi/4 - delta are sin and cos of pi/4 + delta
+    "b1_imbalance_sign": lambda e: {"c1": e["s1"], "s1": e["c1"]},
+    "b2_imbalance_sign": lambda e: {"c2": e["s2"], "s2": e["c2"]},
 }
 
 
-@pytest.mark.parametrize("name, fault", ENGINE_FAULTS.values(), ids=ENGINE_FAULTS.keys())
-def test_engine_faults_fail_the_oracle_comparison(monkeypatch, oracle_values, name, fault):
-    monkeypatch.setattr(interferometer, name, fault)
+@pytest.mark.parametrize("fault", ENGINE_FAULTS.values(), ids=ENGINE_FAULTS.keys())
+def test_engine_faults_fail_the_oracle_comparison(monkeypatch, oracle_values, fault):
+    monkeypatch.setattr(interferometer, "_chain", faulty_chain(fault))
     assert engine_deviation(oracle_values) > 1e-8
 
 

@@ -179,7 +179,7 @@ def test_evaluations_count_every_engine_call(monkeypatch):
     for base, parameter, grid in (
             (InterferometerConfig(G=1.0), "G", [0.0, 0.7, 2.0, 20.0]),  # refusals
             (InterferometerConfig(G=5.0), "delta2", [-0.3, 0.5, 0.78]),  # no root
-            (InterferometerConfig(G=2.0, beta2=0.1), "alpha1", [0.0, 0.1, 0.3])):  # two widths
+            (InterferometerConfig(G=2.0, beta2=0.1), "alpha1", [0.0, 0.1, 0.3])):  # mixed
         for criterion in ("standard", "modified"):
             calls.clear()
             reads.clear()
@@ -318,7 +318,7 @@ def _fields(result):
 
 # The gain grid holds a slope refusal (0) and a roundoff refusal (20); the
 # delta2 grid rows without a root at G = 5 (0.7, 0.78); each loss grid starts
-# lossless, so its rows have two model widths.
+# lossless, so its sweep mixes lossless and lossy rows in one stack.
 _LOCKSTEP_GRIDS = {"G": [0.0, 0.4, 1.5, 4.0, 20.0], "delta1": [-0.5, 0.0, 0.3],
                    "delta2": [-0.5, -0.2, 0.0, 0.7, 0.78]}
 _LOSS_GRID = [0.0, 0.05, 0.3]
@@ -338,15 +338,16 @@ def _lockstep_devices():
 
 
 def test_sweep_rows_equal_the_solver_bit_for_bit():
-    # the lockstep batches every row's reads, grouped by model width, and
-    # must give each row the solver's result on that row's device, every field
+    # the lockstep batches every row's reads in one stack, and must give each
+    # row the solver's result on that row's device, every field
     import squint.resolution as solvers
-    messages, widths = set(), set()
+    messages, mixed = set(), set()
     for cfg in _lockstep_devices():
         for parameter in SWEEP_PARAMETERS:
             grid = _LOCKSTEP_GRIDS.get(parameter, _LOSS_GRID)
             devices = [solvers._apply_parameter(cfg, parameter, v) for v in grid]
-            widths.add(len({d._model[0].shape[1] for d in devices}))
+            mixed.add(len({tuple(a != 0.0 for a in (d.alpha1, d.beta1, d.alpha2, d.beta2))
+                           for d in devices}))
             for criterion, solver in (("standard", standard_resolution),
                                       ("modified", modified_resolution)):
                 for phi in (np.pi / 2, 1.3, 2.0):
@@ -356,8 +357,8 @@ def test_sweep_rows_equal_the_solver_bit_for_bit():
                         assert _fields(res) == _fields(solver(device, phi=phi)), \
                             (parameter, device, criterion, phi)
                         messages.add(res.message.split(" ")[0])
-    # every refusal was met, and sweeps whose rows have two widths
-    assert {"signal", "noise", "no"} <= messages and 2 in widths
+    # every refusal was met, and sweeps whose rows mix two loss patterns
+    assert {"signal", "noise", "no"} <= messages and 2 in mixed
 
 
 def test_a_float32_field_builds_the_float64_device():
