@@ -1,18 +1,19 @@
-"""Zero-mean Gaussian states and the elementary optical transformations.
+"""Element specs and the input checks that every layer shares.
 
-A state is its real covariance matrix, an ndarray in quadrature ordering
-(x1, p1, x2, p2, ...) with the convention
+States follow the quadrature ordering (x1, p1, x2, p2) with the convention
 
     x = a^dag + a,    p = i(a^dag - a),
 
 so the vacuum covariance is the identity and the homodyne observable is
-exactly x with no rescaling.  Every state in scope is zero mean (vacuum
-inputs, linear transformations), so the covariance is the whole state.
+exactly x with no rescaling.
 
-Each element of the device acts on the squeezed pair, modes 0 and 1, and is
-its real 4x4 symplectic matrix S, acting as cov -> S cov S^T.  Pure loss is
-applied directly as a covariance contraction; its ancilla-dilation twin
-lives in the Fock oracle.
+This module holds what the engine's element chain (`interferometer._chain`),
+the Fock oracle and the CLI share: the beam-splitter spec `BsSpec` and its
+complex mode map, `_quarter_turn`'s splitter angles, the loss dilation
+`loss_unitary`, and the `_check_*` input checks, the one home of the library's
+validation.  The library builds no 4x4 covariance matrix; the covariance
+chain, element by element, that the engine's rows are checked against is
+the test suite's reference, in tests/reference.py.
 """
 from __future__ import annotations
 
@@ -25,13 +26,7 @@ import numpy as np
 
 __all__ = [
     "BsSpec",
-    "vacuum_state",
-    "two_mode_squeezer",
-    "phase_shifter",
-    "beam_splitter",
     "loss_unitary",
-    "apply_symplectic",
-    "apply_loss",
 ]
 
 
@@ -123,64 +118,6 @@ class BsSpec:
         return np.array([[-c, 1j * s], [-1j * s, c]])
 
 
-def vacuum_state() -> np.ndarray:
-    """Vacuum covariance of the pair: the 4x4 identity."""
-    return np.eye(4)
-
-
-def two_mode_squeezer(G: float, xi: float = 0.0) -> np.ndarray:
-    """Nondegenerate parametric amplifier acting on the pair.
-
-    Implements the Bogoliubov pair a' = U a + V b^dag, b' = U b + V a^dag
-    with U = cosh G and V = -i e^{i xi} sinh G, converted to the real
-    quadrature representation.  On vacuum it produces sinh^2 G photons per
-    mode.
-
-    Args:
-        G: dimensionless gain in [0, 177.17].
-        xi: pump phase in radians.
-    """
-    _check_gain(G)
-    _check_finite("pump phase xi", xi)
-    c, s = np.cosh(G), np.sinh(G)
-    re, im = s * math.sin(xi), -s * math.cos(xi)
-    # Quadrature image of V = Re V + i Im V = s sin(xi) - i s cos(xi):
-    #   x' = c x + Re(V) x_other + Im(V) p_other
-    #   p' = c p - Re(V) p_other + Im(V) x_other
-    return np.array((c, 0.0, re, im,
-                     0.0, c, im, -re,
-                     re, im, c, 0.0,
-                     im, -re, 0.0, c)).reshape(4, 4)
-
-
-def phase_shifter(phi: float) -> np.ndarray:
-    """Phase shift a -> e^{i phi} a on mode 0: an (x, p) rotation."""
-    _check_finite("phase phi", phi)
-    # + 0.0 turns sin(-0.0) into the +0.0 that Im exp(1j * -0.0) carries
-    c, s = math.cos(phi), math.sin(phi) + 0.0
-    return np.array((c, -s, 0.0, 0.0,
-                     s, c, 0.0, 0.0,
-                     0.0, 0.0, 1.0, 0.0,
-                     0.0, 0.0, 0.0, 1.0)).reshape(4, 4)
-
-
-def beam_splitter(spec: BsSpec) -> np.ndarray:
-    """Beam splitter on the pair: the real image of `spec.unitary()`, each
-    complex entry z the block [[Re z, -Im z], [Im z, Re z]], written out
-    entry by entry, signed zeros included (Re(-1j * s) is +0.0, -Im(c + 0j)
-    is -0.0)."""
-    c, s = _quarter_turn(spec.imbalance)
-    if spec.variant == "B1":
-        return np.array((c, -0.0, 0.0, s,
-                         0.0, c, -s, 0.0,
-                         0.0, s, c, -0.0,
-                         -s, 0.0, 0.0, c)).reshape(4, 4)
-    return np.array((-c, -0.0, 0.0, -s,
-                     0.0, -c, s, 0.0,
-                     0.0, s, c, -0.0,
-                     -s, 0.0, 0.0, c)).reshape(4, 4)
-
-
 # pi/4 as an unevaluated sum: the float nearest it and the remainder
 _PI4_HI = math.pi / 4
 _PI4_LO = 3.061616997868383e-17
@@ -211,40 +148,11 @@ def _quarter_turn(imbalance: float) -> tuple:
 def loss_unitary(alpha: float) -> np.ndarray:
     """Two-mode dilation of the loss channel: a -> cos(a)a + sin(a)u.
 
-    Real orthogonal map on (system, ancilla), the Fock oracle's loss.  The
-    covariance-level channel in `apply_loss` is this unitary with the vacuum
-    ancilla traced out.  ValueError unless alpha is a number in [0, pi/2].
+    Real orthogonal map on (system, ancilla), the Fock oracle's loss.  With
+    the vacuum ancilla traced out it is the engine's loss step: the mode's
+    rows scale by cos(alpha) and gain sin(alpha) noise columns.  ValueError
+    unless alpha is a number in [0, pi/2].
     """
     _check_loss_angle("loss angle", alpha)
     c, s = np.cos(alpha), np.sin(alpha)
     return np.array([[c, s], [-s, c]], dtype=complex)
-
-
-def apply_symplectic(cov: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """cov -> S cov S^T."""
-    if s.shape != cov.shape:
-        raise ValueError(f"operation size {s.shape} does not match state size {cov.shape}")
-    return s @ cov @ s.T
-
-
-def apply_loss(cov: np.ndarray, mode: int, alpha: float) -> np.ndarray:
-    """Pure loss of angle alpha on one mode (intensity transmission cos^2).
-
-    The mode's own 2x2 covariance block contracts toward vacuum,
-    cov_block -> cos^2(alpha) cov_block + sin^2(alpha) I, and every
-    cross-correlation row/column scales by cos(alpha).
-
-    Args:
-        cov: input covariance.
-        mode: target mode index.
-        alpha: loss angle in [0, pi/2]; pi/2 replaces the mode by vacuum.
-    """
-    _check_loss_angle("loss angle", alpha)
-    _check_integer("mode", mode, bound=cov.shape[0] // 2)
-    c = np.cos(alpha)
-    idx = [2 * mode, 2 * mode + 1]
-    cov = cov.copy()
-    cov[idx, :] *= c
-    cov[:, idx] *= c
-    cov[np.ix_(idx, idx)] += np.sin(alpha) ** 2 * np.eye(2)
-    return cov

@@ -2,16 +2,9 @@
 import numpy as np
 import pytest
 
-from squint import (
-    BsSpec,
-    apply_loss,
-    apply_symplectic,
-    beam_splitter,
-    phase_shifter,
-    two_mode_squeezer,
-    vacuum_state,
-)
-from reference import reference_passive
+from squint import BsSpec
+from reference import (apply_loss, apply_symplectic, beam_splitter, phase_shifter,
+                       reference_passive, two_mode_squeezer, vacuum_state)
 
 
 @pytest.fixture

@@ -1,5 +1,14 @@
 """Test-side references: helpers that only the tests call.
 
+The reference chain is the device as a 4x4 covariance, element by element,
+with the library's input checks: the builders `vacuum_state`,
+`two_mode_squeezer`, `phase_shifter` and `beam_splitter`, the steps
+`apply_symplectic` and `apply_loss`, and the product statistics
+`product_mean`, `product_second_moment`, `product_sigma` and
+`mean_photon_number`, each read from a covariance.  The engine builds no
+covariance; its one element chain, `interferometer._chain`, is held against
+this one.
+
 The symplectic form and the physicality test check the Gaussian layer's
 invariants, the block embedding rebuilds each element's real 4x4 matrix
 slice by slice, independently of the builders' literals, and the saturation
@@ -19,7 +28,7 @@ tensor, the composition the oracle's slice-wise X_a X_b must equal bit for
 bit.  The per-mode loss chain rebuilds the device's output covariance with `@`
 products and one loss step per mode: each of the engine's loss steps must
 equal it bit for bit, and the phase model must match its output to roundoff.
-The reference model is the device's phase model as the public builders, a
+The reference model is the device's phase model as this file's builders, a
 concatenating loss step and a slice-filled B2 operator first built it, with
 the photon number read from its output covariance's trace: the engine's
 unchecked builders must keep its rows bit for bit, and the engine's
@@ -39,12 +48,135 @@ from decimal import Decimal
 import numpy as np
 
 from squint import fock
-from squint import (BsSpec, FockState, ancilla_cutoff, apply_unitary_fock, beam_splitter,
-                    evaluate, loss_unitary, mean_photon_number, phase_shifter, signal_slope,
-                    tail_cutoff, two_mode_squeezer)
+from squint import (BsSpec, FockState, ancilla_cutoff, apply_unitary_fock, evaluate,
+                    loss_unitary, signal_slope, tail_cutoff)
 from squint.cli import _json_num, fmt
+from squint.gaussian import (_check_finite, _check_gain, _check_integer, _check_loss_angle,
+                             _quarter_turn)
+from squint.moments import _second_moment, _sigma
 
 SIGNAL_COLUMNS = ("phi", "mean_P", "sqrt_second_moment", "sigma", "mean_N")
+
+
+def vacuum_state() -> np.ndarray:
+    """Vacuum covariance of the pair: the 4x4 identity."""
+    return np.eye(4)
+
+
+def two_mode_squeezer(G: float, xi: float = 0.0) -> np.ndarray:
+    """Nondegenerate parametric amplifier acting on the pair.
+
+    Implements the Bogoliubov pair a' = U a + V b^dag, b' = U b + V a^dag
+    with U = cosh G and V = -i e^{i xi} sinh G, converted to the real
+    quadrature representation.  On vacuum it produces sinh^2 G photons per
+    mode.
+
+    Args:
+        G: dimensionless gain in [0, 177.17].
+        xi: pump phase in radians.
+    """
+    _check_gain(G)
+    _check_finite("pump phase xi", xi)
+    c, s = np.cosh(G), np.sinh(G)
+    re, im = s * math.sin(xi), -s * math.cos(xi)
+    # Quadrature image of V = Re V + i Im V = s sin(xi) - i s cos(xi):
+    #   x' = c x + Re(V) x_other + Im(V) p_other
+    #   p' = c p - Re(V) p_other + Im(V) x_other
+    return np.array((c, 0.0, re, im,
+                     0.0, c, im, -re,
+                     re, im, c, 0.0,
+                     im, -re, 0.0, c)).reshape(4, 4)
+
+
+def phase_shifter(phi: float) -> np.ndarray:
+    """Phase shift a -> e^{i phi} a on mode 0: an (x, p) rotation."""
+    _check_finite("phase phi", phi)
+    # + 0.0 turns sin(-0.0) into the +0.0 that Im exp(1j * -0.0) carries
+    c, s = math.cos(phi), math.sin(phi) + 0.0
+    return np.array((c, -s, 0.0, 0.0,
+                     s, c, 0.0, 0.0,
+                     0.0, 0.0, 1.0, 0.0,
+                     0.0, 0.0, 0.0, 1.0)).reshape(4, 4)
+
+
+def beam_splitter(spec: BsSpec) -> np.ndarray:
+    """Beam splitter on the pair: the real image of `spec.unitary()`, each
+    complex entry z the block [[Re z, -Im z], [Im z, Re z]], written out
+    entry by entry, signed zeros included (Re(-1j * s) is +0.0, -Im(c + 0j)
+    is -0.0)."""
+    c, s = _quarter_turn(spec.imbalance)
+    if spec.variant == "B1":
+        return np.array((c, -0.0, 0.0, s,
+                         0.0, c, -s, 0.0,
+                         0.0, s, c, -0.0,
+                         -s, 0.0, 0.0, c)).reshape(4, 4)
+    return np.array((-c, -0.0, 0.0, -s,
+                     0.0, -c, s, 0.0,
+                     0.0, s, c, -0.0,
+                     -s, 0.0, 0.0, c)).reshape(4, 4)
+
+
+def apply_symplectic(cov: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """cov -> S cov S^T."""
+    if s.shape != cov.shape:
+        raise ValueError(f"operation size {s.shape} does not match state size {cov.shape}")
+    return s @ cov @ s.T
+
+
+def apply_loss(cov: np.ndarray, mode: int, alpha: float) -> np.ndarray:
+    """Pure loss of angle alpha on one mode (intensity transmission cos^2).
+
+    The mode's own 2x2 covariance block contracts toward vacuum,
+    cov_block -> cos^2(alpha) cov_block + sin^2(alpha) I, and every
+    cross-correlation row/column scales by cos(alpha).
+
+    Args:
+        cov: input covariance.
+        mode: target mode index.
+        alpha: loss angle in [0, pi/2]; pi/2 replaces the mode by vacuum.
+    """
+    _check_loss_angle("loss angle", alpha)
+    _check_integer("mode", mode, bound=cov.shape[0] // 2)
+    c = np.cos(alpha)
+    idx = [2 * mode, 2 * mode + 1]
+    cov = cov.copy()
+    cov[idx, :] *= c
+    cov[:, idx] *= c
+    cov[np.ix_(idx, idx)] += np.sin(alpha) ** 2 * np.eye(2)
+    return cov
+
+
+def product_mean(cov: np.ndarray) -> float:
+    """Mean of the product signal; for zero-mean states this is the
+    covariance <X_a X_b> of the two x quadratures, entry (0, 2)."""
+    return cov.item(0, 2)
+
+
+def product_second_moment(cov: np.ndarray) -> float:
+    """Second moment <(X_a X_b)^2> by Isserlis factoring of the quartic."""
+    return _second_moment(cov.item(0, 0), cov.item(0, 2), cov.item(2, 2))
+
+
+def product_sigma(cov: np.ndarray) -> float:
+    """Standard deviation of the product signal.
+
+    The variance <P^2> - <P>^2 is mathematically non-negative; a value below
+    -1e-12 (relative to the second moment's scale) signals a bug upstream and
+    raises, while sub-roundoff negatives are clamped to zero.
+    """
+    return _sigma(product_mean(cov), product_second_moment(cov))
+
+
+def mean_photon_number(cov: np.ndarray) -> float:
+    """Total mean photon number of the pair, (trace(cov) - 4) / 4.
+
+    Follows from <x^2> + <p^2> = 4<n> + 2 per mode in this scaling.  The
+    diagonal is summed left to right, the order np.trace adds four entries in.
+    The subtraction cancels to roundoff at small gain, so the engine takes
+    its photon number from the closed form instead.
+    """
+    trace = cov.item(0, 0) + cov.item(1, 1) + cov.item(2, 2) + cov.item(3, 3)
+    return (trace - 4.0) / 4.0
 
 
 def symplectic_form() -> np.ndarray:
@@ -117,7 +249,7 @@ def reference_station(f, a0, a1):
 
 
 def reference_model(config, station=reference_station, element=lambda matrix: matrix):
-    """The device's phase model, (rows, photons), from the public builders:
+    """The device's phase model, (rows, photons), from this file's builders:
     the detected rows of B2 times P0, Pc and Ps, each written slice by slice
     into zeros, times the factor after both loss stations.  `station` is the
     loss step, and `element` maps each builder's matrix before use: with

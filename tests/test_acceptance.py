@@ -71,23 +71,19 @@ from conftest import random_two_mode_state
 from squint import (
     BsSpec,
     InterferometerConfig,
-    apply_symplectic,
-    beam_splitter,
     closed_form_reference,
     equivalence_grid,
     evaluate,
     loss_unitary,
-    mean_photon_number,
     modified_resolution,
     optimize_delta2,
-    phase_shifter,
     small_angle_root,
     standard_resolution,
     sweep,
-    two_mode_squeezer,
-    vacuum_state,
 )
-from reference import detect_saturation, physicality_defect, reference_passive, symplectic_form
+from reference import (apply_symplectic, beam_splitter, detect_saturation, mean_photon_number,
+                       phase_shifter, physicality_defect, reference_passive, symplectic_form,
+                       two_mode_squeezer, vacuum_state)
 
 GAIN_GRID = np.geomspace(0.5, 8.0, 60)
 LOSS = math.pi / 300

@@ -14,23 +14,13 @@ from squint import (
     InterferometerConfig,
     SignalStats,
     ancilla_cutoff,
-    apply_loss,
-    apply_symplectic,
-    beam_splitter,
     closed_form_reference,
     evaluate,
-    mean_photon_number,
     modified_resolution,
-    phase_shifter,
-    product_mean,
-    product_second_moment,
-    product_sigma,
     refine_working_point,
     signal_slope,
     standard_resolution,
     tail_cutoff,
-    two_mode_squeezer,
-    vacuum_state,
 )
 from squint.gaussian import _G_MAX
 from squint.interferometer import (
@@ -42,8 +32,11 @@ from squint.interferometer import (
     _phase_jet,
 )
 from squint.resolution import SWEEP_PARAMETERS, _apply_parameter
-from reference import (decimal_photons, four_point_slope, lose_one_mode, reference_model,
-                       reference_output_state, reference_station)
+from reference import (apply_loss, apply_symplectic, beam_splitter, decimal_photons,
+                       four_point_slope, lose_one_mode, mean_photon_number, phase_shifter,
+                       product_mean, product_second_moment, product_sigma, reference_model,
+                       reference_output_state, reference_station, two_mode_squeezer,
+                       vacuum_state)
 
 GAINS = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 _EPS = float(np.finfo(float).eps)
@@ -610,7 +603,7 @@ def test_the_chain_runs_on_decimal_entries(monkeypatch):
             assert abs(Decimal(photons) - exact_photons) <= Decimal(9 * _EPS / 2) * exact_photons
 
 
-def _drawn_devices(rng, count, gain):
+def _seeded_devices(rng, count, gain):
     """count seeded devices, each gain from gain() and every other field drawn
     over its whole range or set at its edge: each loss 0, pi/2 or drawn,
     each |delta| up to 0.785."""
@@ -635,7 +628,7 @@ def test_photons_match_the_decimal_closed_form():
     # gain down to 1e-300, plus, below G ~ 1.5e-154, the subnormal rounding
     # of sinh^2 G (at most 2 ulp(0) once the bracket, at most 2, scales it).
     rng = np.random.default_rng(4040)
-    devices = [*_drawn_devices(rng, 3000, lambda: 10.0 ** rng.uniform(-300.0, math.log10(8.0))),
+    devices = [*_seeded_devices(rng, 3000, lambda: 10.0 ** rng.uniform(-300.0, math.log10(8.0))),
                InterferometerConfig(G=0.0, alpha2=0.5), InterferometerConfig(G=1e-300)]
     for cfg in devices:
         n, want = cfg._model[1], decimal_photons(cfg)
@@ -667,7 +660,7 @@ def test_photons_match_the_output_covariance_trace():
     # the trace rule, (trace C - 4) / 4 of the public chain's output
     # covariance, agrees with the closed form to its absolute roundoff
     rng = np.random.default_rng(4141)
-    for cfg in _drawn_devices(rng, 3000, lambda: rng.uniform(0.0, 8.0)):
+    for cfg in _seeded_devices(rng, 3000, lambda: rng.uniform(0.0, 8.0)):
         n, trace_n = cfg._model[1], reference_model(cfg)[1]
         assert abs(n - trace_n) <= 4.5 * _EPS * (1.0 + n), cfg
 
