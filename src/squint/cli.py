@@ -162,11 +162,10 @@ def _with_fields(cfg: RunConfig, fields: dict) -> RunConfig:
 
 def fmt(value) -> str:
     """Render one CSV cell: 12 significant digits, decimal point kept."""
-    if type(value) is not float:  # most cells: skip the abstract-class checks
-        if isinstance(value, _BOOLS):
-            return "true" if value else "false"
-        if isinstance(value, (int, np.integer)):
-            return f"{int(value)}.0"
+    if isinstance(value, _BOOLS):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return f"{int(value)}.0"
     s = f"{float(value):.12g}"  # inf, -inf and nan included
     return s + ".0" if s.lstrip("-").isdigit() else s
 
@@ -289,16 +288,15 @@ def cmd_oracle_check(cfg: RunConfig, args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors on exit code 1 (2 is reserved for numerics),
-    and a flag table: `flags` maps each option string of an argument added by
-    `add_argument` (not argparse's own -h/--help) to the action it returned."""
+    """argparse with usage errors on exit code 1 (2 is reserved for numerics).
+    A subcommand's parser also has a flag table, set by `_add_subcommand`:
+    `flags` maps each option string of an argument added by `add_argument`
+    (not argparse's own -h/--help, which the constructor adds first) to the
+    action it returned, and `defaults` holds the full parser's namespace
+    for the bare subcommand."""
 
+    flags = None  # the top-level parser has no table
     exclusive = frozenset()  # actions a request may give at most one of
-
-    def __init__(self, **kwargs):
-        self.flags = None
-        super().__init__(**kwargs)
-        self.flags = {}
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
@@ -343,12 +341,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_subcommand(sub, name: str, run, summary: str, device: bool = True) -> _Parser:
-    """Subparser running `run`, with the common flags and (unless `device` is
-    false) the device flags.  Each flag's dest names the field it sets; an
-    unset flag is None and keeps the config file's value or the default."""
+    """Subparser running `run`, with an empty flag table that each later
+    `add_argument` fills, the common flags and (unless `device` is false)
+    the device flags.  Each flag's dest names the field it sets; an unset
+    flag is None and keeps the config file's value or the default."""
     p = sub.add_parser(name, help=summary)
-    p.defaults = dict(command=name, run=run, device=device)
-    p.set_defaults(**p.defaults)
+    p.flags = {}
+    p.set_defaults(command=name, run=run, device=device)
     if device:
         p.add_argument("-G", "--gain", dest="G", type=float, help="squeezer gain")
         p.add_argument("--xi", type=float, help="pump phase (angle)")
@@ -375,7 +374,9 @@ def _build_parser() -> _Parser:
     Its `commands` maps each subcommand's name to that subcommand's parser,
     whose flag table (`_Parser.read_flags`) reads a request of exact flags
     (see `_parse`); the full parser reads every other request, and alone
-    writes help and usage errors."""
+    writes help and usage errors.  Each table starts from argparse's own
+    namespace for the bare subcommand, so it holds every default in
+    argparse's order."""
     parser = _Parser(prog="squint",
                      description="Squeezed-vacuum interferometry: signals, "
                                  "resolution limits, sweeps, and oracle checks.")
@@ -416,13 +417,8 @@ def _build_parser() -> _Parser:
 
     _add_subcommand(sub, "oracle-check", cmd_oracle_check,
                     "engine vs Fock oracle on the validation grid", device=False)
-    for p in parser.commands.values():
-        # argparse's namespace order: the top level's dest, then each
-        # argument's dest as added, then the rest of set_defaults
-        defaults = {"command": None}
-        for action in p.flags.values():
-            defaults.setdefault(action.dest, action.default)
-        p.defaults = defaults | p.defaults
+    for name, p in parser.commands.items():
+        p.defaults = vars(parser.parse_args([name]))
     return parser
 
 

@@ -53,6 +53,15 @@ def test_tail_cutoff_matches_level_count():
     assert tail_cutoff(20.0) == counted_tail_cutoff(20.0) == 0
 
 
+def test_tail_cutoff_settles_its_log_estimate_both_ways():
+    # the logarithms' estimate is 24447330968196 at the first gain, one
+    # short, and 1123224673850 at the second, one over: each settle loop runs
+    for G in (15.714706446364627, 16.805631196991953):
+        t2, c2 = np.tanh(G) ** 2, np.cosh(G) ** 2
+        n = tail_cutoff(G)
+        assert t2 ** (n + 1) / c2 <= 1e-14 < t2 ** n / c2, G
+
+
 def test_high_gain_pipeline_is_refused_quickly():
     # the pair cutoff at G = 10 is about 1.65e9 levels; sizing it takes no loop
     t0 = time.perf_counter()
@@ -264,6 +273,8 @@ def test_apply_unitary_input_validation():
         apply_unitary_fock(state, 0.5, (0, 1))
     with pytest.raises(ValueError):
         apply_unitary_fock(state, np.eye(3, dtype=complex), (0, 1))
+    with pytest.raises(ValueError, match="two distinct modes"):
+        apply_unitary_fock(state, np.eye(2, dtype=complex), 0)
     # any real scalar is a phase angle, numpy scalars included
     for phase in (np.float32(0.5), np.float64(0.5), np.int64(1), 1):
         got = apply_unitary_fock(state, phase, 0)
@@ -507,6 +518,15 @@ def test_moments_guard_covers_loss_ancillas():
     assert state.dims[2:] == (4, 4)
     with pytest.raises(CutoffError, match="mode 2 holds .* top two levels"):
         fock_moments(state, 0, 1)
+
+
+def test_moments_refuse_an_imaginary_first_moment(monkeypatch):
+    # a product operator that is not Hermitian leaves an imaginary residue
+    # in the first moment; the oracle raises instead of dropping it
+    xx_apply = fock._xx_apply
+    monkeypatch.setattr(fock, "_xx_apply", lambda *args: 1j * xx_apply(*args))
+    with pytest.raises(ArithmeticError, match="imaginary residue"):
+        oracle_pipeline(InterferometerConfig(G=0.3), math.pi / 4)
 
 
 def test_ideal_pipeline_mean_signal():
