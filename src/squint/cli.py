@@ -417,8 +417,10 @@ def _build_parser() -> _Parser:
 
     _add_subcommand(sub, "oracle-check", cmd_oracle_check,
                     "engine vs Fock oracle on the validation grid", device=False)
-    for name, p in parser.commands.items():
-        p.defaults = vars(parser.parse_args([name]))
+    for p in parser.commands.values():
+        # the bare subcommand's namespace, read by argparse's own method so
+        # that _Parser.parse_known_args sees requests only; "command" leads
+        p.defaults = {"command": None} | vars(argparse.ArgumentParser.parse_known_args(p, [])[0])
     return parser
 
 
