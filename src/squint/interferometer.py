@@ -36,21 +36,20 @@ cancels to roundoff at small G.  A device builds its model, A, U, V and N,
 once, on its first evaluation, by `_chain` on its entries as Python floats,
 in about 14 us, ideal or lossy.  Per phase,
 the kernel `_moments`, which `evaluate` wraps with the phase check and
-`SignalStats` and a lone solve's steps call directly, forms R with one dot
-over (1, cos phi, sin phi), reads C00, C02 and C22 from R R^T and takes
+`SignalStats` and a lone solve's root steps call directly, forms R with one
+dot over (1, cos phi, sin phi), reads C00, C02 and C22 from R R^T and takes
 sigma as the square root of C00 C22 + C02^2, a variance no rounding makes
 negative, so neither the kernel nor its batched copy has a floor or clamp.
-The slope kernel `_slope`, which `signal_slope` wraps with the phase check
-and a lone solve calls directly, forms R' = -sin(phi) U + cos(phi) V in the
-same dot and differentiates <P> = C02 in closed form, in about 4 us against
-3.5 us for `evaluate`.  The phase-jet kernel `_phase_jet`, which
-`refine_working_point` reads at each Newton step, adds R'' = A - R as a
-third row of the dot, and from four rows of the Gram of R, R' and R''
-gives f' and f'' of f = sigma^2 = C00 C22 + C02^2 in closed form, in about
-3.8 us against 2.3 us for `_moments`.  The kernels each form their (1, cos,
-sin) operand as an array first, and `_moments` and `_phase_jet` each unpack
-their Gram with one `tolist`.  The batched kernel, `_batched_moments`, forms
-the kernel's two products with `np.matmul` and takes each angle with one
+The jet kernel `_jet` reads everything else at a phase: it adds
+R' = -sin(phi) U + cos(phi) V and R'' = A - R as rows of the same dot, and
+from four rows of the Gram of R, R' and R'' gives sigma, the slope
+d<P>/dphi = C02', and f' and f'' of f = sigma^2 in closed form.  A lone
+solve reads it once at its working point, `signal_slope` wraps it with the
+phase check, and `refine_working_point` reads it at each Newton step.  One
+jet costs about 4.6 us, against 2.7 us for `_moments`.  The kernels each
+form their (1, cos, sin) operand as an array first and unpack their Gram
+with one `tolist`.  The batched kernel, `_batched_moments`, forms
+`_moments`' two products with `np.matmul` and takes each angle with one
 libm call, as `_moments` does, so its rows equal the kernel bit for bit.
 It runs over phases or over devices: `np.matmul` broadcasts one model over
 many phases, as a phase scan (`squint signal`, through `_evaluate_grid`) reads it, or
@@ -63,13 +62,13 @@ in-process, best of 15 or more repeats in one session).
 
 A sweep's rows never build a device.  `_models` runs `_chain` on arrays of
 every row's entries, lossless and lossy rows in one stack, and
-`_batched_slope` reads every stacked model's slope with three `np.matmul`
-calls; each row equals its device's model and `signal_slope` bit for bit,
-and a test pins them together.  60 models cost about 0.15 ms against
-1.1 ms to construct 60 devices and build theirs, and 60 slopes 10 us
-against 0.23 ms for 60 `signal_slope` calls; a stack of one costs about
-46 us against 14 us, so a lone device calls the chain itself (in-process,
-best of 15).
+`_batched_jet` reads every stacked model's sigma and slope at one phase
+with two `np.matmul` calls, `_jet`'s dot and Gram; each row equals its
+device's model and `_jet` bit for bit, and a test pins them together.
+60 models cost about 0.15 ms against 1.1 ms to construct 60 devices and
+build theirs, and 60 jets about 27 us; a stack of one costs about 46 us
+against 14 us, so a lone device calls the chain itself (in-process, best
+of 9 to 15).
 """
 from __future__ import annotations
 
@@ -322,41 +321,41 @@ def signal_slope(config: InterferometerConfig, phi: float) -> float:
         dR/dphi = -sin(phi) U + cos(phi) V,
         d<P>/dphi = r0' . r1 + r0 . r1',
 
-    with R and R' formed by one dot of ((1, cos, sin), (0, -sin, cos)) with
-    the model's rows.  No phase is shifted, so the slope is exact up to the
-    roundoff of two dot products, whatever the size of phi.  A non-finite
-    phi raises ValueError.
+    the slope of `_jet`, which forms R and R' in one dot with the model's
+    rows and both products in one Gram.  No phase is shifted, so the slope
+    is exact up to the roundoff of two dot products, whatever the size of
+    phi.  A non-finite phi raises ValueError.
     """
     _check_finite("phase phi", phi)
-    return _slope(config._model[0], phi)
+    return _jet(config._model[0], phi)[1]
 
 
-def _slope(rows: np.ndarray, phi: float) -> float:
-    """`signal_slope` at a finite phase phi, from a phase model's rows,
-    without its phase check: for a lone solve."""
-    c, s = math.cos(phi), math.sin(phi)
-    r, dr = np.array(((1.0, c, s), (0.0, -s, c))).dot(rows).reshape(2, 2, -1)
-    return float(dr[0].dot(r[1]) + r[0].dot(dr[1]))
-
-
-def _phase_jet(rows: np.ndarray, phi: float) -> tuple:
-    """(f', f'') at a finite phase phi, from a phase model's rows, where
-    f = sigma^2 = C00 C22 + C02^2 is the product signal's variance: its first
-    two phase derivatives in closed form, for `refine_working_point`.
+def _jet(rows: np.ndarray, phi: float) -> tuple:
+    """(sigma, slope, f', f'') at a finite phase phi, from a phase model's
+    rows, without a phase check: the product signal's noise, d<P>/dphi, and
+    the first two phase derivatives of f = sigma^2 = C00 C22 + C02^2, for a
+    solve's working point, `signal_slope` and `refine_working_point`.
 
     R'' = -cos(phi) U - sin(phi) V, so one dot of ((1, c, s), (0, -s, c),
     (0, -c, -s)) with the model's rows gives the six rows r0, r1, r0', r1',
     r0'' and r1'', and the first four rows of their 6 x 6 Gram every product
-    the derivatives need, with C22's derivatives C00's with r1 for r0:
+    the jet needs, with C22's derivatives C00's with r1 for r0:
 
         C00' = 2 r0 . r0',   C00'' = 2 (r0' . r0' + r0 . r0''),
-        C02' = r0' . r1 + r0 . r1',
+        slope = C02' = r0' . r1 + r0 . r1',
         C02'' = r0'' . r1 + 2 r0' . r1' + r0 . r1'',
         f'  = C00' C22 + C00 C22' + 2 C02 C02',
         f'' = C00'' C22 + 2 C00' C22' + C00 C22'' + 2 (C02'^2 + C02 C02'').
 
-    No phase is shifted and nothing is differenced, so both are exact up to
-    the roundoff of the dot, the Gram and the sums, whatever the size of phi.
+    sigma is sqrt(m2 - C02^2) with m2 = C00 C22 + 2 C02^2, as in `_moments`,
+    and needs no floor for the same reason: C00 and C22 are sums of squares,
+    so their rounded product is >= 0, and the one Gram entry C02 enters m2
+    and the subtracted square alike, so rounding, being monotone, keeps
+    m2 >= fl(C02 C02).  Its Gram may sum each product in another order than
+    `_moments`' R R^T, so the two sigmas can differ in their last bits, by
+    at most 60 ulp as a test derives (8 measured).  No phase is shifted and
+    nothing is differenced, so every value is exact up to the roundoff of
+    the dot, the Gram and the sums, whatever the size of phi.
     """
     c, s = math.cos(phi), math.sin(phi)
     r = np.array(((1.0, c, s), (0.0, -s, c), (0.0, -c, -s))).dot(rows).reshape(6, -1)
@@ -365,19 +364,24 @@ def _phase_jet(rows: np.ndarray, phi: float) -> tuple:
         (_, _, p00, p02, _, _), (_, _, _, p22, _, _) = r[:4].dot(r.T).tolist()
     d00, d02, d22 = 2.0 * h00, h20 + h02, 2.0 * h22
     e00, e02, e22 = 2.0 * (p00 + k00), k20 + 2.0 * p02 + k02, 2.0 * (p22 + k22)
-    return (d00 * c22 + c00 * d22 + 2.0 * c02 * d02,
+    return (math.sqrt(_second_moment(c00, c02, c22) - c02 * c02), d02,
+            d00 * c22 + c00 * d22 + 2.0 * c02 * d02,
             e00 * c22 + 2.0 * d00 * d22 + c00 * e22 + 2.0 * (d02 * d02 + c02 * e02))
 
 
-def _batched_slope(rows: np.ndarray, phi: float) -> np.ndarray:
-    """`_slope` of n models, an (n, 3, 24) stack, at one finite
-    phase phi, as an array equal to `_slope`'s row by row, bit for bit: one
-    `np.matmul` forms every model's R and R', as `_slope`'s dot does, and
-    two more its r0' . r1 and r0 . r1', as its two vector dots do."""
+def _batched_jet(stack: np.ndarray, phi: float) -> tuple:
+    """(sigma, slope) of n models, an (n, 3, 24) stack, at one finite phase
+    phi, as two arrays equal to `_jet`'s row by row, bit for bit: one
+    `np.matmul` forms every model's six rows, as `_jet`'s dot does, and one
+    more their first four Gram rows, as its Gram does, and sigma and the
+    slope come from the same entries by the same elementwise steps."""
     c, s = math.cos(phi), math.sin(phi)
-    r = np.matmul(np.array(((1.0, c, s), (0.0, -s, c))), rows).reshape(len(rows), 4, 1, -1)
-    return (np.matmul(r[:, 2], r[:, 1].transpose(0, 2, 1))
-            + np.matmul(r[:, 0], r[:, 3].transpose(0, 2, 1))).ravel()
+    r = np.matmul(np.array(((1.0, c, s), (0.0, -s, c), (0.0, -c, -s))), stack)
+    r = r.reshape(len(stack), 6, -1)
+    g = np.matmul(r[:, :4], r.transpose(0, 2, 1))
+    c02 = g[:, 0, 1]
+    sigma = np.sqrt(_second_moment(g[:, 0, 0], c02, g[:, 1, 1]) - c02 * c02)
+    return sigma, g[:, 1, 2] + g[:, 0, 3]
 
 
 def closed_form_reference(G: float, phi: float) -> SignalStats:

@@ -19,16 +19,17 @@ converged where the engine's roundoff swamps the dark-fringe noise.
 Both criteria run as one coroutine per phase model, `_resolve`: given
 sigma0, N and the slope at the working point it makes its checks, and then
 yields each phase whose sigma the root needs.  No solver reads a config:
-a single resolve builds its device's model and serves the coroutine one
-scalar kernel read per step.  A sweep builds no device: `_models` builds
-every row's model with the same chain on arrays, lossless and lossy rows in
-one stack, and the rows' coroutines run in lockstep, with one batched read
-of sigma0 and one of the slope at the working point, then one read per
-round of every unfinished row's phase, since one batched read of 60
-(model, phase) pairs costs about what 12 scalar reads do (25 us against
-123 us for 60).  Each row equals the device's own solve bit for bit.  A
-60-row G sweep takes about 0.92 ms, against 3.3 ms with each row's device
-built and solved on its own (2-core VM, in-process, best of 15 rounds).
+a single resolve builds its device's model, reads sigma0 and the slope
+with one jet, and serves the coroutine one scalar moment read per step.  A
+sweep builds no device: `_models` builds every row's model with the same
+chain on arrays, lossless and lossy rows in one stack, and the rows'
+coroutines run in lockstep, with one batched jet at the working point,
+then one batched moment read per round of every unfinished row's phase,
+since one batched read of 60 (model, phase) pairs costs about what 12
+scalar reads do (25 us against 123 us for 60).  Each row equals the
+device's own solve bit for bit.  A 60-row G sweep takes about 0.92 ms,
+against 3.3 ms with each row's device built and solved on its own (2-core
+VM, in-process, best of 15 rounds).
 """
 from __future__ import annotations
 
@@ -42,12 +43,11 @@ from .gaussian import _check_choice, _check_finite
 from .interferometer import (  # noqa: F401  perfbench's tracer patches evaluate here
     _FIELD_CHECKS,
     InterferometerConfig,
+    _batched_jet,
     _batched_moments,
-    _batched_slope,
+    _jet,
     _models,
     _moments,
-    _phase_jet,
-    _slope,
     evaluate,
 )
 
@@ -82,8 +82,8 @@ _ROUNDOFF_SAFETY = 10.0
 # kappa = delta_phi * N, each at most eps / 2.
 _PHOTON_ROUNDOFF = 10 * _EPS / 2
 _X_RTOL = 1e-14  # relative width that closes the modified root's bracket
-# Model reads before any solve: the working point's sigma and the slope.
-_PROBE_EVALUATIONS = 2
+# Model reads before any solve: one jet at the working point, for sigma0 and the slope.
+_PROBE_EVALUATIONS = 1
 # refine_working_point searches phi +/- _REFINE_HALF_WIDTH to _REFINE_TOL.
 _REFINE_HALF_WIDTH = 0.35
 _REFINE_TOL = 1e-9
@@ -92,12 +92,16 @@ _REFINE_TOL = 1e-9
 def _slope_floor(mean_photons: float) -> float:
     """Smallest slope distinguishable from roundoff.
 
-    `signal_slope` is two k-term dot products, r0' . r1 + r0 . r1', of the
-    phase model's rows, whose squared norms are quadrature variances bounded
-    through 2 (1 + N); each is good to a few ulps of that.  Against a 50-digit
-    slope of the same element entries it erred by at most 1.8 eps (1 + N)
-    over 400 edge devices at three phases each, and by 6.6 once the rounding
-    of the entries themselves is counted: a margin of over seven.
+    The slope, `_jet`'s and so `signal_slope`'s, is the sum of two Gram
+    entries, r0' . r1 + r0 . r1', each a k-term dot product of the phase
+    model's rows, whose squared norms are quadrature variances bounded
+    through 2 (1 + N); each is good to a few ulps of that.  Against a
+    50-digit slope of the same element entries it erred by at most
+    1.8 eps (1 + N) over 400 edge devices at three phases each, and by 6.6
+    once the rounding of the entries themselves is counted: a margin of over
+    seven.  Those figures were measured on the sum of the two vector dots
+    r0' . r1 and r0 . r1'; the jet's Gram gives that sum's bits on every
+    device tried, edges included, so they apply to the jet's slope.
     """
     return 50.0 * _EPS * (1.0 + mean_photons)
 
@@ -112,9 +116,9 @@ class ResolutionResult:
     mean_N is the mean photon number of the state reaching the detectors
     (phase independent, so quoted once per configuration).
 
-    evaluations counts the phase-model reads the solve used: two at the
-    working point (its statistics and the slope), then one per iteration of
-    the modified criterion.  error_bound bounds the relative error of
+    evaluations counts the phase-model reads the solve used: one at the
+    working point (a jet, for sigma0 and the slope), then one per iteration
+    of the modified criterion.  error_bound bounds the relative error of
     delta_phi and kappa: ten times the engine's roundoff ratio
     eps (1 + N) / sigma0 at the working point, plus 5 eps for N, which
     kappa = delta_phi * N multiplies in (N's closed form rounds at most nine
@@ -173,9 +177,10 @@ def _resolve(phi: float, criterion: str, sigma0: float, n: float, slope: float):
     leaves it unresolved.  Both are reported, not raised, before any phase
     is asked for, as is the standard criterion's sigma0 / |slope|; the
     modified criterion then runs the Illinois loop `modified_resolution`
-    describes.  sigma0 comes from the moment kernel, scalar or batched, not
-    from the slope's read: that dot forms R and R' together, and its last
-    bits can differ from the one-row dot of every other read of sigma.
+    describes.  sigma0 and the slope come from one jet, scalar or batched;
+    the root's steps read sigma from the moment kernel, whose Gram may sum
+    in another order, so sigma0 can differ from the moment kernel's sigma
+    at phi in its last bits (at most 60 ulp, as a test derives).
     """
     slope = abs(slope)
     bound = _ROUNDOFF_SAFETY * _EPS * (1.0 + n) / sigma0 + _PHOTON_ROUNDOFF if sigma0 else math.inf
@@ -239,13 +244,14 @@ def _resolve(phi: float, criterion: str, sigma0: float, n: float, slope: float):
 
 
 def _solve(model: tuple, phi: float, criterion: str) -> ResolutionResult:
-    """The result of one phase model, (rows, photons): `_moments` and
-    `_slope` at the working point, then one `_moments` read per phase the
-    coroutine asks for; phi is checked and every step finite, so no read
-    checks its phase.  A non-finite phi raises ValueError."""
+    """The result of one phase model, (rows, photons): one `_jet` read at
+    the working point for sigma0 and the slope, then one `_moments` read per
+    phase the coroutine asks for; phi is checked and every step finite, so
+    no read checks its phase.  A non-finite phi raises ValueError."""
     _check_finite("working point phi", phi)
     rows, photons = model
-    solve = _resolve(phi, criterion, _moments(rows, phi)[2], photons, _slope(rows, phi))
+    sigma0, slope = _jet(rows, phi)[:2]
+    solve = _resolve(phi, criterion, sigma0, photons, slope)
     try:
         phase = next(solve)
         while True:
@@ -284,15 +290,15 @@ def modified_resolution(config: InterferometerConfig,
 def _lockstep(stack: np.ndarray, photons: np.ndarray, phi: float, criterion: str) -> tuple:
     """Every model's result at phi, equal to `_solve`'s bit for bit, from
     `_models`' stack of rows and photon numbers, with the reads batched: one
-    `_batched_moments` call for sigma0 and one `_batched_slope` call at the
-    working point, then one `_batched_moments` call per round for the phase
-    each unfinished coroutine asks for.  Results come back in the models'
+    `_batched_jet` call at the working point for every row's sigma0 and
+    slope, then one `_batched_moments` call per round for the phase each
+    unfinished coroutine asks for.  Results come back in the models'
     order.  A non-finite phi raises ValueError."""
     _check_finite("working point phi", phi)
     n = len(stack)
-    sigma0 = _batched_moments(stack, [phi] * n)[2].tolist()
+    sigma0, slope = _batched_jet(stack, phi)
     solves = [_resolve(phi, criterion, *reads) for reads in zip(
-        sigma0, photons.tolist(), _batched_slope(stack, phi).tolist())]
+        sigma0.tolist(), photons.tolist(), slope.tolist())]
     results, live, sigmas = [None] * n, range(n), [None] * n
     while True:
         asked, phases = [], []
@@ -483,8 +489,8 @@ def refine_working_point(config: InterferometerConfig,
     minimum for the ideal device; imperfections shift the minimum (to
     pi/2 - xi/3 for the ideal device with pump phase xi).  The search is a
     safeguarded Newton iteration on f' = d sigma^2 / dphi over the bracket
-    [phi - 0.35, phi + 0.35], each read one `_phase_jet`, which gives f' and
-    f'' in closed form from the model's rows.  Each read moves an end of the
+    [phi - 0.35, phi + 0.35], each read one `_jet`, which gives f' and f''
+    in closed form from the model's rows.  Each read moves an end of the
     bracket to it by the sign of f'.  The next point is the Newton step
     -f'/f'' when f'' > 0 and it stays inside the bracket, and the bracket's
     midpoint otherwise; where f'' <= 0 the step counts as running past the
@@ -510,7 +516,7 @@ def refine_working_point(config: InterferometerConfig,
     # the minimum lies beyond it; last is the previous Newton step, 0 if none
     ends, x, last = {lo: 1.0, hi: -1.0}, phi, 0.0
     while True:
-        d1, d2 = _phase_jet(rows, x)
+        d1, d2 = _jet(rows, x)[2:]
         if d1 == 0.0 or d1 * ends.pop(x, 0.0) > 0.0:
             return x
         if d1 > 0.0:

@@ -24,12 +24,12 @@ from squint import (
 )
 from squint.gaussian import _G_MAX
 from squint.interferometer import (
+    _batched_jet,
     _batched_moments,
-    _batched_slope,
     _evaluate_grid,
+    _jet,
     _models,
     _moments,
-    _phase_jet,
 )
 from squint.resolution import SWEEP_PARAMETERS, _apply_parameter
 from reference import (apply_loss, apply_symplectic, beam_splitter, decimal_photons,
@@ -436,7 +436,7 @@ def test_phase_jet_matches_the_ideal_closed_forms():
         rows, n = cfg._model
         h = n * n / 2 + n
         for phi in (np.pi / 2, -0.0, *rng.uniform(-2 * np.pi, 2 * np.pi, 4).tolist()):
-            d1, d2 = _phase_jet(rows, phi)
+            d1, d2 = _jet(rows, phi)[2:]
             assert type(d1) is float and type(d2) is float
             tol = 64 * _EPS * (1 + n) ** 2
             assert abs(d1 - (2 * math.sin(4 * phi) - 2 * math.sin(2 * phi)) * h) <= tol, (G, phi)
@@ -457,7 +457,7 @@ def test_phase_jet_matches_central_differences_of_evaluate():
             return evaluate(cfg, p).sigma ** 2
 
         for phi in rng.uniform(-2 * np.pi, 2 * np.pi, 3).tolist():
-            d1, d2 = _phase_jet(rows, phi)
+            d1, d2 = _jet(rows, phi)[2:]
             h, f0 = 1e-4, f(phi)
             up, down = f(phi + h), f(phi - h)
             tol = 1e-6 * (1 + n) ** 2
@@ -704,12 +704,16 @@ def test_one_chain_gives_floats_and_arrays_the_same_bits():
         want_rows, want_photons = cfg._model
         assert model.tobytes() == want_rows.tobytes(), cfg
         assert n.hex() == want_photons.hex(), cfg
-    # the batched slope of the stack equals `signal_slope` on each device
+    # the batched jet, of the whole stack and of each row as a stack of one,
+    # gives each device's own `_jet` sigma and slope by hex, at the signed
+    # zeros, pi/2, pi/4 and off the fringes
     rng = np.random.default_rng(3737)
-    for phi in [-0.0, 0.0, np.pi / 2, 1e6, *rng.uniform(-7.0, 7.0, 3).tolist()]:
-        got = _batched_slope(rows, phi).tolist()
-        want = [signal_slope(cfg, phi) for cfg in devices]
-        assert list(map(float.hex, got)) == list(map(float.hex, want)), phi
+    for phi in [-0.0, 0.0, np.pi / 2, np.pi / 4, 1e6, *rng.uniform(-7.0, 7.0, 3).tolist()]:
+        want = [tuple(map(float.hex, _jet(cfg._model[0], phi)[:2])) for cfg in devices]
+        stack = zip(*(column.tolist() for column in _batched_jet(rows, phi)))
+        assert [tuple(map(float.hex, row)) for row in stack] == want, phi
+        ones = [_batched_jet(rows[i:i + 1], phi) for i in range(len(devices))]
+        assert [(sigma[0].hex(), slope[0].hex()) for sigma, slope in ones] == want, phi
 
 
 def test_kernel_variance_is_never_negative():
@@ -729,6 +733,40 @@ def test_kernel_variance_is_never_negative():
         m1, m2, sigma, _ = _evaluate_grid(cfg, phis)
         var = m2 - m1 * m1
         assert (var >= 0.0).all() and sigma.tobytes() == np.sqrt(var).tobytes(), cfg
+
+
+def test_jet_sigma_is_the_moment_kernels_within_summation_roundoff():
+    # the jet and the moment kernel form the same R, each entry by the same
+    # three-term sum a + cos(phi) u + sin(phi) v, and differ only in their
+    # Grams: `_moments`' R R^T and the jet's first four rows of the 6 x 6 Gram
+    # may sum each 12-term product of two rows in another order.  In any
+    # order a k-term dot errs by at most gamma_k = k u / (1 - k u), u = eps / 2,
+    # of the sum of its terms' magnitudes (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., sec. 3.1): C00 and C22 by 12 u relative,
+    # and C02 by 12 u sqrt(C00 C22), by Cauchy-Schwarz.  With P = C00 C22 >=
+    # C02^2, the variance is V = P + C02^2 >= P, and to first order in u the
+    # kernels' shared steps fl(fl(P + fl(2 C02 C02)) - fl(C02 C02)) put the
+    # rounded variance within 26 u P (C00, C22 and two roundings), 24 u P
+    # (C02^2 from C02's error) and 5 u P (the squares, the sum) of V, plus one
+    # more rounding: 56 u relative.  So each sigma is within 28 u + u = 29 u of
+    # the exact one, the two within 58 u = 29 eps sigma of each other, and
+    # sigma < 2 ulp(sigma) / eps makes that under 58 ulp; 60 covers the terms
+    # of order u^2 (measured worst 8 ulp).  The jet's sigma is also finite and
+    # >= 0 on every device, G = 0 and the gain bound included
+    phis = [-0.0, 0.0, np.pi / 2, np.pi / 4, 1e6, -2.5,
+            *np.linspace(0.0, 2 * np.pi, 20, endpoint=False).tolist()]
+    devices = [*_model_devices(100), *_edge_devices(200), *_sweep_families()]
+    seen = {(k, float(v).hex()) for cfg in devices for k, v in dataclasses.asdict(cfg).items()}
+    inside = math.nextafter(math.pi / 4, 0.0)
+    for name, edge in (("G", 0.0), ("G", _G_MAX), ("alpha2", np.pi / 2), ("delta1", inside),
+                       ("delta2", -inside)):
+        assert (name, edge.hex()) in seen, (name, edge)
+    for cfg in devices:
+        rows = cfg._model[0]
+        for phi in phis:
+            sigma, want = _jet(rows, phi)[0], _moments(rows, phi)[2]
+            assert math.isfinite(sigma) and sigma >= 0.0, (cfg, phi)
+            assert abs(sigma - want) <= 60 * math.ulp(want), (cfg, phi, sigma, want)
 
 
 def _symmetry_devices(count):

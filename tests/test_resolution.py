@@ -132,8 +132,8 @@ def test_high_gain_converged_only_when_correct():
 
 
 def test_evaluations_count_every_engine_call(monkeypatch):
-    # every model read a solve makes: the moment kernel and the slope kernel
-    # at the working point, and the moment kernel at each root step
+    # every model read a solve makes: one jet at the working point, for sigma0
+    # and the slope, and the moment kernel at each root step
     import squint.resolution as solvers
     calls = []
 
@@ -143,7 +143,7 @@ def test_evaluations_count_every_engine_call(monkeypatch):
             return fn(source, phi)
         return read
 
-    for name in ("evaluate", "_slope", "_moments"):
+    for name in ("evaluate", "_jet", "_moments"):
         monkeypatch.setattr(solvers, name, counted(getattr(solvers, name)))
     cases = [(solver, cfg) for solver in (standard_resolution, modified_resolution)
              for cfg in (InterferometerConfig(G=2.0),  # converges
@@ -156,12 +156,13 @@ def test_evaluations_count_every_engine_call(monkeypatch):
         assert res.evaluations == len(calls), (solver.__name__, cfg, res)
         # standard's one iteration is a division, modified's a root step
         steps = res.iterations if solver is modified_resolution else 0
-        assert res.evaluations == 2 + steps, (solver.__name__, cfg, res)
+        assert res.evaluations == 1 + steps, (solver.__name__, cfg, res)
     assert res.iterations and not res.converged
     # a sweep reads no row through evaluate or the scalar kernels: each row's
-    # sigma comes from the batched kernel, one phase per row per call, and
-    # its slope from the batched slope kernel; count both per row's model
-    from squint.interferometer import _batched_moments, _batched_slope
+    # sigma0 and slope come from one batched jet, and each root step's sigma
+    # from the batched moment kernel, one phase per row per call; count both
+    # per row's model
+    from squint.interferometer import _batched_jet, _batched_moments
     reads = collections.Counter()
 
     def counted_batch(rows, phis):
@@ -169,13 +170,13 @@ def test_evaluations_count_every_engine_call(monkeypatch):
         reads.update(model.tobytes() for model in rows)
         return _batched_moments(rows, phis)
 
-    def counted_slope(rows, phi):
+    def counted_jet(rows, phi):
         assert rows.ndim == 3
         reads.update(model.tobytes() for model in rows)
-        return _batched_slope(rows, phi)
+        return _batched_jet(rows, phi)
 
     monkeypatch.setattr(solvers, "_batched_moments", counted_batch)
-    monkeypatch.setattr(solvers, "_batched_slope", counted_slope)
+    monkeypatch.setattr(solvers, "_batched_jet", counted_jet)
     for base, parameter, grid in (
             (InterferometerConfig(G=1.0), "G", [0.0, 0.7, 2.0, 20.0]),  # refusals
             (InterferometerConfig(G=5.0), "delta2", [-0.3, 0.5, 0.78]),  # no root
@@ -189,7 +190,7 @@ def test_evaluations_count_every_engine_call(monkeypatch):
                 rows = solvers._apply_parameter(base, parameter, value)._model[0]
                 assert res.evaluations == reads[rows.tobytes()], (parameter, value, res)
                 steps = res.iterations if criterion == "modified" else 0
-                assert res.evaluations == 2 + steps, (parameter, value, res)
+                assert res.evaluations == 1 + steps, (parameter, value, res)
 
 
 @pytest.mark.parametrize("criterion", ["standard", "modified"])
@@ -433,7 +434,7 @@ def test_sweep_checks_each_grid_value_with_its_device_rule(monkeypatch):
     # names alpha1), and it does so before any model is built or read
     import squint.resolution as solvers
     reads = []
-    for name in ("_models", "_moments", "_slope", "_batched_moments", "_batched_slope"):
+    for name in ("_models", "_moments", "_jet", "_batched_moments", "_batched_jet"):
         monkeypatch.setattr(solvers, name, lambda *args, name=name: reads.append(name))
     base = InterferometerConfig(G=2.0, alpha1=0.1, delta2=-0.2)
     grids = {"G": [0.5, 1.0, 200.0], "delta1": [-0.3, 0.0, 1.0], "delta2": [-0.3, 0.0, 1.0]}
@@ -590,20 +591,21 @@ def _drawn_devices(count):
 
 
 def _counted_reads(monkeypatch):
-    """Patch refine's two kernels to record each phase they are read at, and
-    return the two lists: (phase-jet reads, moment-kernel reads)."""
+    """Patch refine's jet kernel and the moment kernel to record each phase
+    they are read at, and return the two lists: (jet reads, moment-kernel
+    reads)."""
     import squint.resolution as solvers
-    reads = {"_phase_jet": [], "_moments": []}
+    reads = {"_jet": [], "_moments": []}
     for name, calls in reads.items():
         kernel = getattr(solvers, name)
         monkeypatch.setattr(solvers, name, lambda rows, phi, k=kernel, c=calls:
                             c.append(phi) or k(rows, phi))
-    return reads["_phase_jet"], reads["_moments"]
+    return reads["_jet"], reads["_moments"]
 
 
 def test_refine_matches_golden_section_reference(monkeypatch):
     # the Newton search against golden section on sigma, over refine's own
-    # bracket and tolerance, counting the phase-jet reads, not timing them;
+    # bracket and tolerance, counting the jet reads, not timing them;
     # refine reads no moments
     import squint.resolution as solvers
     jets, moments = _counted_reads(monkeypatch)
@@ -627,14 +629,14 @@ def test_solver_reads_keep_evaluate_bits():
     # check and boxing: the same bits, so the same search path; and refine
     # stops where f' = d sigma^2 / dphi is zero within its roundoff, a few
     # eps (1 + N)^2 (measured worst 4.3 of it)
-    from squint.interferometer import _moments, _phase_jet
+    from squint.interferometer import _jet, _moments
     rng = np.random.default_rng(1919)
     for cfg in _drawn_devices(100):
         rows, n = cfg._model
         for phi in (np.pi / 2, -0.0, *rng.uniform(-2 * np.pi, 2 * np.pi, size=4)):
             phi = float(phi)
             assert _moments(rows, phi)[2].hex() == evaluate(cfg, phi).sigma.hex(), (cfg, phi)
-        d1, d2 = _phase_jet(rows, refine_working_point(cfg))
+        d1, d2 = _jet(rows, refine_working_point(cfg))[2:]
         assert abs(d1) <= 16 * _EPS * (1 + n) ** 2 and d2 > 0.0, cfg
 
 
