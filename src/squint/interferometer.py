@@ -46,8 +46,12 @@ from four rows of the Gram of R, R' and R'' gives sigma, the slope
 d<P>/dphi = C02', and f' and f'' of f = sigma^2 in closed form.  A lone
 solve reads it once at its working point, `signal_slope` wraps it with the
 phase check, and `refine_working_point` reads it at each Newton step.  One
-jet costs about 4.6 us, against 2.7 us for `_moments`.  The kernels each
-form their (1, cos, sin) operand as an array first and unpack their Gram
+jet costs about 4.6 us, against 2.7 us for `_moments`.  The rows are linear
+in B2's (c2, s2), so `_chain` on a device's entries,
+`InterferometerConfig._entries`, with that pair turned a quarter turn,
+(c2, s2) -> (-s2, c2), gives the rows' derivative along delta2, and
+`_field_jet` reads sigma's and the slope's derivatives from one more dot
+and Gram, for `optimize_delta2`.  The kernels each form their (1, cos, sin) operand as an array first and unpack their Gram
 with one `tolist`.  The batched kernel, `_batched_moments`, forms
 `_moments`' two products with `np.matmul` and takes each angle with one
 libm call, as `_moments` does, so its rows equal the kernel bit for bit.
@@ -152,13 +156,18 @@ class InterferometerConfig:
         hashing and repr ignore it.  Each field is read as a Python float, as
         `_models` reads it, so a field of another float type (np.float32, say)
         builds the float64 model."""
-        G, xi, *angles, delta1, delta2 = map(float, _fields(self))
-        rows, photons = _chain(float(np.cosh(G)), float(np.sinh(G)),
-                               *[f(a) for a in (xi, *angles) for f in (math.cos, math.sin)],
-                               *_quarter_turn(delta1), *_quarter_turn(delta2))
+        rows, photons = _chain(*self._entries())
         rows = rows.reshape(3, -1)
         rows.flags.writeable = False
         return rows, photons
+
+    def _entries(self) -> tuple:
+        """`_chain`'s element entries of the device, as Python floats, in
+        its argument order; B2's (c2, s2) come last."""
+        G, xi, *angles, delta1, delta2 = map(float, _fields(self))
+        return (float(np.cosh(G)), float(np.sinh(G)),
+                *[f(a) for a in (xi, *angles) for f in (math.cos, math.sin)],
+                *_quarter_turn(delta1), *_quarter_turn(delta2))
 
 
 # B2's detected rows times P0, Pc and Ps read the rows h3, h2 (A), h0, h1 (U), h1, h0 (V)
@@ -367,6 +376,35 @@ def _jet(rows: np.ndarray, phi: float) -> tuple:
     return (math.sqrt(_second_moment(c00, c02, c22) - c02 * c02), d02,
             d00 * c22 + c00 * d22 + 2.0 * c02 * d02,
             e00 * c22 + 2.0 * d00 * d22 + c00 * e22 + 2.0 * (d02 * d02 + c02 * e02))
+
+
+def _field_jet(rows: np.ndarray, drows: np.ndarray, phi: float) -> tuple:
+    """(sigma, slope, dsigma, dslope) at a finite phase phi: the product
+    signal's noise and d<P>/dphi, as `_jet` gives them, and their
+    derivatives along a device field theta, from a phase model's rows and
+    drows = d rows / d theta; for delta2 that is `_chain` with B2's
+    (c2, s2) -> (-s2, c2), since the rows are linear in that pair.
+
+    One dot of ((1, c, s), (0, -s, c)) with the rows and drows side by side
+    gives r0, r1, their field derivatives q0, q1 and the phase derivatives
+    r0', r1', q0', q1', and the first four rows of their Gram every product:
+
+        dC00 = 2 r0 . q0,   dC22 = 2 r1 . q1,   dC02 = q0 . r1 + r0 . q1,
+        d sigma^2 = dC00 C22 + C00 dC22 + 2 C02 dC02,
+        dslope = q0' . r1 + r0' . q1 + q0 . r1' + r0 . q1',
+
+    and dsigma = d sigma^2 / (2 sigma).  sigma and the slope are `_jet`'s up
+    to the order of the Gram's sums.
+    """
+    c, s = math.cos(phi), math.sin(phi)
+    r = np.array(((1.0, c, s), (0.0, -s, c))).dot(np.hstack((rows, drows))).reshape(8, -1)
+    # h_ij = r_i . q_j, p_ij = r_i . r_j', k_ij = r_i . q_j', m_ij = q_i . r_j',
+    # 0 for r0 and q0, 2 for r1 and q1
+    (c00, c02, h00, h02, _, p02, _, k02), (_, c22, h20, h22, p20, _, k20, _), \
+        (*_, m02, _, _), (*_, m20, _, _, _) = r[:4].dot(r.T).tolist()
+    sigma = math.sqrt(_second_moment(c00, c02, c22) - c02 * c02)
+    return (sigma, p20 + p02, (h00 * c22 + c00 * h22 + c02 * (h20 + h02)) / sigma,
+            k20 + m20 + m02 + k02)
 
 
 def _batched_jet(stack: np.ndarray, phi: float) -> tuple:

@@ -15,7 +15,10 @@ slice by slice, independently of the builders' literals, and the saturation
 test reads the tail of a sweep for the acceptance gates.  Plain bisection
 solves the modified criterion from the public `evaluate` and `signal_slope`
 alone, independent of the library solver's bracket and end handling, and
-golden-section search is the reference for the library's Brent minimiser.
+golden-section search on kappa or sigma is the reference minimum that the
+library's derivative searches, `optimize_delta2` and
+`refine_working_point`, must reach.  `apply_parameter` builds the device of
+a sweep row, the one a row's result must equal.
 The four-point slope, a harmonic identity over four `evaluate` means, is the
 reference for the analytic `signal_slope`, which shifts no phase.  The
 reference loss applies the generic pair map of `loss_unitary` onto an
@@ -40,6 +43,7 @@ The reference signal document is `squint signal` as the per-phase engine wrote
 it, one `evaluate` per phase and one `fmt` per CSV cell: the batched scan and
 its row-at-a-time CSV writer must equal it byte for byte.
 """
+import dataclasses
 import decimal
 import json
 import math
@@ -54,6 +58,7 @@ from squint.cli import _json_num, fmt
 from squint.gaussian import (_check_finite, _check_gain, _check_integer, _check_loss_angle,
                              _quarter_turn)
 from squint.moments import _second_moment, _sigma
+from squint.resolution import _SYMMETRIC
 
 SIGNAL_COLUMNS = ("phi", "mean_P", "sqrt_second_moment", "sigma", "mean_N")
 
@@ -381,6 +386,13 @@ def four_point_slope(config, phi):
         return evaluate(config, phi + t).mean - evaluate(config, phi - t).mean
 
     return diff(math.pi / 4) - (math.sqrt(2.0) - 1.0) / 2.0 * diff(math.pi / 2)
+
+
+def apply_parameter(config, parameter, value):
+    """The device of `config` with the sweep parameter set to value: both
+    modes' loss at a station for a symmetric shorthand, else the field."""
+    fields = _SYMMETRIC.get(parameter, (parameter,))
+    return dataclasses.replace(config, **dict.fromkeys(fields, value))
 
 
 def golden_min(f, lo, hi, tol):

@@ -395,6 +395,15 @@ def test_resolve_nonconvergence_exits_2(capsys):
     assert "slope" in res["message"]
 
 
+def test_resolve_refuses_a_root_bracket_wider_than_the_phase_spacing_allows(capsys):
+    # at phi = 2^52 the float spacing is 1: the root's bracket closes at [1, 2]
+    code, payload = run_json(["resolve", "-G", "1", "--phi=4503599627370496"], capsys)
+    assert code == 2
+    res = payload["result"]
+    assert res["converged"] is False and res["delta_phi"] == 1.5
+    assert "float spacing" in res["message"]
+
+
 def test_resolve_refine_phi(capsys):
     code, payload = run_json(["resolve", "-G", "1.5", "--refine-phi"], capsys)
     assert code == 0

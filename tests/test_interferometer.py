@@ -26,17 +26,19 @@ from squint.gaussian import _G_MAX
 from squint.interferometer import (
     _batched_jet,
     _batched_moments,
+    _chain,
     _evaluate_grid,
+    _field_jet,
     _jet,
     _models,
     _moments,
 )
-from squint.resolution import SWEEP_PARAMETERS, _apply_parameter
-from reference import (apply_loss, apply_symplectic, beam_splitter, decimal_photons,
-                       four_point_slope, lose_one_mode, mean_photon_number, phase_shifter,
-                       product_mean, product_second_moment, product_sigma, reference_model,
-                       reference_output_state, reference_station, two_mode_squeezer,
-                       vacuum_state)
+from squint.resolution import SWEEP_PARAMETERS
+from reference import (apply_loss, apply_parameter, apply_symplectic, beam_splitter,
+                       decimal_photons, four_point_slope, lose_one_mode, mean_photon_number,
+                       phase_shifter, product_mean, product_second_moment, product_sigma,
+                       reference_model, reference_output_state, reference_station,
+                       two_mode_squeezer, vacuum_state)
 
 GAINS = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 _EPS = float(np.finfo(float).eps)
@@ -465,6 +467,47 @@ def test_phase_jet_matches_central_differences_of_evaluate():
             assert abs(d2 - (up - 2 * f0 + down) / (h * h)) <= tol, (cfg, phi)
 
 
+def test_field_jet_matches_central_differences_along_delta2():
+    # the rows are linear in B2's (c2, s2) = (cos t, sin t), t = pi/4 + delta2,
+    # so `_chain` with (c2, s2) -> (-s2, c2) gives d rows / d delta2, and
+    # `_field_jet` d sigma^2 / d delta2 and d slope / d delta2 from it: held
+    # against central differences of `_jet` at delta2 +/- h, with delta2 on
+    # both sides of `_quarter_turn`'s pi/8 branch.  With S = 3 (|rows|^2 +
+    # |drows|^2) in Frobenius norms, each detected row pair at any t and
+    # phase, R or R', has |r0|^2 + |r1|^2 <= S (three terms of the phase sum,
+    # and r(t') = cos(t' - t) r + sin(t' - t) q), so |sigma^2| <= S^2 / 2 and
+    # |slope| <= S.  Both are trigonometric polynomials in t, of degree 4 and
+    # 2, so by Bernstein's inequality the quotient's truncation,
+    # h^2 |f'''| / 6, is at most 16/3 h^2 S^2 and 4/3 h^2 S.  Each Gram entry
+    # errs by at most about 16 eps S (its 12-term dot, the 3-term phase sum
+    # and the rows' own roundings), so sigma^2, the slope and the kernel's
+    # derivatives err by at most 60 eps S^2 and 70 eps S, and each step
+    # delta2 +/- h by an ulp of t: the quotient's roundoff stays below
+    # 120 eps S^2 / h and 80 eps S / h.  At h = 1e-5 the two bounds are about
+    # 3.2e-9 S^2 and 1.9e-9 S, while a wrong term moves either by order S^2
+    # or S at a phase off the dark fringe
+    rng = np.random.default_rng(5353)
+    h, branch = 1e-5, np.pi / 8
+    for base in _model_devices(40, max_loss=0.3):
+        for delta2 in (rng.uniform(-branch + h, branch - h),
+                       rng.choice((-1.0, 1.0)) * rng.uniform(branch + h, 0.78 - h)):
+            cfg = dataclasses.replace(base, delta2=float(delta2))
+            *head, c2, s2 = cfg._entries()
+            rows = cfg._model[0]
+            drows = _chain(*head, -s2, c2)[0].reshape(3, -1)
+            scale = 3.0 * float(np.sum(rows * rows) + np.sum(drows * drows))
+            tol_f = (16 / 3 * h * h + 120 * _EPS / h) * scale * scale
+            tol_s = (4 / 3 * h * h + 80 * _EPS / h) * scale
+            up, down = (dataclasses.replace(cfg, delta2=cfg.delta2 + step)._model[0]
+                        for step in (h, -h))
+            for phi in (np.pi / 2, *rng.uniform(-np.pi, np.pi, 2).tolist()):
+                sigma, _, dsigma, dslope = _field_jet(rows, drows, phi)
+                (s_up, slope_up), (s_down, slope_down) = _jet(up, phi)[:2], _jet(down, phi)[:2]
+                df = (s_up * s_up - s_down * s_down) / (2 * h)
+                assert abs(2 * sigma * dsigma - df) <= tol_f, (cfg, phi)
+                assert abs(dslope - (slope_up - slope_down) / (2 * h)) <= tol_s, (cfg, phi)
+
+
 def test_mean_photons_independent_of_phase():
     # the device reads its photon number once, so every phase returns its bits
     for cfg in (InterferometerConfig(G=1.5, alpha1=0.1, beta1=0.05, alpha2=0.2,
@@ -684,7 +727,7 @@ def _sweep_families():
     for base in bases:
         for parameter in SWEEP_PARAMETERS:
             for value in grids.get(parameter, [0.0, -0.0, 0.1, 1.0, np.pi / 2]):
-                yield _apply_parameter(base, parameter, value)
+                yield apply_parameter(base, parameter, value)
 
 
 def test_one_chain_gives_floats_and_arrays_the_same_bits():
